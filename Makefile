@@ -4,7 +4,8 @@
 GO ?= go
 
 .PHONY: all build test race bench bench-json serve lint cover fmt \
-	apicheck api-baseline examples quality fuzz crashsafety logcheck
+	apicheck api-baseline examples quality fuzz crashsafety logcheck \
+	perfbench-vet
 
 # Minimum total statement coverage accepted by `make cover` (percent).
 COVER_FLOOR ?= 70
@@ -28,14 +29,21 @@ race:
 
 # One-iteration benchmark smoke pass: catches benchmarks that no longer
 # compile or crash, without paying for stable timings. Includes the
-# shared-vs-legacy scoring benchmarks (BenchmarkScoreBatch*).
+# shared-scan scoring benchmarks (BenchmarkScoreBatch*).
 bench:
 	$(GO) test -run NONE -bench . -benchtime 1x ./...
 
+# Compile and vet the end-to-end benchmark. perfbench/ is a nested Go
+# module (replace privbayes => ../), so ./... never reaches it: without
+# this target an internal API change could break the benchmark while
+# build, lint and test stay green.
+perfbench-vet:
+	cd perfbench && $(GO) vet .
+
 # Timed benchmarks, captured machine-readably. Scoring: runs
-# BenchmarkScoreBatchShared vs BenchmarkScoreBatchLegacy over the
-# (d, k) grid and writes per-benchmark ns/op plus shared-vs-legacy
-# speedups to BENCH_scoring.json. Serving: runs BenchmarkServeSynthesize
+# BenchmarkScoreBatchShared over the (d, k) grid and the columnar vs
+# row-major counting pair, and writes per-benchmark ns/op plus the
+# columnar speedups to BENCH_scoring.json. Serving: runs BenchmarkServeSynthesize
 # (end-to-end HTTP streaming synthesis at n∈{1e4,1e5} × parallelism) and
 # writes rows/s per configuration to BENCH_serving.json.
 # Each bench run lands in a temp file first so a benchmark failure fails
@@ -46,7 +54,7 @@ bench:
 # gating.
 bench-json:
 	$(GO) run ./cmd/quality -check=false -out BENCH_quality.json
-	$(GO) test -run NONE -bench 'BenchmarkScoreBatch(Shared|Legacy)$$' \
+	$(GO) test -run NONE -bench 'BenchmarkScoreBatchShared$$' \
 		-benchtime 1s ./internal/score > bench_scoring.out
 	$(GO) test -run NONE -bench 'BenchmarkCount(Columnar|RowMajor)$$' \
 		-benchtime 1s ./internal/marginal >> bench_scoring.out

@@ -247,21 +247,6 @@ func BenchmarkSynthesizeParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkMaterializeParallel measures chunked row-range marginal
-// counting — the engine's hottest primitive — serial vs 4 workers on a
-// 100k-row table.
-func BenchmarkMaterializeParallel(b *testing.B) {
-	ds := binaryChainData(100000, 8, 3)
-	vars := []marginal.Var{{Attr: 0}, {Attr: 2}, {Attr: 4}, {Attr: 6}}
-	for _, par := range parallelGrid {
-		b.Run(fmt.Sprintf("workers=%d", par), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				marginal.MaterializeP(ds, vars, par)
-			}
-		})
-	}
-}
-
 // BenchmarkSampleParallelWorkers measures chunked synthetic-tuple
 // generation serial vs 4 workers, 50k rows per iteration.
 func BenchmarkSampleParallelWorkers(b *testing.B) {

@@ -3,9 +3,9 @@
 // as artifacts (see the Makefile's bench-json target, which writes
 // BENCH_scoring.json) and diffed across commits without screen-scraping.
 //
-// Besides the per-benchmark table it pairs every ScoreBatchShared/<sub>
-// result with its ScoreBatchLegacy/<sub> counterpart and reports the
-// speedup, the headline number of the shared-scan scoring engine.
+// Besides the per-benchmark table it pairs each fast benchmark family's
+// <sub> results with its baseline family's (speedupPairs) and reports
+// the speedups.
 //
 // Usage:
 //
@@ -136,14 +136,12 @@ func parseBenchLine(line string) (Benchmark, bool) {
 }
 
 // speedupPairs are the fast-vs-baseline benchmark families whose
-// matching sub-benchmarks are paired into headline speedups: the
-// shared-scan scoring engine against the legacy scorer, and the exact
-// query engine against synthesize-then-scan.
+// matching sub-benchmarks are paired into headline speedups.
 var speedupPairs = []struct{ fast, base, label string }{
-	{"BenchmarkScoreBatchShared/", "BenchmarkScoreBatchLegacy/", "shared_vs_legacy/"},
 	// Columnar popcount counting against the legacy row-major walk on
 	// the same bit-packed dataset (internal/marginal, d ∈ {8,16,32}).
 	{"BenchmarkCountColumnar/", "BenchmarkCountRowMajor/", "columnar_vs_rowmajor/"},
+	// The exact query engine against synthesize-then-scan.
 	{"BenchmarkQuery/", "BenchmarkSynthesizeThenScan/", "query_vs_scan/"},
 	// Telemetry pairs invert the usual reading: fast is the no-op (off)
 	// path, so the ratio is on_ns/off_ns — the relative cost of enabling

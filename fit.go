@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"privbayes/internal/core"
+	"privbayes/internal/marginal"
 	"privbayes/internal/score"
 )
 
@@ -85,15 +86,14 @@ func (f *Fitter) Synthesize(ctx context.Context, ds *Dataset, opts ...Option) (*
 // Session binds a Fitter to one dataset for repeated fitting — the
 // serving workload, where one sensitive table is fitted many times
 // under different budgets, seeds or scores. The session shares one
-// score cache per score function across all of its fits: scores are
-// pure functions of the data, so every fit after the first skips the
-// scan-heavy candidate evaluations the cache already holds (the
-// shared-scan engine's parent-configuration indexes included).
+// score cache per score function and parallelism across its fits:
+// scores are pure functions of the data, so every fit after the first
+// skips the scan-heavy candidate evaluations the cache already holds.
 //
 // A Session is safe for concurrent use; cache sharing is internally
 // synchronized and never changes results, only recompute cost.
 func (f *Fitter) Session(ds *Dataset) *Session {
-	return &Session{cfg: f.cfg, ds: ds, scorers: map[score.Function]*score.Scorer{}}
+	return &Session{cfg: f.cfg, ds: ds, scorers: map[scorerKey]*score.Scorer{}}
 }
 
 // NewSession is shorthand for NewFitter(opts...).Session(ds).
@@ -112,7 +112,14 @@ type Session struct {
 	ds  *Dataset
 
 	mu      sync.Mutex
-	scorers map[score.Function]*score.Scorer
+	scorers map[scorerKey]*score.Scorer
+}
+
+// scorerKey names a session scorer: its score function and the
+// parallelism its source counts at.
+type scorerKey struct {
+	fn  score.Function
+	par int
 }
 
 // Dataset returns the sensitive dataset the session fits.
@@ -127,7 +134,7 @@ func (s *Session) Fit(ctx context.Context, opts ...Option) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt.Scorer = s.scorer(opt.Score, opt.ScorerCacheSize)
+	opt.Scorer = s.scorer(opt)
 	return core.FitContext(ctx, s.ds, opt)
 }
 
@@ -139,7 +146,7 @@ func (s *Session) Synthesize(ctx context.Context, n int, opts ...Option) (*Datas
 	if err != nil {
 		return nil, err
 	}
-	opt.Scorer = s.scorer(opt.Score, opt.ScorerCacheSize)
+	opt.Scorer = s.scorer(opt)
 	m, err := core.FitContext(ctx, s.ds, opt)
 	if err != nil {
 		return nil, err
@@ -150,16 +157,19 @@ func (s *Session) Synthesize(ctx context.Context, n int, opts ...Option) (*Datas
 	return m.SampleContextProgress(ctx, n, opt.Rand, opt.Parallelism, opt.Progress)
 }
 
-// scorer returns the session's shared scorer for fn, creating it on
-// first use. The first caller's cache bound wins; later differing
-// bounds only affect their own recompute cost, never results.
-func (s *Session) scorer(fn score.Function, cacheSize int) *score.Scorer {
+// scorer returns the session's shared scorer for the fit's score
+// function and parallelism, creating it on first use over an in-memory
+// source that counts at that parallelism. The first caller's cache
+// bound wins; later differing bounds only affect their own recompute
+// cost, never results.
+func (s *Session) scorer(opt core.Options) *score.Scorer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sc, ok := s.scorers[fn]
+	key := scorerKey{opt.Score, opt.Parallelism}
+	sc, ok := s.scorers[key]
 	if !ok {
-		sc = score.NewScorerSized(fn, s.ds, cacheSize)
-		s.scorers[fn] = sc
+		sc = score.NewScorerCounts(opt.Score, s.ds.Attrs(), marginal.NewMemorySource(s.ds, opt.Parallelism), opt.ScorerCacheSize)
+		s.scorers[key] = sc
 	}
 	return sc
 }

@@ -23,24 +23,18 @@ import (
 // the mutual-consistency post-processing of EnforceConsistency to the
 // noised joints before deriving conditionals (footnote 1 of the paper).
 //
-// The d−k joint materializations — each a full pass over the n rows —
-// fan out across up to `parallelism` workers, both across tables and
-// across row chunks within each table (marginal.MaterializeP); Laplace
-// noise is then injected serially in pair order from rng. The result
-// is bit-identical at every parallelism other than 1 for a fixed seed
-// (exact-count merging makes the joints worker-count independent);
-// parallelism 1 reproduces the pre-engine serial accumulation byte for
-// byte.
-//
-// NoisyConditionalsBinary materializes each joint from scratch; the Fit
-// pipeline instead routes through the cached variant so the chosen
-// pairs' joints come from the parent-configuration indexes the final
-// greedy iterations already built (see materializeJoint).
+// The d−k joints are counted from the dataset's in-memory source,
+// fanned out across up to `parallelism` workers, both across tables and
+// within each table's counting; Laplace noise is then injected serially
+// in pair order from rng. The result is bit-identical at every
+// parallelism other than 1 for a fixed seed (exact counts make the
+// joints worker-count independent); parallelism 1 reproduces the
+// pre-engine serial accumulation byte for byte.
 func NoisyConditionalsBinary(ds *dataset.Dataset, net Network, k int, eps2 float64, noNoise, consistent bool, parallelism int, rng *rand.Rand) ([]*marginal.Conditional, error) {
-	return noisyConditionalsBinary(context.Background(), ds, net, k, eps2, noNoise, consistent, parallelism, rng, nil, nil, nil)
+	return noisyConditionalsBinary(context.Background(), marginal.NewMemorySource(ds, parallelism), net, k, eps2, noNoise, consistent, parallelism, rng, nil)
 }
 
-func noisyConditionalsBinary(ctx context.Context, ds *dataset.Dataset, net Network, k int, eps2 float64, noNoise, consistent bool, parallelism int, rng *rand.Rand, cache *marginal.IndexCache, cs marginal.CountSource, progress *progressSink) ([]*marginal.Conditional, error) {
+func noisyConditionalsBinary(ctx context.Context, cs marginal.CountSource, net Network, k int, eps2 float64, noNoise, consistent bool, parallelism int, rng *rand.Rand, progress *progressSink) ([]*marginal.Conditional, error) {
 	d := len(net.Pairs)
 	conds := make([]*marginal.Conditional, d)
 	if d == 0 {
@@ -49,21 +43,54 @@ func noisyConditionalsBinary(ctx context.Context, ds *dataset.Dataset, net Netwo
 	if k >= d {
 		k = d - 1
 	}
-	n := float64(ds.N())
-	scale := 2 * float64(d-k) / (n * eps2)
-
-	if err := prefetchPairCounts(ctx, cs, net.Pairs[k:]); err != nil {
+	scale := 2 * float64(d-k) / (float64(cs.Rows()) * eps2)
+	joints, err := noisyPairJoints(ctx, cs, net.Pairs[k:], scale, noNoise, consistent, parallelism, rng, progress)
+	if err != nil {
 		return nil, err
 	}
-	progress.start(PhaseMarginals, d-k)
-	jointErrs := make([]error, d-k)
-	joints, err := parallel.MapCtx(ctx, parallel.Workers(parallelism), d-k, func(j int) *marginal.Table {
-		t, err := materializeJoint(ds, net.Pairs[k+j], parallelism, cache, cs)
+	// The noisy joint of pair k+1 (index k) anchors the derivation of
+	// the head conditionals.
+	anchor := joints[0]
+	for i := k; i < d; i++ {
+		conds[i] = marginal.ConditionalFromJoint(joints[i-k])
+	}
+	for i := 0; i < k; i++ {
+		pair := net.Pairs[i]
+		sub, err := projectOnto(anchor, pair)
 		if err != nil {
-			jointErrs[j] = err
+			return nil, err
+		}
+		conds[i] = marginal.ConditionalFromJoint(sub)
+	}
+	return conds, nil
+}
+
+// noisyPairJoints runs the marginals phase over pairs: it opens the phase,
+// prefetches every joint in one pass when the source can batch, counts
+// each joint across up to parallelism workers, then perturbs them
+// serially in pair order with Laplace(scale) noise, clamps and
+// normalizes, and optionally makes them mutually consistent.
+func noisyPairJoints(ctx context.Context, cs marginal.CountSource, pairs []APPair, scale float64, noNoise, consistent bool, parallelism int, rng *rand.Rand, progress *progressSink) ([]*marginal.Table, error) {
+	total := len(pairs)
+	progress.start(PhaseMarginals, total)
+	if err := prefetchPairCounts(ctx, cs, pairs); err != nil {
+		return nil, err
+	}
+	// Parallelism 1 normalizes through one shared Ladder, replaying the
+	// serial Materialize accumulation byte for byte; any other setting
+	// scales the exact counts by 1/n once.
+	var lad *marginal.Ladder
+	if parallelism == 1 {
+		lad = marginal.NewLadder(cs.Rows())
+	}
+	jointErrs := make([]error, total)
+	joints, err := parallel.MapCtx(ctx, parallel.Workers(parallelism), total, func(i int) *marginal.Table {
+		t, err := materializeJoint(cs, pairs[i], lad)
+		if err != nil {
+			jointErrs[i] = err
 			return nil
 		}
-		progress.unit(PhaseMarginals, d-k)
+		progress.unit(PhaseMarginals, total)
 		return t
 	})
 	if err != nil {
@@ -83,63 +110,22 @@ func noisyConditionalsBinary(ctx context.Context, ds *dataset.Dataset, net Netwo
 	if consistent && !noNoise {
 		EnforceConsistency(joints, 0)
 	}
-	// The noisy joint of pair k+1 (index k) anchors the derivation of
-	// the head conditionals.
-	anchor := joints[0]
-	for i := k; i < d; i++ {
-		conds[i] = marginal.ConditionalFromJoint(joints[i-k])
-	}
-	for i := 0; i < k; i++ {
-		pair := net.Pairs[i]
-		sub, err := projectOnto(anchor, pair)
-		if err != nil {
-			return nil, err
-		}
-		conds[i] = marginal.ConditionalFromJoint(sub)
-	}
-	return conds, nil
+	return joints, nil
 }
 
-// materializeJoint produces the empirical joint Pr[Π, X] of one AP pair.
-// With a parent-configuration index cache (the scorer's, inside Fit) the
-// parent scan the final greedy iterations already paid is reused and
-// only the child column is walked; without one it falls back to
-// marginal.MaterializeP. Both routes are bit-identical at every
-// parallelism: counts merge exactly, parallelism != 1 normalizes by one
-// 1/n scale exactly like MaterializeP, and parallelism 1 normalizes
-// through marginal.Ladder, which reproduces the serial Materialize
-// accumulation byte for byte.
-func materializeJoint(ds *dataset.Dataset, pair APPair, parallelism int, cache *marginal.IndexCache, cs marginal.CountSource) (*marginal.Table, error) {
-	n := ds.N()
-	if cs != nil {
-		// Counts mode: the joint's integer counts come from the source;
-		// normalization mirrors the row-mode contract exactly —
-		// parallelism 1 through the Ladder (serial byte-identity), any
-		// other through one exact 1/n scale.
-		ts, err := cs.CountTables(pair.Parents, []marginal.Var{pair.X})
-		if err != nil {
-			return nil, err
-		}
-		t := ts[0]
-		if parallelism == 1 && cache != nil {
-			cache.Ladder(n).Apply(t)
-		} else {
-			t.Scale(1 / float64(n))
-		}
-		return t, nil
+// materializeJoint produces the empirical joint Pr[Π, X] of one AP pair
+// from its exact counts: through lad when one is given, else by one
+// 1/n scale.
+func materializeJoint(cs marginal.CountSource, pair APPair, lad *marginal.Ladder) (*marginal.Table, error) {
+	ts, err := cs.CountTables(pair.Parents, []marginal.Var{pair.X})
+	if err != nil {
+		return nil, err
 	}
-	if cache == nil || n == 0 {
-		return marginal.MaterializeP(ds, pair.Vars(), parallelism), nil
-	}
-	if _, ok := marginal.ParentConfigs(ds, pair.Parents); !ok {
-		return marginal.MaterializeP(ds, pair.Vars(), parallelism), nil
-	}
-	ix := cache.Get(ds, pair.Parents, parallelism)
-	t := ix.CountChildren(ds, []marginal.Var{pair.X}, parallelism)[0]
-	if parallelism == 1 {
-		cache.Ladder(n).Apply(t)
+	t := ts[0]
+	if lad != nil {
+		lad.Apply(t)
 	} else {
-		t.Scale(1 / float64(n))
+		t.Scale(1 / float64(cs.Rows()))
 	}
 	return t, nil
 }
@@ -180,56 +166,29 @@ func projectOnto(anchor *marginal.Table, pair APPair) (*marginal.Table, error) {
 
 // NoisyConditionalsGeneral implements Algorithm 3: every one of the d
 // AP-pair joints is materialized and perturbed with Laplace(2d/(n·ε₂))
-// noise, then clamped, normalized and conditioned. Materialization fans
-// out across up to `parallelism` workers, across tables and across row
-// chunks within each table; the noise draws stay serial in pair order,
-// keeping the output bit-identical at every parallelism other than 1
-// (see NoisyConditionalsBinary for the contract).
+// noise, then clamped, normalized and conditioned. Counting fans out
+// across up to `parallelism` workers, across tables and within each
+// table; the noise draws stay serial in pair order, keeping the output
+// bit-identical at every parallelism other than 1 (see
+// NoisyConditionalsBinary for the contract).
 func NoisyConditionalsGeneral(ds *dataset.Dataset, net Network, eps2 float64, noNoise, consistent bool, parallelism int, rng *rand.Rand) []*marginal.Conditional {
-	conds, err := noisyConditionalsGeneral(context.Background(), ds, net, eps2, noNoise, consistent, parallelism, rng, nil, nil, nil)
+	conds, err := noisyConditionalsGeneral(context.Background(), marginal.NewMemorySource(ds, parallelism), net, eps2, noNoise, consistent, parallelism, rng, nil)
 	if err != nil {
-		// Unreachable: the background context never ends.
+		// Unreachable for θ-useful networks: the background context
+		// never ends, and their parent sets never overflow.
 		panic(err)
 	}
 	return conds
 }
 
-func noisyConditionalsGeneral(ctx context.Context, ds *dataset.Dataset, net Network, eps2 float64, noNoise, consistent bool, parallelism int, rng *rand.Rand, cache *marginal.IndexCache, cs marginal.CountSource, progress *progressSink) ([]*marginal.Conditional, error) {
+func noisyConditionalsGeneral(ctx context.Context, cs marginal.CountSource, net Network, eps2 float64, noNoise, consistent bool, parallelism int, rng *rand.Rand, progress *progressSink) ([]*marginal.Conditional, error) {
 	d := len(net.Pairs)
-	conds := make([]*marginal.Conditional, d)
-	n := float64(ds.N())
-	scale := 2 * float64(d) / (n * eps2)
-	if err := prefetchPairCounts(ctx, cs, net.Pairs); err != nil {
-		return nil, err
-	}
-	progress.start(PhaseMarginals, d)
-	jointErrs := make([]error, d)
-	joints, err := parallel.MapCtx(ctx, parallel.Workers(parallelism), d, func(i int) *marginal.Table {
-		t, err := materializeJoint(ds, net.Pairs[i], parallelism, cache, cs)
-		if err != nil {
-			jointErrs[i] = err
-			return nil
-		}
-		progress.unit(PhaseMarginals, d)
-		return t
-	})
+	scale := 2 * float64(d) / (float64(cs.Rows()) * eps2)
+	joints, err := noisyPairJoints(ctx, cs, net.Pairs, scale, noNoise, consistent, parallelism, rng, progress)
 	if err != nil {
 		return nil, err
 	}
-	for _, err := range jointErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, joint := range joints {
-		if !noNoise {
-			joint.AddLaplace(rng, scale)
-		}
-		joint.ClampNormalize()
-	}
-	if consistent && !noNoise {
-		EnforceConsistency(joints, 0)
-	}
+	conds := make([]*marginal.Conditional, d)
 	for i, joint := range joints {
 		conds[i] = marginal.ConditionalFromJoint(joint)
 	}

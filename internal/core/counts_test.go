@@ -220,3 +220,126 @@ func TestRefitCountsValidation(t *testing.T) {
 		t.Error("invalid network accepted")
 	}
 }
+
+// TestSuppliedScorerGuard checks fitModel accepts a supplied scorer
+// only when it computes the fit's score function over the fit's rows,
+// through either entry point — and that an accepted in-memory scorer
+// changes nothing in the model.
+func TestSuppliedScorerGuard(t *testing.T) {
+	ds := chainData(1500, 5)
+	p, err := counts.NewProvider(context.Background(), dataset.DatasetSource(ds, 500), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := counts.NewProvider(context.Background(), dataset.DatasetSource(ds, 500), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Options{Epsilon: 0.8, Beta: 0.3, Theta: 4, K: 2, Mode: ModeBinary,
+		Score: score.F, Parallelism: 2}
+	fit := func(sc *score.Scorer, outOfCore bool) ([]byte, error) {
+		opt := base
+		opt.Scorer = sc
+		opt.Rand = rand.New(rand.NewSource(3))
+		var m *Model
+		var err error
+		if outOfCore {
+			m, err = FitCountsContext(context.Background(), ds.Attrs(), p, opt)
+		} else {
+			m, err = FitContext(context.Background(), ds, opt)
+		}
+		if err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		if err := m.WriteJSON(&buf, opt.Epsilon); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), nil
+	}
+	want, err := fit(nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name      string
+		scorer    *score.Scorer
+		outOfCore bool
+		ok        bool
+	}{
+		{"wrong function in memory", score.NewScorerSized(score.MI, ds, 0), false, false},
+		{"wrong function out of core", score.NewScorerCounts(score.MI, ds.Attrs(), p, 0), true, false},
+		{"count-source scorer in memory", score.NewScorerCounts(score.F, ds.Attrs(), p, 0), false, false},
+		{"other source out of core", score.NewScorerCounts(score.F, ds.Attrs(), other, 0), true, false},
+		{"other dataset in memory", score.NewScorerSized(score.F, chainData(1500, 5), 0), false, false},
+		{"same dataset in memory", score.NewScorerSized(score.F, ds, 0), false, true},
+		{"same source out of core", score.NewScorerCounts(score.F, ds.Attrs(), p, 0), true, true},
+	}
+	for _, tc := range cases {
+		got, err := fit(tc.scorer, tc.outOfCore)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.ok && !bytes.Equal(got, want):
+			t.Errorf("%s: model differs from a fit without a supplied scorer", tc.name)
+		case !tc.ok && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// prefetchProbe is a batchable in-memory source that records, for each
+// Prefetch, whether the marginals phase had opened by then.
+type prefetchProbe struct {
+	*marginal.MemorySource
+	marginalsOpen bool
+	opened        []bool
+}
+
+func (p *prefetchProbe) Prefetch(context.Context, []marginal.CountRequest) error {
+	p.opened = append(p.opened, p.marginalsOpen)
+	return nil
+}
+
+// TestDistributionPrefetchInMarginalsPhase checks the distribution
+// phase's batched prefetch — a full scan out of core — runs after the
+// marginals phase opens, so progress and phase timings account for it,
+// while every scoring prefetch runs before.
+func TestDistributionPrefetchInMarginalsPhase(t *testing.T) {
+	cases := []struct {
+		name string
+		ds   *dataset.Dataset
+		opt  Options
+	}{
+		{"binary", chainData(2000, 13), Options{Epsilon: 0.8, Beta: 0.3, Theta: 4, K: 2,
+			Mode: ModeBinary, Score: score.F}},
+		{"general", mixedData(2000, 14), Options{Epsilon: 0.8, Beta: 0.3, Theta: 4,
+			Mode: ModeGeneral, Score: score.R, UseHierarchy: true}},
+	}
+	for _, tc := range cases {
+		probe := &prefetchProbe{MemorySource: marginal.NewMemorySource(tc.ds, 2)}
+		opt := tc.opt
+		opt.Parallelism = 2
+		opt.Rand = rand.New(rand.NewSource(15))
+		opt.Progress = func(ev ProgressEvent) {
+			if ev.Phase == PhaseMarginals && ev.Done == 0 {
+				probe.marginalsOpen = true
+			}
+		}
+		if _, err := FitCountsContext(context.Background(), tc.ds.Attrs(), probe, opt); err != nil {
+			t.Fatal(err)
+		}
+		n := len(probe.opened)
+		if n < 2 {
+			t.Fatalf("%s: %d prefetches, want scoring and distribution prefetches", tc.name, n)
+		}
+		if !probe.opened[n-1] {
+			t.Errorf("%s: distribution prefetch ran before the marginals phase opened", tc.name)
+		}
+		for i, open := range probe.opened[:n-1] {
+			if open {
+				t.Errorf("%s: scoring prefetch %d ran inside the marginals phase", tc.name, i)
+			}
+		}
+	}
+}

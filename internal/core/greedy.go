@@ -28,8 +28,7 @@ import (
 // Candidate scoring — the dominant cost at realistic k — goes through
 // the scorer's shared-scan batch engine: candidates are emitted with
 // their C(|V|,k) parent sets intact so the engine groups them by parent
-// set, pays one parent-configuration scan per group (cached across
-// iterations), and counts all children of a group in one fused row pass.
+// set and asks the count source for all children of a group at once.
 // Scoring fans out across up to `parallelism` workers (<= 0 selects
 // GOMAXPROCS); scores are pure functions of the data and the single
 // exponential-mechanism draw per iteration stays on rng, so the learned
@@ -231,11 +230,11 @@ func GreedyBayesGeneralContext(ctx context.Context, ds *dataset.Dataset, theta, 
 
 // scoreCandidates evaluates the candidate scores with the scorer's
 // shared-scan batch engine, in candidate order. The engine groups the
-// pairs by canonical parent set and shares one configuration scan per
-// group; results come back in input order, bit-identical to
+// pairs by canonical parent set and counts each group in one source
+// request; results come back in input order, bit-identical to
 // per-candidate scoring, so the exponential-mechanism draw downstream
-// sees exactly the legacy score vector. A cancelled ctx aborts the
-// batch between parent-set groups with ctx.Err().
+// sees the same score vector at every parallelism. A cancelled ctx
+// aborts the batch between parent-set groups with ctx.Err().
 func scoreCandidates(ctx context.Context, sc *score.Scorer, cand []APPair, parallelism int) ([]float64, error) {
 	pairs := make([]score.Pair, len(cand))
 	for i, c := range cand {

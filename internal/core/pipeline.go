@@ -55,7 +55,9 @@ type Options struct {
 	// parents) in ModeGeneral — the paper's "Hierarchical" encoding.
 	UseHierarchy bool
 	// Scorer optionally supplies a pre-built (possibly shared) score
-	// cache; it must wrap the same dataset and score function.
+	// cache; it must compute the same score function over the fit's
+	// rows: the same count source, or for FitContext an in-memory
+	// source over the same dataset (score.NewScorerSized builds one).
 	Scorer *score.Scorer
 	// ScorerCacheSize bounds the score memo of the scorer Fit builds
 	// when Scorer is nil: at most this many scored pairs are retained,
@@ -84,9 +86,10 @@ type Options struct {
 	// the pre-parallel engine byte for byte. For a fixed seed, Fit and
 	// Synthesize output is bit-identical at every parallelism other
 	// than 1, on any machine — work units and RNG streams are indexed
-	// by data position, never by worker (see Model.SampleP and
-	// marginal.MaterializeP). The learned network structure is
-	// additionally identical between the serial and parallel paths.
+	// by data position, never by worker, and counts are exact integers
+	// (see Model.SampleP and marginal.MemorySource). The learned
+	// network structure is additionally identical between the serial
+	// and parallel paths.
 	Parallelism int
 	// Progress, when set, receives one ProgressEvent per completed
 	// pipeline unit (greedy iteration, materialized marginal). Events
@@ -143,24 +146,28 @@ func Fit(ds *dataset.Dataset, opt Options) (*Model, error) {
 // promptly — within one scoring batch or one joint — releases its
 // workers, and returns ctx.Err(). Cancellation never produces a
 // partial model: the result is either complete or nil.
+//
+// The rows are read through a marginal.MemorySource counting at
+// opt.Parallelism; the fit itself is FitCountsContext's.
 func FitContext(ctx context.Context, ds *dataset.Dataset, opt Options) (*Model, error) {
-	return fitModel(ctx, ds, nil, opt)
+	return fitModel(ctx, ds.Attrs(), marginal.NewMemorySource(ds, opt.Parallelism), opt)
 }
 
-// FitCountsContext runs the same two-phase pipeline as FitContext with
-// every data access routed through a count source: structure search,
-// sensitivities and table shapes need only the schema and row count
-// (carried by a virtual dataset), and every joint the scorer or the
-// conditional materialization needs is requested from cs as an exact
-// integer count table. Because integer counts are chunking-invariant
-// and the remaining float arithmetic is the very same code the
-// in-memory path runs, the returned model is byte-identical to
-// FitContext over the materialized rows, for any seed and parallelism.
+// FitCountsContext runs the two-phase pipeline with every data access
+// routed through a count source: structure search, sensitivities and
+// table shapes need only the schema and row count (carried by a
+// virtual dataset), and every joint the scorer or the conditional
+// materialization needs is requested from cs as an exact integer count
+// table. Integer counts are chunking-invariant and the float arithmetic
+// after them is shared, so the model is byte-identical for every
+// source over the same rows — FitContext's in-memory one included —
+// for any seed and parallelism.
 func FitCountsContext(ctx context.Context, attrs []dataset.Attribute, cs marginal.CountSource, opt Options) (*Model, error) {
-	return fitModel(ctx, dataset.NewVirtual(attrs, cs.Rows()), cs, opt)
+	return fitModel(ctx, attrs, cs, opt)
 }
 
-func fitModel(ctx context.Context, ds *dataset.Dataset, cs marginal.CountSource, opt Options) (*Model, error) {
+func fitModel(ctx context.Context, attrs []dataset.Attribute, cs marginal.CountSource, opt Options) (*Model, error) {
+	ds := dataset.NewVirtual(attrs, cs.Rows())
 	if err := opt.validate(ds); err != nil {
 		return nil, err
 	}
@@ -186,15 +193,12 @@ func fitModel(ctx context.Context, ds *dataset.Dataset, cs marginal.CountSource,
 	}
 
 	sc := opt.Scorer
-	if sc == nil {
-		if cs != nil {
-			sc = score.NewScorerCounts(opt.Score, ds.Attrs(), cs, opt.ScorerCacheSize)
-		} else {
-			sc = score.NewScorerSized(opt.Score, ds, opt.ScorerCacheSize)
-		}
-	} else if sc.Fn != opt.Score {
+	switch {
+	case sc == nil:
+		sc = score.NewScorerCounts(opt.Score, attrs, cs, opt.ScorerCacheSize)
+	case sc.Fn != opt.Score:
 		return nil, fmt.Errorf("core: supplied scorer computes %v, options ask for %v", sc.Fn, opt.Score)
-	} else if sc.CountSource() != cs {
+	case !marginal.SameRows(sc.CountSource(), cs):
 		return nil, errors.New("core: supplied scorer reads a different source than this fit")
 	}
 
@@ -222,9 +226,7 @@ func fitModel(ctx context.Context, ds *dataset.Dataset, cs marginal.CountSource,
 			return nil, err
 		}
 		m.Network = net
-		// Reuse the parent-configuration indexes the greedy iterations
-		// built: the chosen pairs' joints need only a child-column pass.
-		conds, err := noisyConditionalsBinary(ctx, ds, m.Network, k, eps2, opt.InfiniteMarginalBudget, opt.Consistency, opt.Parallelism, opt.Rand, sc.Indexes(), cs, progress)
+		conds, err := noisyConditionalsBinary(ctx, cs, m.Network, k, eps2, opt.InfiniteMarginalBudget, opt.Consistency, opt.Parallelism, opt.Rand, progress)
 		if err != nil {
 			return nil, err
 		}
@@ -235,7 +237,7 @@ func fitModel(ctx context.Context, ds *dataset.Dataset, cs marginal.CountSource,
 			return nil, err
 		}
 		m.Network = net
-		conds, err := noisyConditionalsGeneral(ctx, ds, m.Network, eps2, opt.InfiniteMarginalBudget, opt.Consistency, opt.Parallelism, opt.Rand, sc.Indexes(), cs, progress)
+		conds, err := noisyConditionalsGeneral(ctx, cs, m.Network, eps2, opt.InfiniteMarginalBudget, opt.Consistency, opt.Parallelism, opt.Rand, progress)
 		if err != nil {
 			return nil, err
 		}
@@ -264,33 +266,28 @@ func RefitCountsContext(ctx context.Context, attrs []dataset.Attribute, cs margi
 	if opt.Epsilon <= 0 && !opt.InfiniteMarginalBudget {
 		return nil, fmt.Errorf("core: epsilon must be positive, got %g", opt.Epsilon)
 	}
-	n := cs.Rows()
-	if n == 0 {
+	if cs.Rows() == 0 {
 		return nil, errors.New("core: empty dataset")
 	}
-	ds := dataset.NewVirtual(attrs, n)
-	if err := net.Validate(ds.D()); err != nil {
+	d := len(attrs)
+	if err := net.Validate(d); err != nil {
 		return nil, err
 	}
 	progress := newProgressSink(opt.Progress)
-	// The index cache is empty in counts mode; it only carries the
-	// shared Ladder that keeps Parallelism=1 refits byte-identical to
-	// the serial in-memory path.
-	cache := marginal.NewIndexCache(0)
 	m := &Model{Attrs: append([]dataset.Attribute(nil), attrs...), Score: opt.Score, K: -1, Network: net}
 	switch opt.Mode {
 	case ModeBinary:
-		if k < 0 || k > ds.D()-1 {
-			return nil, fmt.Errorf("core: refit anchor degree %d outside [0, %d]", k, ds.D()-1)
+		if k < 0 || k > d-1 {
+			return nil, fmt.Errorf("core: refit anchor degree %d outside [0, %d]", k, d-1)
 		}
 		m.K = k
-		conds, err := noisyConditionalsBinary(ctx, ds, net, k, opt.Epsilon, opt.InfiniteMarginalBudget, opt.Consistency, opt.Parallelism, opt.Rand, cache, cs, progress)
+		conds, err := noisyConditionalsBinary(ctx, cs, net, k, opt.Epsilon, opt.InfiniteMarginalBudget, opt.Consistency, opt.Parallelism, opt.Rand, progress)
 		if err != nil {
 			return nil, err
 		}
 		m.Conds = conds
 	case ModeGeneral:
-		conds, err := noisyConditionalsGeneral(ctx, ds, net, opt.Epsilon, opt.InfiniteMarginalBudget, opt.Consistency, opt.Parallelism, opt.Rand, cache, cs, progress)
+		conds, err := noisyConditionalsGeneral(ctx, cs, net, opt.Epsilon, opt.InfiniteMarginalBudget, opt.Consistency, opt.Parallelism, opt.Rand, progress)
 		if err != nil {
 			return nil, err
 		}

@@ -1,10 +1,10 @@
 package core
 
-// Tests pinning the shared-scan integration: the cached joint
-// materialization inside NoisyConditionals* must be bit-identical to the
-// uncached MaterializeP route at every parallelism (including the
-// Parallelism=1 legacy-serial contract), and bounding the scorer memo
-// must never change a fitted model.
+// Tests pinning the shared-scan integration: a joint counted from an
+// in-memory source, cold or from its cached parent index, must be
+// bit-identical to per-pair serial materialization at every parallelism
+// (including the Parallelism=1 legacy-serial contract), and bounding
+// the scorer memo must never change a fitted model.
 
 import (
 	"bytes"
@@ -16,8 +16,10 @@ import (
 	"privbayes/internal/score"
 )
 
-// TestMaterializeJointCachedBitIdentical checks the index-cache route
-// against marginal.MaterializeP for serial and parallel normalization.
+// TestMaterializeJointCachedBitIdentical checks a joint counted from the
+// in-memory source against marginal.Materialize under the fit's
+// normalization rule: the Ladder at parallelism 1, whose result is the
+// serial accumulation, and one exact 1/n scale of the counts otherwise.
 func TestMaterializeJointCachedBitIdentical(t *testing.T) {
 	ds := chainData(2999, 31) // odd n: 1/n inexact, normalization drift would show
 	pair := APPair{
@@ -25,43 +27,44 @@ func TestMaterializeJointCachedBitIdentical(t *testing.T) {
 		Parents: []marginal.Var{{Attr: 0}, {Attr: 2}},
 	}
 	for _, par := range []int{1, 2, 4} {
-		cache := marginal.NewIndexCache(0)
-		want := marginal.MaterializeP(ds, pair.Vars(), par)
-		got, err := materializeJoint(ds, pair, par, cache, nil)
-		if err != nil {
-			t.Fatal(err)
+		cs := marginal.NewMemorySource(ds, par)
+		var lad *marginal.Ladder
+		want := marginal.Materialize(ds, pair.Vars())
+		if par == 1 {
+			lad = marginal.NewLadder(ds.N())
+		} else {
+			want = marginal.MaterializeCounts(ds, pair.Vars())
+			want.Scale(1 / float64(ds.N()))
 		}
-		for i := range want.P {
-			if got.P[i] != want.P[i] {
-				t.Fatalf("parallelism %d cell %d: cached %v, uncached %v", par, i, got.P[i], want.P[i])
+		// The second call hits the cached parent index; still identical.
+		for rep := 0; rep < 2; rep++ {
+			got, err := materializeJoint(cs, pair, lad)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// Second call hits the cached parent index; still identical.
-		again, err := materializeJoint(ds, pair, par, cache, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.P {
-			if again.P[i] != want.P[i] {
-				t.Fatalf("parallelism %d cell %d differs on cache hit", par, i)
+			for i := range want.P {
+				if got.P[i] != want.P[i] {
+					t.Fatalf("parallelism %d call %d cell %d: %v, want %v", par, rep, i, got.P[i], want.P[i])
+				}
 			}
 		}
 	}
 }
 
 // TestNoisyConditionalsCachedBitIdentical runs the full conditional
-// stage with and without a warmed index cache under identical noise
-// streams; every conditional block must match byte for byte.
+// stage from a fresh source and from the scorer's source, whose index
+// cache the greedy search warmed, under identical noise streams; every
+// conditional block must match byte for byte.
 func TestNoisyConditionalsCachedBitIdentical(t *testing.T) {
 	ds := chainData(2500, 32)
 	sc := score.NewScorer(score.F, ds)
 	net := GreedyBayesBinary(ds, 2, 0.5, sc, 2, rand.New(rand.NewSource(9)))
 	for _, par := range []int{1, 2, 4} {
-		want, err := noisyConditionalsBinary(context.Background(), ds, net, 2, 1.0, false, false, par, rand.New(rand.NewSource(10)), nil, nil, nil)
+		want, err := NoisyConditionalsBinary(ds, net, 2, 1.0, false, false, par, rand.New(rand.NewSource(10)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := noisyConditionalsBinary(context.Background(), ds, net, 2, 1.0, false, false, par, rand.New(rand.NewSource(10)), sc.Indexes(), nil, nil)
+		got, err := noisyConditionalsBinary(context.Background(), sc.CountSource(), net, 2, 1.0, false, false, par, rand.New(rand.NewSource(10)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

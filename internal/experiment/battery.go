@@ -76,8 +76,7 @@ func runPanelOnce(cfg Config, scorers *scorerCache, p batteryPanel, eps float64,
 		}
 		return eval.AVD(&baseline.Dataset{DS: syn}), nil
 	case "svm":
-		split := cfg.rng("split", p.dsName, repeat)
-		train, test := ds.Split(0.8, split)
+		train, test := scorers.split(cfg, p.dsName, ds, repeat)
 		task, err := workload.TaskByName(p.dsName, p.task)
 		if err != nil {
 			return 0, err

@@ -54,8 +54,7 @@ func runEncodingSVM(cfg Config, col *collector, dsName string) error {
 		for _, s := range encodingSeries {
 			sums := make([]float64, len(tasks))
 			for r := 0; r < cfg.Repeats; r++ {
-				split := cfg.rng("split", dsName, r)
-				train, test := ds.Split(0.8, split)
+				train, test := scorers.split(cfg, dsName, ds, r)
 				trainKey := fmt.Sprintf("%s/train%d", dsName, r)
 				rng := cfg.rng("enc-svm", dsName, s.name, eps, r)
 				syn, err := synthesizeEncoded(s.kind, trainKey, train, eps, cfg, scorers, rng)

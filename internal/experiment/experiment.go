@@ -189,13 +189,31 @@ func (c Config) defaultOptions(ds *dataset.Dataset, eps float64, rng *rand.Rand)
 
 // scorerCache shares score caches across repeats and ε values of one
 // figure run; scores depend only on (dataset, function), not on the
-// privacy budget.
+// privacy budget. It also holds the run's train/test splits, so a
+// scorer shared across ε values reads the very dataset each fit does.
 type scorerCache struct {
-	mu sync.Mutex
-	m  map[string]*score.Scorer
+	mu     sync.Mutex
+	m      map[string]*score.Scorer
+	splits map[string][2]*dataset.Dataset
 }
 
-func newScorerCache() *scorerCache { return &scorerCache{m: make(map[string]*score.Scorer)} }
+func newScorerCache() *scorerCache {
+	return &scorerCache{m: make(map[string]*score.Scorer), splits: make(map[string][2]*dataset.Dataset)}
+}
+
+// split returns repeat r's 80/20 train/test split of the named source
+// dataset, drawing it on first use.
+func (s *scorerCache) split(cfg Config, dsName string, ds *dataset.Dataset, r int) (train, test *dataset.Dataset) {
+	key := fmt.Sprintf("%s/%d", dsName, r)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if tt, ok := s.splits[key]; ok {
+		return tt[0], tt[1]
+	}
+	train, test = ds.Split(0.8, cfg.rng("split", dsName, r))
+	s.splits[key] = [2]*dataset.Dataset{train, test}
+	return train, test
+}
 
 func (s *scorerCache) get(fn score.Function, dsKey string, ds *dataset.Dataset) *score.Scorer {
 	key := fmt.Sprintf("%v|%s", fn, dsKey)

@@ -33,8 +33,7 @@ func runSVMBaselines(cfg Config, col *collector, dsName string) error {
 			sums[name] = make([]float64, nt)
 		}
 		for r := 0; r < cfg.Repeats; r++ {
-			split := cfg.rng("split", dsName, r)
-			train, test := ds.Split(0.8, split)
+			train, test := scorers.split(cfg, dsName, ds, r)
 
 			// PrivBayes: one synthetic release for all four tasks.
 			rng := cfg.rng("svmfig", dsName, "pb", eps, r)

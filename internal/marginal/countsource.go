@@ -1,15 +1,19 @@
 package marginal
 
-import "context"
+import (
+	"context"
+	"fmt"
+
+	"privbayes/internal/dataset"
+)
 
 // CountSource supplies exact integer joint count tables without
-// exposing rows. It is the seam between the fit pipeline and the
-// out-of-core engine: everything PrivBayes learns from data reduces to
-// the schema, the row count, and [parents..., child] count tables, so
-// a source backed by chunked scans (counts.Provider) or an
-// incrementally maintained store (counts.StoreSource) can drive the
-// exact same greedy search and conditional materialization as
-// in-memory rows.
+// exposing rows. It is the one seam between the fit pipeline and the
+// data: everything PrivBayes learns reduces to the schema, the row
+// count, and [parents..., child] count tables, so the columnar dataset
+// in memory (MemorySource), chunked scans (counts.Provider) and an
+// incrementally maintained store (counts.StoreSource) all drive the
+// exact same greedy search and conditional materialization.
 //
 // CountTables must return, for each child, the table
 // ParentIndex.CountChildren would produce over the full dataset: laid
@@ -43,4 +47,51 @@ type BatchCountSource interface {
 	// Prefetch makes subsequent CountTables calls for the requested
 	// groups serve from memory.
 	Prefetch(ctx context.Context, reqs []CountRequest) error
+}
+
+// MemorySource is the CountSource over a columnar dataset held in
+// memory. Each parent set gets one ParentIndex, kept in an IndexCache,
+// and all children of a request are counted against it in one call:
+// by bitmask intersection and popcount when the columns are bit-packed
+// and low-arity, else by the fused row walk.
+type MemorySource struct {
+	ds  *dataset.Dataset
+	par int
+	idx *IndexCache
+}
+
+// NewMemorySource returns a count source over ds whose counting fans
+// out across up to parallelism workers (<= 0 selects GOMAXPROCS, 1
+// counts serially). The counts are the same at every setting.
+func NewMemorySource(ds *dataset.Dataset, parallelism int) *MemorySource {
+	return &MemorySource{ds: ds, par: parallelism, idx: NewIndexCache(0)}
+}
+
+// Rows implements CountSource.
+func (s *MemorySource) Rows() int { return s.ds.N() }
+
+// CountTables implements CountSource. A parent set with more than
+// MaxParentConfigs configurations is an error, as it is out of core;
+// θ-usefulness domain caps keep fits far below it.
+func (s *MemorySource) CountTables(parents []Var, children []Var) ([]*Table, error) {
+	if _, ok := ParentConfigs(s.ds, parents); !ok {
+		return nil, fmt.Errorf("marginal: parent set %v overflows the code domain", parents)
+	}
+	return s.idx.Get(s.ds, parents, s.par).CountChildren(s.ds, children, s.par), nil
+}
+
+// Indexes returns the source's parent-index cache; its Stats count how
+// often a parent set's index was reused.
+func (s *MemorySource) Indexes() *IndexCache { return s.idx }
+
+// SameRows reports whether two sources count the same rows: they are
+// one source, or two MemorySources over one dataset — a shared
+// scorer's and the fit's own.
+func SameRows(a, b CountSource) bool {
+	if a == b {
+		return true
+	}
+	ma, ok := a.(*MemorySource)
+	mb, ok2 := b.(*MemorySource)
+	return ok && ok2 && ma.ds == mb.ds
 }

@@ -7,9 +7,8 @@ package marginal
 // iterations; materializing each candidate's joint with its own O(n·(k+1))
 // row scan therefore repeats almost all of the work. A ParentIndex pays
 // the O(n·k) parent-configuration scan once per parent set, after which
-// every child's joint costs a single fused O(n) pass — and an IndexCache
-// keyed by the parent set makes the index reusable across children,
-// greedy iterations, and the final conditional materialization.
+// every child's joint costs a single fused O(n) pass. MemorySource
+// keeps the indexes in an IndexCache keyed by the parent set.
 
 import (
 	"fmt"
@@ -56,8 +55,6 @@ type ParentIndex struct {
 
 	mu       sync.Mutex
 	piCounts []float64 // exact per-configuration counts; derived lazily
-	hpi      float64   // cached H(Π); valid once hpiSet
-	hpiSet   bool
 }
 
 // BuildParentIndex validates the parent-configuration space and returns
@@ -362,33 +359,6 @@ func (ix *ParentIndex) PiTable() *Table {
 	}
 }
 
-// Entropy returns H(Π) in bits, computed from the exact parent counts
-// and cached on the index — so the per-parent-set entropy is paid once
-// across all children and greedy iterations that share the parent set.
-// Note the bit-identity contract of batch scoring prevents substituting
-// this shared value inside MI/R score evaluation (each candidate's
-// per-joint float accumulation order must be preserved); it serves
-// entropy consumers such as diagnostics and model-quality measures.
-func (ix *ParentIndex) Entropy() float64 {
-	counts := ix.PiCounts()
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if !ix.hpiSet {
-		var h float64
-		n := float64(ix.n)
-		if n > 0 {
-			for _, c := range counts {
-				if c > 0 {
-					p := c / n
-					h -= p * math.Log2(p)
-				}
-			}
-		}
-		ix.hpi, ix.hpiSet = h, true
-	}
-	return ix.hpi
-}
-
 // Ladder reproduces, from exact integer counts, the cell values the
 // serial Materialize produces by repeatedly accumulating +1/n: cum[m] is
 // the float64 result of m successive additions of 1/n starting from 0,
@@ -403,11 +373,9 @@ type Ladder struct {
 	cum []float64
 }
 
-// NewLadder creates a ladder for datasets of n rows (n > 0).
+// NewLadder creates a ladder for datasets of n rows. With n = 0 every
+// count is 0, and 0 maps to 0.
 func NewLadder(n int) *Ladder {
-	if n <= 0 {
-		panic("marginal: Ladder requires n > 0")
-	}
 	return &Ladder{inv: 1 / float64(n), cum: make([]float64, 1, 64)}
 }
 
@@ -439,16 +407,13 @@ func (l *Ladder) Apply(t *Table) {
 }
 
 // IndexCache is a bounded, concurrency-safe LRU of ParentIndex values
-// keyed by the ordered parent-variable list. Greedy network learning
-// hits it across children within an iteration and across iterations
-// (candidate parent sets recur as V grows), and the final conditional
-// materialization reuses the indexes of the chosen pairs. Entries are
-// pure functions of the dataset, so cache hits can never change results
-// — eviction only costs a rebuild.
+// keyed by the ordered parent-variable list, so a parent set counted
+// again reuses its index. Entries are pure functions of the dataset,
+// so cache hits can never change results — eviction only costs a
+// rebuild.
 type IndexCache struct {
 	mu     sync.Mutex
 	lru    *VarLRU[*ParentIndex]
-	ladder *Ladder
 	hits   int64
 	misses int64
 }
@@ -503,18 +468,6 @@ func (c *IndexCache) Get(ds *dataset.Dataset, parents []Var, parallelism int) *P
 	defer c.mu.Unlock()
 	// A raced builder may have inserted first; share its (identical) index.
 	return c.lru.PutIfAbsent(key, append([]Var(nil), parents...), ix)
-}
-
-// Ladder returns the cache's shared repeated-addition ladder for n-row
-// datasets, creating it on first use. All users of one cache normalize
-// against one ladder, so its lazily grown prefix is shared too.
-func (c *IndexCache) Ladder(n int) *Ladder {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ladder == nil {
-		c.ladder = NewLadder(n)
-	}
-	return c.ladder
 }
 
 // Len reports the number of cached indexes.

@@ -2,7 +2,6 @@ package marginal
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -99,32 +98,6 @@ func TestParentIndexPiProjection(t *testing.T) {
 		if got[i] != want.P[i] {
 			t.Fatalf("direct Π cell %d: %g, want %g", i, got[i], want.P[i])
 		}
-	}
-}
-
-// TestParentIndexEntropy checks H(Π) against a direct computation and
-// that the empty parent set has zero entropy.
-func TestParentIndexEntropy(t *testing.T) {
-	ds := hierData(2000, 4)
-	parents := []Var{{Attr: 0}}
-	ix := BuildParentIndex(ds, parents, 1)
-	counts := MaterializeCounts(ds, parents)
-	var want float64
-	for _, c := range counts.P {
-		if c > 0 {
-			p := c / float64(ds.N())
-			want -= p * math.Log2(p)
-		}
-	}
-	if got := ix.Entropy(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("H(Π) = %v, want %v", got, want)
-	}
-	if got := ix.Entropy(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("cached H(Π) = %v, want %v", got, want)
-	}
-	empty := BuildParentIndex(ds, nil, 1)
-	if got := empty.Entropy(); got != 0 {
-		t.Errorf("H(∅) = %v, want 0", got)
 	}
 }
 

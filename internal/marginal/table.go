@@ -10,7 +10,6 @@ import (
 	"math/rand"
 
 	"privbayes/internal/dataset"
-	"privbayes/internal/parallel"
 )
 
 // Var identifies an attribute at a generalization level. Level 0 is the
@@ -140,10 +139,9 @@ func (t *Table) countInto(ds *dataset.Dataset, w float64) {
 }
 
 // counter precomputes per-variable stride, column, and generalization
-// lookups so the row loop is a handful of array reads per variable. One
-// counter can drive many row ranges concurrently — countRange keeps its
-// decode scratch per call — which is what the chunked parallel
-// materialization fans out over.
+// lookups so the row loop is a handful of array reads per variable.
+// countRange keeps its decode scratch per call, and the parallel
+// parent-index build shares one counter's lookups across its workers.
 type counter struct {
 	strides []int
 	cols    []*dataset.Column
@@ -227,63 +225,6 @@ func (c *counter) countRange(lo, hi int, w float64, dst []float64) {
 // that per-chunk overhead vanishes, small enough to balance load across
 // workers on mid-sized datasets.
 const materializeChunk = 4096
-
-// MaterializeP is Materialize with chunked row-range fan-out across up
-// to `parallelism` workers (<= 0 selects GOMAXPROCS; see
-// parallel.Workers). Workers count rows into per-worker scratch tables
-// and the exact integer partials are merged and scaled by 1/n, so the
-// result is bit-identical at every parallelism other than 1, on any
-// machine — counting is exact, so neither the worker count nor
-// scheduling can shift a cell. parallelism 1 — and only 1 — takes the
-// serial Materialize path, whose repeated 1/n accumulation may differ
-// from the merged counts in the last ULP.
-func MaterializeP(ds *dataset.Dataset, vars []Var, parallelism int) *Table {
-	n := ds.N()
-	if parallelism == 1 || n == 0 {
-		return Materialize(ds, vars)
-	}
-	t := MaterializeCountsP(ds, vars, parallelism)
-	t.Scale(1 / float64(n))
-	return t
-}
-
-// MaterializeCountsP is MaterializeCounts with chunked row-range
-// fan-out. Counts are integer-valued, so per-worker accumulation merges
-// exactly: the result is bit-identical to the serial MaterializeCounts
-// at any parallelism.
-func MaterializeCountsP(ds *dataset.Dataset, vars []Var, parallelism int) *Table {
-	n := ds.N()
-	if parallelism == 1 || n == 0 {
-		return MaterializeCounts(ds, vars)
-	}
-	// The popcount kernel already beats the fan-out on eligible
-	// low-arity marginals, and its integer counts are the same exact
-	// values the merged per-worker partials would hold.
-	if t, ok := popcountCounts(ds, vars); ok {
-		return t
-	}
-	workers := parallel.Workers(parallelism)
-	t := NewTable(ds, vars)
-	c := newCounter(t, ds)
-	scratch := make([][]float64, workers)
-	parallel.ForChunks(workers, n, materializeChunk, func(worker, lo, hi int) {
-		if scratch[worker] == nil {
-			scratch[worker] = getFloats(len(t.P))
-		}
-		c.countRange(lo, hi, 1, scratch[worker])
-	})
-	for _, part := range scratch {
-		if part == nil {
-			continue
-		}
-		for i, v := range part {
-			t.P[i] += v
-		}
-		putFloats(part)
-	}
-	c.release()
-	return t
-}
 
 // Sum returns the total mass.
 func (t *Table) Sum() float64 {

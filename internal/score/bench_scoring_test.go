@@ -1,13 +1,12 @@
 package score
 
-// Shared-scan vs legacy scoring benchmarks over the (d, k) grid the
-// acceptance criteria track. Each iteration scores one greedy-iteration
-// shaped batch — every remaining child crossed with every size-k subset
-// of a (k+1)-attribute V, the candidate shape of Algorithm 2's early
-// iterations where scoring cost peaks — on a fresh scorer, so timings
-// measure the engines cold, without cross-iteration memo or index hits.
-// `make bench-json` captures the two series and their speedups in
-// BENCH_scoring.json.
+// Shared-scan scoring benchmarks over a (d, k) grid. Each iteration
+// scores one greedy-iteration shaped batch — every remaining child
+// crossed with every size-k subset of a (k+1)-attribute V, the
+// candidate shape of Algorithm 2's early iterations where scoring cost
+// peaks — on a fresh scorer, so timings measure the engine cold,
+// without cross-iteration memo or index hits. `make bench-json`
+// captures the series in BENCH_scoring.json.
 
 import (
 	"fmt"
@@ -37,14 +36,6 @@ func benchGrid(b *testing.B, run func(b *testing.B, sc *Scorer, pairs []Pair)) {
 func BenchmarkScoreBatchShared(b *testing.B) {
 	benchGrid(b, func(b *testing.B, sc *Scorer, pairs []Pair) {
 		sc.ScoreBatch(1, pairs)
-	})
-}
-
-// BenchmarkScoreBatchLegacy measures the pre-shared-scan reference path:
-// one full (k+1)-variable row scan per candidate.
-func BenchmarkScoreBatchLegacy(b *testing.B) {
-	benchGrid(b, func(b *testing.B, sc *Scorer, pairs []Pair) {
-		sc.ScoreBatchLegacy(1, pairs)
 	})
 }
 

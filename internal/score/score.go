@@ -10,14 +10,11 @@ package score
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 	"sync"
 
 	"privbayes/internal/dataset"
 	"privbayes/internal/infotheory"
 	"privbayes/internal/marginal"
-	"privbayes/internal/parallel"
 )
 
 // Function selects which score the exponential mechanism optimizes.
@@ -70,29 +67,25 @@ func SensitivityR(n int) float64 {
 	return 3/fn + 2/(fn*fn)
 }
 
-// Scorer evaluates one score function on a dataset, memoizing results by
-// canonical (X, Π) identity. Scores depend only on the data, so a scorer
-// can be reused across privacy budgets and greedy iterations — parent
-// sets eligible at iteration i remain candidates at every later
-// iteration, which makes the memo the dominant cost saver of the
-// harness. Batch evaluation additionally shares row scans between
-// candidates with the same parent set (see shared.go), backed by a
-// parent-configuration index cache that persists across iterations.
+// Scorer evaluates one score function over a count source, memoizing
+// results by canonical (X, Π) identity. Scores depend only on the data,
+// so a scorer can be reused across privacy budgets and greedy
+// iterations — parent sets eligible at iteration i remain candidates at
+// every later iteration, which makes the memo the dominant cost saver
+// of the harness. Batch evaluation additionally counts all children of
+// a parent set in one source request (see shared.go).
 type Scorer struct {
 	Fn Function
-	ds *dataset.Dataset
+	cs marginal.CountSource
+	n  int
+
+	// ladder normalizes MI and R joints: it reproduces the serial
+	// Materialize accumulation bit for bit, so scores are the same at
+	// every parallelism and from every source.
+	ladder *marginal.Ladder
 
 	mu   sync.Mutex
 	memo *marginal.VarLRU[float64]
-
-	idx *marginal.IndexCache
-
-	// cs, when set, is the counts-mode seam: joints come from the
-	// count source instead of row scans, and ds is a virtual dataset
-	// carrying only schema and row count. Joint count tables are
-	// integer-exact either way, so counts-mode scores are bit-identical
-	// to row-scan scores.
-	cs marginal.CountSource
 
 	allBinary bool
 }
@@ -105,123 +98,72 @@ func NewScorer(fn Function, ds *dataset.Dataset) *Scorer {
 	return NewScorerSized(fn, ds, 0)
 }
 
-// NewScorerSized builds a scorer whose memo holds at most cacheSize
-// scored pairs, evicting least-recently-used entries beyond it —
-// bounding the memory of long-running services that share one Scorer
-// across many Fit calls. cacheSize <= 0 means unbounded (NewScorer).
-// Eviction only ever costs a recompute: scores are pure functions of the
-// data, so results are unaffected.
+// NewScorerSized builds a scorer over the in-memory dataset (a serial
+// marginal.MemorySource; batches still fan out over parent sets) whose
+// memo holds at most cacheSize scored pairs, evicting
+// least-recently-used entries beyond it — bounding the memory of
+// long-running services that share one Scorer across many Fit calls.
+// cacheSize <= 0 means unbounded (NewScorer). Eviction only ever costs
+// a recompute: scores are pure functions of the data, so results are
+// unaffected.
 func NewScorerSized(fn Function, ds *dataset.Dataset, cacheSize int) *Scorer {
+	return NewScorerCounts(fn, ds.Attrs(), marginal.NewMemorySource(ds, 1), cacheSize)
+}
+
+// NewScorerCounts builds a scorer that requests every joint from cs as
+// an exact integer count table. Equal counts give bit-identical scores,
+// so every source over the same rows — in memory, scanned out of core,
+// or a maintained store — yields the same values. cacheSize bounds the
+// memo as in NewScorerSized.
+func NewScorerCounts(fn Function, attrs []dataset.Attribute, cs marginal.CountSource, cacheSize int) *Scorer {
 	all := true
-	for i := 0; i < ds.D(); i++ {
-		if ds.Attr(i).Size() != 2 {
+	for _, a := range attrs {
+		if a.Size() != 2 {
 			all = false
 			break
 		}
 	}
 	return &Scorer{
 		Fn:        fn,
-		ds:        ds,
+		cs:        cs,
+		n:         cs.Rows(),
+		ladder:    marginal.NewLadder(cs.Rows()),
 		memo:      marginal.NewVarLRU[float64](cacheSize),
-		idx:       marginal.NewIndexCache(0),
 		allBinary: all,
 	}
 }
 
-// NewScorerCounts builds a scorer that evaluates scores from a count
-// source instead of materialized rows — the out-of-core scoring path.
-// The dataset behind it is virtual (schema + cs.Rows() only); every
-// joint is requested from cs, whose integer count tables make the
-// resulting scores bit-identical to an in-memory scorer over the same
-// rows. cacheSize bounds the memo as in NewScorerSized.
-func NewScorerCounts(fn Function, attrs []dataset.Attribute, cs marginal.CountSource, cacheSize int) *Scorer {
-	s := NewScorerSized(fn, dataset.NewVirtual(attrs, cs.Rows()), cacheSize)
-	s.cs = cs
-	return s
-}
-
-// CountSource returns the count source a counts-mode scorer reads, or
-// nil for a row-backed scorer — pipelines use it to verify a shared
-// scorer matches the fit's data source.
+// CountSource returns the count source the scorer reads — pipelines
+// use it to verify a shared scorer matches the fit's data source.
 func (s *Scorer) CountSource() marginal.CountSource { return s.cs }
 
 // Sensitivity returns the sensitivity of the configured score function on
 // this dataset, for use as the exponential-mechanism scaling factor.
 func (s *Scorer) Sensitivity() float64 {
-	n := s.ds.N()
 	switch s.Fn {
 	case MI:
-		return SensitivityI(n, s.allBinary)
+		return SensitivityI(s.n, s.allBinary)
 	case F:
-		return SensitivityF(n)
+		return SensitivityF(s.n)
 	case R:
-		return SensitivityR(n)
+		return SensitivityR(s.n)
 	default:
 		panic("score: unknown function")
 	}
 }
 
 // Score evaluates the configured function on the AP pair (x, parents)
-// through the per-candidate path, memoizing the result. Parents are
-// treated jointly; their order does not affect the value.
+// as a one-pair batch, memoizing the result. Parents are treated
+// jointly; their order does not affect the value. A count-source error
+// panics, as in ScoreBatch.
 func (s *Scorer) Score(x marginal.Var, parents []marginal.Var) float64 {
-	canon := canonPair(x, parents)
-	key := marginal.VarsKey(canon)
-	s.mu.Lock()
-	if v, ok := s.memo.Get(key, canon); ok {
-		s.mu.Unlock()
-		return v
-	}
-	s.mu.Unlock()
-
-	v := s.compute(x, parents)
-
-	s.mu.Lock()
-	s.memo.PutIfAbsent(key, canon, v)
-	s.mu.Unlock()
-	return v
+	return s.ScoreBatch(1, []Pair{{X: x, Parents: parents}})[0]
 }
 
 // Pair is one candidate AP pair for batch scoring.
 type Pair struct {
 	X       marginal.Var
 	Parents []marginal.Var
-}
-
-// ScoreBatchLegacy is the pre-shared-scan reference implementation: one
-// full-row materialization per uncached candidate, fanned out across up
-// to `parallelism` workers, memoized by canonical string key for the
-// duration of the batch. It is retained as the ground truth the
-// equivalence tests hold ScoreBatch to (bit-identical values) and as the
-// baseline of BenchmarkScoreBatchLegacy; new code should use ScoreBatch.
-func (s *Scorer) ScoreBatchLegacy(parallelism int, pairs []Pair) []float64 {
-	var mu sync.Mutex
-	cache := make(map[string]float64)
-	scoreOne := func(p Pair) float64 {
-		key := cacheKey(p.X, p.Parents)
-		mu.Lock()
-		v, ok := cache[key]
-		mu.Unlock()
-		if ok {
-			return v
-		}
-		v = s.compute(p.X, p.Parents)
-		mu.Lock()
-		cache[key] = v
-		mu.Unlock()
-		return v
-	}
-	workers := parallel.Workers(parallelism)
-	if workers <= 1 {
-		out := make([]float64, len(pairs))
-		for i, p := range pairs {
-			out[i] = scoreOne(p)
-		}
-		return out
-	}
-	return parallel.Map(workers, len(pairs), func(i int) float64 {
-		return scoreOne(pairs[i])
-	})
 }
 
 // CacheSize reports the number of pairs currently memoized (at most the
@@ -232,72 +174,24 @@ func (s *Scorer) CacheSize() int {
 	return s.memo.Len()
 }
 
-func (s *Scorer) compute(x marginal.Var, parents []marginal.Var) float64 {
-	if s.cs != nil {
-		v, err := s.computeCounts(x, parents)
-		if err != nil {
-			// Counts-mode fits route through ScoreBatchContext, which
-			// surfaces source errors; the per-candidate path has no
-			// error channel.
-			panic(fmt.Sprintf("score: counts-mode Score: %v", err))
-		}
-		return v
-	}
-	vars := append(append([]marginal.Var(nil), parents...), x)
+// evaluate computes the score from one exact count table laid out
+// [Π..., X]. F reads the counts directly; MI and R read probabilities
+// normalized through the ladder.
+func (s *Scorer) evaluate(joint *marginal.Table) float64 {
 	switch s.Fn {
+	case F:
+		for _, d := range joint.Dims {
+			if d != 2 {
+				panic("score: F requires binary attributes")
+			}
+		}
+		return FScoreFromCounts(joint.P, s.n)
 	case MI:
-		joint := marginal.Materialize(s.ds, vars)
+		s.ladder.Apply(joint)
 		return infotheory.MutualInformationSplit(joint)
 	case R:
-		joint := marginal.Materialize(s.ds, vars)
+		s.ladder.Apply(joint)
 		return RScore(joint)
-	case F:
-		if x.Size(s.ds) != 2 {
-			panic("score: F requires a binary child attribute")
-		}
-		for _, p := range parents {
-			if p.Size(s.ds) != 2 {
-				panic("score: F requires binary parent attributes")
-			}
-		}
-		counts := marginal.MaterializeCounts(s.ds, vars)
-		return FScoreFromCounts(counts.P, s.ds.N())
-	default:
-		panic("score: unknown function")
-	}
-}
-
-// computeCounts evaluates one candidate from the count source. The
-// joint count table equals what a row scan would have counted, and the
-// Ladder normalization reproduces the serial Materialize accumulation,
-// so values are bit-identical to the row-scan compute.
-func (s *Scorer) computeCounts(x marginal.Var, parents []marginal.Var) (float64, error) {
-	n := s.ds.N()
-	if n == 0 {
-		return 0, fmt.Errorf("score: counts-mode scorer over an empty source")
-	}
-	joints, err := s.cs.CountTables(parents, []marginal.Var{x})
-	if err != nil {
-		return 0, err
-	}
-	joint := joints[0]
-	switch s.Fn {
-	case F:
-		if x.Size(s.ds) != 2 {
-			panic("score: F requires a binary child attribute")
-		}
-		for _, p := range parents {
-			if p.Size(s.ds) != 2 {
-				panic("score: F requires binary parent attributes")
-			}
-		}
-		return FScoreFromCounts(joint.P, n), nil
-	case MI:
-		s.idx.Ladder(n).Apply(joint)
-		return infotheory.MutualInformationSplit(joint), nil
-	case R:
-		s.idx.Ladder(n).Apply(joint)
-		return RScore(joint), nil
 	default:
 		panic("score: unknown function")
 	}
@@ -308,15 +202,4 @@ func (s *Scorer) computeCounts(x marginal.Var, parents []marginal.Var) (float64,
 func RScore(joint *marginal.Table) float64 {
 	indep := infotheory.IndependentProduct(joint)
 	return marginal.L1(joint, indep) / 2
-}
-
-// cacheKey is the original string memo key, kept for ScoreBatchLegacy so
-// the benchmark baseline pays the same costs the legacy engine paid.
-func cacheKey(x marginal.Var, parents []marginal.Var) string {
-	ps := make([]string, len(parents))
-	for i, p := range parents {
-		ps[i] = fmt.Sprintf("%d.%d", p.Attr, p.Level)
-	}
-	sort.Strings(ps)
-	return fmt.Sprintf("%d.%d|%s", x.Attr, x.Level, strings.Join(ps, ","))
 }

@@ -2,13 +2,11 @@ package score
 
 // Equivalence and stress tests for the shared-scan batch engine: the
 // acceptance contract is that ScoreBatch returns values bit-identical to
-// the legacy per-candidate path for every score function, at taxonomy
-// levels above zero, and at every parallelism — including the
-// Parallelism=1 legacy-serial contract, which holds because the serial
-// outputs themselves are byte-equal.
+// scoring each candidate from its own serial marginal.Materialize (or
+// MaterializeCounts for F), for every score function, at taxonomy
+// levels above zero, and at every parallelism including 1.
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -69,6 +67,25 @@ func wideBinaryData(n, d int, seed int64) *dataset.Dataset {
 	return ds
 }
 
+// referenceScores scores each pair from its own serial materialization
+// of [parents..., x] — one row walk per candidate, the engine the batch
+// path replaced.
+func referenceScores(fn Function, ds *dataset.Dataset, pairs []Pair) []float64 {
+	out := make([]float64, len(pairs))
+	for i, p := range pairs {
+		vars := append(append([]marginal.Var(nil), p.Parents...), p.X)
+		switch fn {
+		case MI:
+			out[i] = infotheory.MutualInformationSplit(marginal.Materialize(ds, vars))
+		case R:
+			out[i] = RScore(marginal.Materialize(ds, vars))
+		case F:
+			out[i] = FScoreFromCounts(marginal.MaterializeCounts(ds, vars).P, ds.N())
+		}
+	}
+	return out
+}
+
 // hierMixedData builds a dataset whose attributes all carry taxonomy
 // trees (binary hierarchies over 8 bins, so levels 0..2 exist), for
 // level > 0 equivalence.
@@ -95,20 +112,20 @@ func hierMixedData(n, d int, seed int64) *dataset.Dataset {
 }
 
 // TestScoreBatchBitIdenticalToLegacy is the central equivalence test:
-// shared-scan results equal the legacy per-candidate path bit for bit,
-// for MI, F and R, at every parallelism including 1 (odd n so 1/n is
-// inexact and any normalization drift would show).
+// shared-scan results equal per-candidate serial materialization bit
+// for bit, for MI, F and R, at every parallelism including 1 (odd n so
+// 1/n is inexact and any normalization drift would show).
 func TestScoreBatchBitIdenticalToLegacy(t *testing.T) {
 	ds := wideBinaryData(2999, 8, 21)
 	pairs := greedyShapedPairs(8, 4, 2)
 	pairs = append(pairs, Pair{X: marginal.Var{Attr: 7}}) // empty parent set
 	for _, fn := range []Function{MI, F, R} {
-		want := NewScorer(fn, ds).ScoreBatchLegacy(1, pairs)
+		want := referenceScores(fn, ds, pairs)
 		for _, par := range []int{1, 2, 4, 8} {
 			got := NewScorer(fn, ds).ScoreBatch(par, pairs)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%v parallelism %d pair %d: shared %v, legacy %v", fn, par, i, got[i], want[i])
+					t.Fatalf("%v parallelism %d pair %d: shared %v, reference %v", fn, par, i, got[i], want[i])
 				}
 			}
 		}
@@ -139,12 +156,12 @@ func TestScoreBatchBitIdenticalAtTaxonomyLevels(t *testing.T) {
 		}
 	}
 	for _, fn := range []Function{MI, R} {
-		want := NewScorer(fn, ds).ScoreBatchLegacy(1, pairs)
+		want := referenceScores(fn, ds, pairs)
 		for _, par := range []int{1, 4} {
 			got := NewScorer(fn, ds).ScoreBatch(par, pairs)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%v parallelism %d pair %d: shared %v, legacy %v", fn, par, i, got[i], want[i])
+					t.Fatalf("%v parallelism %d pair %d: shared %v, reference %v", fn, par, i, got[i], want[i])
 				}
 			}
 		}
@@ -196,13 +213,14 @@ func TestScoreBatchReusesIndexesAcrossIterations(t *testing.T) {
 	}
 }
 
-// TestScorerSharedScanRace stresses one scorer — memo, ladder and
-// ParentIndex cache — under concurrent batch scoring (run with -race).
+// TestScorerSharedScanRace stresses one scorer — memo, ladder and the
+// source's ParentIndex cache — under concurrent batch scoring (run with
+// -race).
 func TestScorerSharedScanRace(t *testing.T) {
 	ds := wideBinaryData(1500, 8, 25)
 	sc := NewScorerSized(R, ds, 16) // small bound: exercise eviction too
 	pairs := greedyShapedPairs(8, 4, 2)
-	want := NewScorer(R, ds).ScoreBatchLegacy(1, pairs)
+	want := referenceScores(R, ds, pairs)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -241,19 +259,6 @@ func TestScorerBoundedMemo(t *testing.T) {
 		if again[i] != unbounded[i] {
 			t.Fatalf("recomputed pair %d after eviction: %v, want %v", i, again[i], unbounded[i])
 		}
-	}
-}
-
-// TestParentEntropyCached checks H(Π) against infotheory.Entropy on the
-// materialized parent marginal.
-func TestParentEntropyCached(t *testing.T) {
-	ds := wideBinaryData(2000, 4, 27)
-	sc := NewScorer(MI, ds)
-	parents := []marginal.Var{{Attr: 0}, {Attr: 2}}
-	pi := marginal.Materialize(ds, parents)
-	want := infotheory.Entropy(pi.P)
-	if got := sc.ParentEntropy(parents); math.Abs(got-want) > 1e-12 {
-		t.Errorf("H(Π) = %v, want %v", got, want)
 	}
 }
 
