@@ -28,6 +28,58 @@ func randomData(n, d, domain int, seed int64) *dataset.Dataset {
 	return ds
 }
 
+// TestMaterializeCountsPExact checks the in-memory source's chunked
+// parallel row walk, and its popcount route, are bit-identical to the
+// serial MaterializeCounts at every parallelism: counts are
+// integer-valued, so per-worker accumulation merges exactly.
+func TestMaterializeCountsPExact(t *testing.T) {
+	ds := randomData(10000, 4, 3, 1)
+	parents, child := []Var{{Attr: 0}, {Attr: 2}}, Var{Attr: 3}
+	want := MaterializeCounts(ds, []Var{parents[0], parents[1], child})
+	old := disablePopcount
+	defer func() { disablePopcount = old }()
+	for _, rowWalk := range []bool{true, false} {
+		disablePopcount = rowWalk
+		for _, par := range []int{1, 2, 3, 8, 32} {
+			got, err := NewMemorySource(ds, par).CountTables(parents, []Var{child})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.P {
+				if got[0].P[i] != want.P[i] {
+					t.Fatalf("row walk %v, parallelism %d: cell %d = %g, want %g", rowWalk, par, i, got[0].P[i], want.P[i])
+				}
+			}
+		}
+	}
+}
+
+// TestMaterializePGeneralized checks hierarchy levels survive the
+// in-memory source's parallel path.
+func TestMaterializePGeneralized(t *testing.T) {
+	h := dataset.NewCategorical("city", []string{"a", "b", "c", "d"})
+	h.Hierarchy = dataset.NewHierarchy(4, []int{0, 0, 1, 1})
+	attrs := []dataset.Attribute{h, dataset.NewCategorical("x", []string{"0", "1"})}
+	ds := dataset.New(attrs)
+	rng := rand.New(rand.NewSource(7))
+	rec := make([]uint16, 2)
+	for r := 0; r < 6000; r++ {
+		rec[0], rec[1] = uint16(rng.Intn(4)), uint16(rng.Intn(2))
+		ds.Append(rec)
+	}
+	parents, child := []Var{{Attr: 0, Level: 1}}, Var{Attr: 1}
+	want := MaterializeCounts(ds, []Var{parents[0], child})
+	got, err := NewMemorySource(ds, 4).CountTables(parents, []Var{child})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.P {
+		if got[0].P[i] != want.P[i] {
+			t.Fatalf("cell %d = %g, want %g", i, got[0].P[i], want.P[i])
+		}
+	}
+}
+
 // TestMemorySourceMatchesMaterializeCounts checks the in-memory source
 // returns, at every parallelism, the exact counts the serial
 // MaterializeCounts produces — popcount-eligible and row-walk children,
