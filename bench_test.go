@@ -152,7 +152,7 @@ func BenchmarkSample(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Sample(1000, rng)
+		m.SampleP(1000, rng, 1)
 	}
 }
 
@@ -168,12 +168,11 @@ func BenchmarkMaterialize(b *testing.B) {
 }
 
 // Serial-vs-parallel benchmarks for the execution engine
-// (internal/parallel). Each pair runs the same work at Parallelism 1
-// (the legacy serial code paths) and at 4 workers; on a >= 4 core
-// machine the parallel marginal-counting and sampling variants target
-// >= 2x throughput, while output stays deterministic for a fixed seed
-// (see TestFitBitIdenticalAcrossParallelism and friends in
-// internal/core).
+// (internal/parallel). Each pair runs the same work on one worker and
+// on 4; on a >= 4 core machine the parallel marginal-counting and
+// sampling variants target >= 2x throughput, while output stays
+// byte-identical for a fixed seed (see
+// TestFitBitIdenticalAcrossParallelism and friends in internal/core).
 
 // binaryChainData generates an n-row all-binary dataset of width d with
 // chained correlations, for parametric-dimension pipeline benchmarks.
@@ -342,9 +341,9 @@ func BenchmarkSynthesizeThenScan(b *testing.B) {
 }
 
 // BenchmarkAblationInferenceVsSampling quantifies the Section 7
-// extension implemented in core.Model.InferMarginal: answering a
-// 2-way marginal directly from the model removes the sampling error of
-// the released dataset. Reported metrics are the TVD of each strategy
+// extension implemented in core.Model.Query: answering a 2-way
+// marginal directly from the model removes the sampling error of the
+// released dataset. Reported metrics are the TVD of each strategy
 // against the sensitive data (lower is better).
 func BenchmarkAblationInferenceVsSampling(b *testing.B) {
 	ds := nltcsData(8000)
@@ -358,15 +357,16 @@ func BenchmarkAblationInferenceVsSampling(b *testing.B) {
 	}
 	vars := []marginal.Var{{Attr: 0}, {Attr: 1}}
 	truth := marginal.Materialize(ds, vars)
+	q := core.Marginal(m.Attrs[0].Name, m.Attrs[1].Name)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		syn := m.Sample(ds.N(), rng)
+		syn := m.SampleP(ds.N(), rng, 0)
 		sampled := marginal.Materialize(syn, vars)
-		inferred, err := m.InferMarginal([]int{0, 1}, 0)
+		res, err := m.Query(context.Background(), q)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(marginal.TVD(truth, sampled), "tvd-sampled")
-		b.ReportMetric(marginal.TVD(truth, inferred), "tvd-inferred")
+		b.ReportMetric(marginal.TVD(truth, res.Table()), "tvd-inferred")
 	}
 }

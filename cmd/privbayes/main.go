@@ -41,7 +41,7 @@ func main() {
 		bins       = flag.Int("bins", 16, "bins for continuous attributes")
 		rows       = flag.Int("rows", 0, "synthetic rows to emit (0 = same as input)")
 		seed       = flag.Int64("seed", 1, "random seed")
-		par        = flag.Int("parallelism", 0, "worker pool size (0 = all cores, 1 = serial)")
+		par        = flag.Int("parallelism", 0, "worker pool size (0 = all cores)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)

@@ -10,9 +10,9 @@
 // -sample-tvd restores the empirical-marginal path over the synthetic
 // sample.
 //
-// The sweep is seeded end to end and runs at pinned parallelism, so for
-// fixed flags the emitted document is byte-identical across runs and
-// machines — CI verifies this by running it twice and comparing.
+// The sweep is seeded end to end, so for fixed flags the emitted
+// document is byte-identical across runs, machines and -parallelism
+// settings — CI verifies this by running it twice and comparing.
 // -check=false reports without gating. -sabotage deliberately breaks
 // the sampler to prove the gate trips.
 //
@@ -48,7 +48,7 @@ func main() {
 		epsFlag   = flag.String("eps", "", "comma-separated ε sweep override (default 0.1,1,10)")
 		check     = flag.Bool("check", true, "exit 1 when any calibrated threshold is violated")
 		sabotage  = flag.Bool("sabotage", false, "deliberately break the release (gate self-test; must fail)")
-		par       = flag.Int("parallelism", 2, "worker bound; any value other than 1 is bit-identical across machines")
+		par       = flag.Int("parallelism", 2, "worker bound; output is the same at every value")
 		sampleTVD = flag.Bool("sample-tvd", false, "compute TVD from the synthetic sample's empirical marginals instead of exact model inference")
 	)
 	cliutil.Parse("quality", "statistical quality sweep and regression gate over ground-truth scenarios")

@@ -49,7 +49,7 @@ func main() {
 	vars := []marginal.Var{{Attr: gender}, {Attr: car}}
 	truth := marginal.Materialize(ds, vars)
 
-	syn := reloaded.Sample(ds.N(), rng)
+	syn := reloaded.SampleP(ds.N(), rng, 0)
 	sampled := marginal.Materialize(syn, vars)
 
 	res, err := reloaded.Query(context.Background(), privbayes.Marginal("gender", "car"))

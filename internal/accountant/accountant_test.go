@@ -151,11 +151,11 @@ func TestConcurrentCharges(t *testing.T) {
 // TestConcurrentMixedOps hammers all mutating entry points together so
 // the race detector sees every lock interaction.
 func TestConcurrentMixedOps(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(filepath.Join(dir, "ledger.json"), 100)
+	l, err := OpenWAL(filepath.Join(t.TempDir(), "ledger"), 100, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer l.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -179,12 +179,12 @@ func TestConcurrentMixedOps(t *testing.T) {
 }
 
 func TestPersistenceRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ledger.json")
-	l, err := Open(path, 2.0)
+	path := filepath.Join(t.TempDir(), "ledger")
+	l, err := OpenWAL(path, 2.0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer l.Close()
 	if err := l.Charge("adult", 0.7); err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +197,11 @@ func TestPersistenceRoundTrip(t *testing.T) {
 
 	// A fresh process opens the same file: spend and budgets survive,
 	// and the budget keeps binding across restarts.
-	back, err := Open(path, 2.0)
+	back, err := OpenWAL(path, 2.0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer back.Close()
 	if e := back.Get("adult"); e.Spent != 0.7 || e.Budget != 2.0 {
 		t.Errorf("adult entry = %+v", e)
 	}
@@ -212,6 +213,8 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsCorruptLedger: a file that is neither a WAL nor a
+// valid legacy JSON ledger fails to open.
 func TestOpenRejectsCorruptLedger(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ledger.json")
@@ -225,21 +228,22 @@ func TestOpenRejectsCorruptLedger(t *testing.T) {
 		if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Open(path, 1); err == nil {
-			t.Errorf("%s: Open must fail", name)
+		if _, err := OpenWAL(path, 1, Options{}); err == nil {
+			t.Errorf("%s: OpenWAL must fail", name)
 		}
 	}
 }
 
 func TestOpenMissingFileStartsEmpty(t *testing.T) {
-	l, err := Open(filepath.Join(t.TempDir(), "fresh.json"), 1.5)
+	l, err := OpenWAL(filepath.Join(t.TempDir(), "fresh"), 1.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer l.Close()
 	if e := l.Get("x"); e.Spent != 0 || e.Budget != 1.5 {
 		t.Errorf("fresh entry = %+v", e)
 	}
-	if _, err := Open(filepath.Join(t.TempDir(), "x.json"), 0); err == nil {
+	if _, err := OpenWAL(filepath.Join(t.TempDir(), "x"), 0, Options{}); err == nil {
 		t.Error("non-positive default budget must be rejected")
 	}
 }

@@ -73,7 +73,6 @@ func OpenWAL(path string, defaultBudget float64, opts Options) (*Ledger, error) 
 	fs := faultfs.Or(opts.FS)
 	l := &Ledger{
 		path:          path,
-		fs:            fs,
 		defaultBudget: defaultBudget,
 		datasets:      map[string]Entry{},
 		keys:          map[string]KeyInfo{},

@@ -49,19 +49,59 @@ func TestOpenWALRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOpenWALMigratesLegacyJSON(t *testing.T) {
+// legacyLedgerJSON is a ledger as earlier releases wrote it: one JSON
+// document, rewritten whole on every mutation.
+const legacyLedgerJSON = `{
+  "version": 1,
+  "default_budget": 2,
+  "datasets": {
+    "survey": {"spent": 0.7, "budget": 2},
+    "other": {"spent": 0, "budget": 9}
+  }
+}
+`
+
+// writeLegacyLedger writes legacyLedgerJSON to a fresh path and returns
+// it.
+func writeLegacyLedger(t *testing.T) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "ledger.json")
-	legacy, err := Open(path, 2.0)
+	if err := os.WriteFile(path, []byte(legacyLedgerJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestClosedLedgerRefusesMutations: once closed, a file-backed ledger
+// cannot make a mutation durable, so it must not acknowledge one.
+func TestClosedLedgerRefusesMutations(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger")
+	l, err := OpenWAL(path, 2.0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.Charge("survey", 0.7); err != nil {
+	if err := l.Charge("d", 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.SetBudget("other", 9.0); err != nil {
+	l.Close()
+	if err := l.Charge("d", 0.5); !errors.Is(err, ErrPersist) {
+		t.Fatalf("charge after Close: err = %v, want ErrPersist", err)
+	}
+	if e := l.Get("d"); e.Spent != 0.5 {
+		t.Fatalf("spent = %g after a refused charge, want 0.5", e.Spent)
+	}
+	back, err := OpenWAL(path, 2.0, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer back.Close()
+	if e := back.Get("d"); e.Spent != 0.5 {
+		t.Fatalf("reopened spent = %g, want 0.5", e.Spent)
+	}
+}
 
+func TestOpenWALMigratesLegacyJSON(t *testing.T) {
+	path := writeLegacyLedger(t)
 	l, err := OpenWAL(path, 2.0, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -410,22 +450,7 @@ func TestCrashSweepLedger(t *testing.T) {
 // legacy-JSON → WAL migration: recovery must always yield either the
 // legacy state (migration reruns) — never a torn in-between.
 func TestCrashSweepLegacyMigration(t *testing.T) {
-	makeLegacy := func(t *testing.T) string {
-		path := filepath.Join(t.TempDir(), "ledger.json")
-		l, err := Open(path, 2.0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Charge("x", 0.9); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.SetBudget("y", 7.0); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	probePath := makeLegacy(t)
+	probePath := writeLegacyLedger(t)
 	probe := faultfs.NewFault(nil)
 	if l, err := OpenWAL(probePath, 2.0, Options{FS: probe}); err != nil {
 		t.Fatal(err)
@@ -435,7 +460,7 @@ func TestCrashSweepLegacyMigration(t *testing.T) {
 	total := probe.Ops()
 
 	for n := int64(1); n <= total; n++ {
-		path := makeLegacy(t)
+		path := writeLegacyLedger(t)
 		fault := faultfs.NewFault(nil)
 		fault.CrashAt(n, true)
 		if l, err := OpenWAL(path, 2.0, Options{FS: fault}); err == nil {
@@ -446,11 +471,11 @@ func TestCrashSweepLegacyMigration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("crash at op %d: post-crash open: %v", n, err)
 		}
-		if e := l.Get("x"); e.Spent != 0.9 {
-			t.Fatalf("crash at op %d: x = %+v", n, e)
+		if e := l.Get("survey"); e.Spent != 0.7 {
+			t.Fatalf("crash at op %d: survey = %+v", n, e)
 		}
-		if e := l.Get("y"); e.Budget != 7.0 {
-			t.Fatalf("crash at op %d: y = %+v", n, e)
+		if e := l.Get("other"); e.Budget != 9.0 {
+			t.Fatalf("crash at op %d: other = %+v", n, e)
 		}
 		l.Close()
 	}
@@ -501,40 +526,5 @@ func TestConcurrentChargesDuringCompaction(t *testing.T) {
 		if g := l2.Get(ds); math.Abs(g.Spent-e.Spent) > 1e-12 {
 			t.Errorf("recovered %s = %+v, want %+v", ds, g, e)
 		}
-	}
-}
-
-// TestLegacyPersistFaultRollsBack injects a failure into the legacy
-// JSON path's fsync: the charge must report ErrPersist and leave the
-// in-memory ledger unchanged.
-func TestLegacyPersistFaultRollsBack(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ledger.json")
-	l, err := Open(path, 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Charge("d", 0.5); err != nil {
-		t.Fatal(err)
-	}
-	fault := faultfs.NewFault(nil)
-	l.fs = fault
-	// Ops per legacy persist: createtemp, write, sync, close, rename,
-	// syncdir. Fail each in turn; every failure must roll back.
-	for i := int64(1); i <= 6; i++ {
-		fault.FailAt(fault.Ops()+i, nil)
-		err := l.Charge("d", 0.1)
-		if !errors.Is(err, ErrPersist) {
-			t.Fatalf("fault op +%d: err = %v, want ErrPersist", i, err)
-		}
-		if e := l.Get("d"); e.Spent != 0.5 {
-			t.Fatalf("fault op +%d: spent = %g, want rollback to 0.5", i, e.Spent)
-		}
-	}
-	// And with the fault cleared the charge lands.
-	if err := l.Charge("d", 0.1); err != nil {
-		t.Fatal(err)
-	}
-	if e := l.Get("d"); math.Abs(e.Spent-0.6) > 1e-12 {
-		t.Fatalf("spent = %g, want 0.6", e.Spent)
 	}
 }

@@ -25,11 +25,10 @@ import (
 //
 // The d−k joints are counted from the dataset's in-memory source,
 // fanned out across up to `parallelism` workers, both across tables and
-// within each table's counting; Laplace noise is then injected serially
-// in pair order from rng. The result is bit-identical at every
-// parallelism other than 1 for a fixed seed (exact counts make the
-// joints worker-count independent); parallelism 1 reproduces the
-// pre-engine serial accumulation byte for byte.
+// within each table's counting, and scaled once by 1/n; Laplace noise
+// is then injected serially in pair order from rng. For a fixed seed
+// the result is bit-identical at every parallelism: exact counts make
+// the joints worker-count independent.
 func NoisyConditionalsBinary(ds *dataset.Dataset, net Network, k int, eps2 float64, noNoise, consistent bool, parallelism int, rng *rand.Rand) ([]*marginal.Conditional, error) {
 	return noisyConditionalsBinary(context.Background(), marginal.NewMemorySource(ds, parallelism), net, k, eps2, noNoise, consistent, parallelism, rng, nil)
 }
@@ -76,16 +75,9 @@ func noisyPairJoints(ctx context.Context, cs marginal.CountSource, pairs []APPai
 	if err := prefetchPairCounts(ctx, cs, pairs); err != nil {
 		return nil, err
 	}
-	// Parallelism 1 normalizes through one shared Ladder, replaying the
-	// serial Materialize accumulation byte for byte; any other setting
-	// scales the exact counts by 1/n once.
-	var lad *marginal.Ladder
-	if parallelism == 1 {
-		lad = marginal.NewLadder(cs.Rows())
-	}
 	jointErrs := make([]error, total)
 	joints, err := parallel.MapCtx(ctx, parallel.Workers(parallelism), total, func(i int) *marginal.Table {
-		t, err := materializeJoint(cs, pairs[i], lad)
+		t, err := materializeJoint(cs, pairs[i])
 		if err != nil {
 			jointErrs[i] = err
 			return nil
@@ -113,20 +105,15 @@ func noisyPairJoints(ctx context.Context, cs marginal.CountSource, pairs []APPai
 	return joints, nil
 }
 
-// materializeJoint produces the empirical joint Pr[Π, X] of one AP pair
-// from its exact counts: through lad when one is given, else by one
-// 1/n scale.
-func materializeJoint(cs marginal.CountSource, pair APPair, lad *marginal.Ladder) (*marginal.Table, error) {
+// materializeJoint produces the empirical joint Pr[Π, X] of one AP pair:
+// its exact counts scaled once by 1/n.
+func materializeJoint(cs marginal.CountSource, pair APPair) (*marginal.Table, error) {
 	ts, err := cs.CountTables(pair.Parents, []marginal.Var{pair.X})
 	if err != nil {
 		return nil, err
 	}
 	t := ts[0]
-	if lad != nil {
-		lad.Apply(t)
-	} else {
-		t.Scale(1 / float64(cs.Rows()))
-	}
+	t.Scale(1 / float64(cs.Rows()))
 	return t, nil
 }
 
@@ -169,8 +156,7 @@ func projectOnto(anchor *marginal.Table, pair APPair) (*marginal.Table, error) {
 // noise, then clamped, normalized and conditioned. Counting fans out
 // across up to `parallelism` workers, across tables and within each
 // table; the noise draws stay serial in pair order, keeping the output
-// bit-identical at every parallelism other than 1 (see
-// NoisyConditionalsBinary for the contract).
+// bit-identical at every parallelism (see NoisyConditionalsBinary).
 func NoisyConditionalsGeneral(ds *dataset.Dataset, net Network, eps2 float64, noNoise, consistent bool, parallelism int, rng *rand.Rand) []*marginal.Conditional {
 	conds, err := noisyConditionalsGeneral(context.Background(), marginal.NewMemorySource(ds, parallelism), net, eps2, noNoise, consistent, parallelism, rng, nil)
 	if err != nil {

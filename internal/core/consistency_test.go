@@ -89,7 +89,7 @@ func TestConsistencyImprovesSharedMarginals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			syn := m.Sample(20000, rng)
+			syn := m.SampleP(20000, rng, 0)
 			var e float64
 			for a := 0; a < ds.D(); a++ {
 				vars := []marginal.Var{{Attr: a}}

@@ -245,7 +245,7 @@ func TestSampleMatchesModelDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syn := m.Sample(40000, rng)
+	syn := m.SampleP(40000, rng, 0)
 	// With a huge budget the synthetic pairwise marginal of the chain
 	// edge (a0, a1) must be close to the real one.
 	vars := []marginal.Var{{Attr: 0}, {Attr: 1}}
@@ -266,7 +266,7 @@ func TestSampleWithGeneralizedParents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syn := m.Sample(1000, rng)
+	syn := m.SampleP(1000, rng, 0)
 	if syn.N() != 1000 || syn.D() != ds.D() {
 		t.Fatalf("synthetic shape %dx%d", syn.N(), syn.D())
 	}

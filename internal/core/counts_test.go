@@ -36,8 +36,8 @@ func countsFitJSON(t *testing.T, ds *dataset.Dataset, opt Options, chunkRows, pa
 // TestFitCountsBitIdenticalToInMemory is the out-of-core contract: a fit
 // whose every data access goes through chunked count tables produces
 // the byte-identical model an in-memory fit produces from the same rows
-// — for both algorithm families, at every parallelism including the
-// legacy serial path, and regardless of chunk geometry.
+// — for both algorithm families, at every parallelism, and regardless
+// of chunk geometry.
 func TestFitCountsBitIdenticalToInMemory(t *testing.T) {
 	cases := []struct {
 		name string

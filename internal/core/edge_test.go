@@ -19,7 +19,7 @@ func TestFitDegenerateShapes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("d=1: %v", err)
 	}
-	if syn := m.Sample(10, rng); syn.N() != 10 {
+	if syn := m.SampleP(10, rng, 0); syn.N() != 10 {
 		t.Fatal("d=1 sampling failed")
 	}
 

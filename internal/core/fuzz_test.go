@@ -88,7 +88,7 @@ func FuzzReadModelJSON(f *testing.F) {
 		// Sampling must not panic on any accepted model; keep it cheap
 		// by skipping pathologically wide ones.
 		if len(m.Attrs) <= 64 {
-			m.Sample(16, rand.New(rand.NewSource(1)))
+			m.SampleP(16, rand.New(rand.NewSource(1)), 0)
 		}
 	})
 }

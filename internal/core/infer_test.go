@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -24,8 +25,23 @@ func noiselessModel(t *testing.T, seed int64) (*Model, *rand.Rand) {
 	return m, rng
 }
 
-// With a noise-free model, InferMarginal of an AP pair's own variables
-// must reproduce the empirical joint exactly.
+// inferMarginal answers the marginal over attrs, given by index, through
+// Model.Query, returning it as a table laid out in attrs order.
+func inferMarginal(t *testing.T, m *Model, attrs ...int) *marginal.Table {
+	t.Helper()
+	names := make([]string, len(attrs))
+	for i, a := range attrs {
+		names[i] = m.Attrs[a].Name
+	}
+	res, err := m.Query(context.Background(), Marginal(names...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Table()
+}
+
+// With a noise-free model, the inferred marginal of an AP pair's own
+// variables must reproduce the empirical joint exactly.
 func TestInferMarginalExactOnModelPairs(t *testing.T) {
 	ds := chainData(6000, 21)
 	rng := rand.New(rand.NewSource(22))
@@ -42,10 +58,7 @@ func TestInferMarginalExactOnModelPairs(t *testing.T) {
 		for _, p := range pair.Parents {
 			attrs = append(attrs, p.Attr)
 		}
-		got, err := m.InferMarginal(attrs, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := inferMarginal(t, m, attrs...)
 		vars := make([]marginal.Var, len(attrs))
 		for i, a := range attrs {
 			vars[i] = marginal.Var{Attr: a}
@@ -61,12 +74,8 @@ func TestInferMarginalExactOnModelPairs(t *testing.T) {
 // without the sampling error — the motivation in Section 7.
 func TestInferMarginalMatchesSampling(t *testing.T) {
 	m, rng := noiselessModel(t, 23)
-	syn := m.Sample(60000, rng)
-	attrs := []int{0, 2}
-	inferred, err := m.InferMarginal(attrs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	syn := m.SampleP(60000, rng, 0)
+	inferred := inferMarginal(t, m, 0, 2)
 	vars := []marginal.Var{{Attr: 0}, {Attr: 2}}
 	sampled := marginal.Materialize(syn, vars)
 	if tvd := marginal.TVD(inferred, sampled); tvd > 0.01 {
@@ -77,10 +86,7 @@ func TestInferMarginalMatchesSampling(t *testing.T) {
 func TestInferMarginalSumsToOne(t *testing.T) {
 	m, _ := noiselessModel(t, 24)
 	for _, attrs := range [][]int{{0}, {1, 3}, {5, 0, 2}} {
-		got, err := m.InferMarginal(attrs, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := inferMarginal(t, m, attrs...)
 		var sum float64
 		for _, p := range got.P {
 			sum += p
@@ -93,31 +99,11 @@ func TestInferMarginalSumsToOne(t *testing.T) {
 
 func TestInferMarginalRespectsOrder(t *testing.T) {
 	m, _ := noiselessModel(t, 25)
-	ab, err := m.InferMarginal([]int{0, 1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ba, err := m.InferMarginal([]int{1, 0}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ab := inferMarginal(t, m, 0, 1)
+	ba := inferMarginal(t, m, 1, 0)
 	// Pr[a=1, b=0] must appear transposed.
 	if math.Abs(ab.P[ab.Index([]int{1, 0})]-ba.P[ba.Index([]int{0, 1})]) > 1e-12 {
 		t.Error("inferred marginals not consistent under reordering")
-	}
-}
-
-func TestInferMarginalCellCap(t *testing.T) {
-	m, _ := noiselessModel(t, 26)
-	if _, err := m.InferMarginal([]int{0, 1, 2, 3, 4, 5}, 4); err == nil {
-		t.Error("tiny cell cap should force an error")
-	}
-}
-
-func TestInferMarginalBadAttr(t *testing.T) {
-	m, _ := noiselessModel(t, 27)
-	if _, err := m.InferMarginal([]int{99}, 0); err == nil {
-		t.Error("out-of-range attribute should error")
 	}
 }
 
@@ -134,11 +120,8 @@ func TestInferMarginalGeneralizedParents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syn := m.Sample(80000, rng)
-	inferred, err := m.InferMarginal([]int{0, 1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	syn := m.SampleP(80000, rng, 0)
+	inferred := inferMarginal(t, m, 0, 1)
 	sampled := marginal.Materialize(syn, []marginal.Var{{Attr: 0}, {Attr: 1}})
 	if tvd := marginal.TVD(inferred, sampled); tvd > 0.01 {
 		t.Errorf("generalized-parent inference vs sampling TVD = %v", tvd)

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -44,14 +43,13 @@ func fitJSON(t *testing.T, parallelism int, mode Mode) []byte {
 // guarantee: Fit consumes randomness only on the caller's generator
 // (exponential-mechanism draws, Laplace noise), every parallel stage is
 // a pure ordered reduction, and marginal counting merges exact integer
-// partials — so the fitted model is bit-identical at every parallelism
-// other than 1 (including the GOMAXPROCS default 0), on any machine,
-// for a fixed seed. Parallelism 1 is the legacy serial path, whose
-// float accumulation order may differ in the last ULP.
+// partials that are scaled once by 1/n — so the fitted model is
+// bit-identical at every parallelism (1 and the GOMAXPROCS default 0
+// included), on any machine, for a fixed seed.
 func TestFitBitIdenticalAcrossParallelism(t *testing.T) {
 	for _, mode := range []Mode{ModeBinary, ModeGeneral} {
 		want := fitJSON(t, 2, mode)
-		for _, par := range []int{0, 3, 4, 8} {
+		for _, par := range []int{0, 1, 3, 4, 8} {
 			if got := fitJSON(t, par, mode); !bytes.Equal(got, want) {
 				t.Errorf("mode %v: Fit at parallelism %d differs from parallelism 2", mode, par)
 			}
@@ -59,31 +57,10 @@ func TestFitBitIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestNetworkIdenticalSerialVsParallel checks the learned structure —
-// which consumes the privacy budget's exponential-mechanism draws — is
-// identical even between the legacy serial path and the parallel
-// engine: candidate scores are computed by the same serial per-pair
-// code either way, only fanned out.
-func TestNetworkIdenticalSerialVsParallel(t *testing.T) {
-	ds := chainData(3000, 7)
-	fit := func(par int) Network {
-		m, err := Fit(ds, Options{Epsilon: 0.8, Beta: 0.3, Theta: 4, K: 2, Mode: ModeBinary,
-			Score: score.F, Parallelism: par, Rand: rand.New(rand.NewSource(1))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.Network
-	}
-	serial, par4 := fit(1), fit(4)
-	if !reflect.DeepEqual(serial, par4) {
-		t.Errorf("network differs between serial and parallel: %v vs %v", serial, par4)
-	}
-}
-
 // TestSamplePDeterministicAcrossParallelism checks the split-RNG scheme:
 // chunk geometry and chunk seeds depend only on (n, seed), so sampled
-// output is bit-identical at every parallelism other than 1 — including
-// the GOMAXPROCS default 0, whatever the machine resolves it to.
+// output is bit-identical at every parallelism — 1 and the GOMAXPROCS
+// default 0 included, whatever the machine resolves it to.
 func TestSamplePDeterministicAcrossParallelism(t *testing.T) {
 	ds := chainData(3000, 7)
 	m, err := Fit(ds, Options{Epsilon: 0.8, Beta: 0.3, Theta: 4, K: 2, Mode: ModeBinary,
@@ -93,7 +70,7 @@ func TestSamplePDeterministicAcrossParallelism(t *testing.T) {
 	}
 	const n = 5000 // spans multiple sample chunks
 	want := m.SampleP(n, rand.New(rand.NewSource(3)), 2)
-	for _, par := range []int{0, 3, 4, 16} {
+	for _, par := range []int{0, 1, 3, 4, 16} {
 		got := m.SampleP(n, rand.New(rand.NewSource(3)), par)
 		for c := 0; c < got.D(); c++ {
 			a, b := got.ColumnCodes(c), want.ColumnCodes(c)
@@ -101,28 +78,6 @@ func TestSamplePDeterministicAcrossParallelism(t *testing.T) {
 				if a[r] != b[r] {
 					t.Fatalf("parallelism %d: row %d col %d = %d, want %d", par, r, c, a[r], b[r])
 				}
-			}
-		}
-	}
-}
-
-// TestSamplePSerialPathIsLegacy checks parallelism 1 reproduces the
-// pre-engine serial sampler byte for byte: same draws from the caller's
-// generator, same tuples.
-func TestSamplePSerialPathIsLegacy(t *testing.T) {
-	ds := chainData(2000, 7)
-	m, err := Fit(ds, Options{Epsilon: 0.8, Beta: 0.3, Theta: 4, K: 2, Mode: ModeBinary,
-		Score: score.F, Rand: rand.New(rand.NewSource(4))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := m.Sample(3000, rand.New(rand.NewSource(5)))
-	got := m.SampleP(3000, rand.New(rand.NewSource(5)), 1)
-	for c := 0; c < got.D(); c++ {
-		a, b := got.ColumnCodes(c), want.ColumnCodes(c)
-		for r := range a {
-			if a[r] != b[r] {
-				t.Fatalf("row %d col %d = %d, want %d", r, c, a[r], b[r])
 			}
 		}
 	}

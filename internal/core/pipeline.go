@@ -82,14 +82,11 @@ type Options struct {
 	Consistency bool
 	// Parallelism bounds the worker pool used by candidate scoring,
 	// marginal counting and synthetic sampling. <= 0 (the default)
-	// selects GOMAXPROCS; 1 forces the serial code paths, reproducing
-	// the pre-parallel engine byte for byte. For a fixed seed, Fit and
-	// Synthesize output is bit-identical at every parallelism other
-	// than 1, on any machine — work units and RNG streams are indexed
+	// selects GOMAXPROCS. It only sets speed: for a fixed seed, Fit and
+	// Synthesize output is bit-identical at every parallelism, 1
+	// included, on any machine — work units and RNG streams are indexed
 	// by data position, never by worker, and counts are exact integers
-	// (see Model.SampleP and marginal.MemorySource). The learned
-	// network structure is additionally identical between the serial
-	// and parallel paths.
+	// scaled once by 1/n (see Model.SampleP and marginal.MemorySource).
 	Parallelism int
 	// Progress, when set, receives one ProgressEvent per completed
 	// pipeline unit (greedy iteration, materialized marginal). Events

@@ -204,7 +204,7 @@ func TestModelSampleZeroRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if syn := m.Sample(0, rng); syn.N() != 0 {
+	if syn := m.SampleP(0, rng, 0); syn.N() != 0 {
 		t.Error("zero-row sample should be empty")
 	}
 }

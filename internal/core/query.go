@@ -187,7 +187,7 @@ type queryConfig struct {
 }
 
 // QueryOption configures Model.Query, in the functional-option style of
-// the v2 API (it replaces the positional maxCells of InferMarginal).
+// the v2 API.
 type QueryOption func(*queryConfig)
 
 // QueryMaxCells caps the intermediate inference factor at cells; <= 0

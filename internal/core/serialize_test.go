@@ -36,8 +36,8 @@ func TestModelJSONRoundTrip(t *testing.T) {
 	}
 	// The reloaded model must sample the identical stream given the
 	// same RNG state.
-	a := m.Sample(500, rand.New(rand.NewSource(7)))
-	b := back.Sample(500, rand.New(rand.NewSource(7)))
+	a := m.SampleP(500, rand.New(rand.NewSource(7)), 0)
+	b := back.SampleP(500, rand.New(rand.NewSource(7)), 0)
 	for r := 0; r < a.N(); r++ {
 		for c := 0; c < a.D(); c++ {
 			if a.Value(r, c) != b.Value(r, c) {

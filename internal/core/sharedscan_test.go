@@ -2,9 +2,8 @@ package core
 
 // Tests pinning the shared-scan integration: a joint counted from an
 // in-memory source, cold or from its cached parent index, must be
-// bit-identical to per-pair serial materialization at every parallelism
-// (including the Parallelism=1 legacy-serial contract), and bounding
-// the scorer memo must never change a fitted model.
+// bit-identical to per-pair materialization at every parallelism, and
+// bounding the scorer memo must never change a fitted model.
 
 import (
 	"bytes"
@@ -17,28 +16,20 @@ import (
 )
 
 // TestMaterializeJointCachedBitIdentical checks a joint counted from the
-// in-memory source against marginal.Materialize under the fit's
-// normalization rule: the Ladder at parallelism 1, whose result is the
-// serial accumulation, and one exact 1/n scale of the counts otherwise.
+// in-memory source against marginal.Materialize: both scale the exact
+// counts once by 1/n, at every parallelism.
 func TestMaterializeJointCachedBitIdentical(t *testing.T) {
 	ds := chainData(2999, 31) // odd n: 1/n inexact, normalization drift would show
 	pair := APPair{
 		X:       marginal.Var{Attr: 3},
 		Parents: []marginal.Var{{Attr: 0}, {Attr: 2}},
 	}
+	want := marginal.Materialize(ds, pair.Vars())
 	for _, par := range []int{1, 2, 4} {
 		cs := marginal.NewMemorySource(ds, par)
-		var lad *marginal.Ladder
-		want := marginal.Materialize(ds, pair.Vars())
-		if par == 1 {
-			lad = marginal.NewLadder(ds.N())
-		} else {
-			want = marginal.MaterializeCounts(ds, pair.Vars())
-			want.Scale(1 / float64(ds.N()))
-		}
 		// The second call hits the cached parent index; still identical.
 		for rep := 0; rep < 2; rep++ {
-			got, err := materializeJoint(cs, pair, lad)
+			got, err := materializeJoint(cs, pair)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -266,9 +266,22 @@ func TestRefitColdThenIncremental(t *testing.T) {
 	if got := led.Get("adult").Spent; got != 1.8 {
 		t.Fatalf("ε spent after two refits: %g, want 1.8", got)
 	}
-	st, err := c.Status("adult")
-	if err != nil {
-		t.Fatal(err)
+	// The fit marker is written after the model is published, so wait
+	// for the refit to finish before reading the status.
+	var st Status
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st, err = c.Status("adult")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Refitting {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the incremental refit to finish")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	if st.ModelID != incID || st.FitKind != "incremental" || st.FitRows != 3000 || st.UnfittedRows != 0 {
 		t.Fatalf("status after refits: %+v", st)

@@ -52,9 +52,6 @@ type ParentIndex struct {
 
 	codesOnce sync.Once
 	codes     []uint32
-
-	mu       sync.Mutex
-	piCounts []float64 // exact per-configuration counts; derived lazily
 }
 
 // BuildParentIndex validates the parent-configuration space and returns
@@ -194,15 +191,6 @@ func (ix *ParentIndex) CountChildren(ds *dataset.Dataset, children []Var, parall
 	if len(rest) > 0 {
 		ix.countChildrenRows(ds, children, rest, xdim, out, parallelism)
 	}
-
-	// Derive the Π marginal by projection from the first child joint —
-	// integer sums are exact, so any child (from either path) yields the
-	// same counts and no extra row scan is ever needed.
-	ix.mu.Lock()
-	if ix.piCounts == nil {
-		ix.piCounts = projectPiCounts(out[0].P, xdim[0], ix.PiDim)
-	}
-	ix.mu.Unlock()
 	return out
 }
 
@@ -312,98 +300,6 @@ func countChildrenRange(lo, hi int, allCodes []uint32, cols []*dataset.Column, g
 		}
 	}
 	putU16(buf)
-}
-
-// projectPiCounts sums a [Π..., X] count table over its child dimension.
-func projectPiCounts(joint []float64, xdim, piDim int) []float64 {
-	pi := make([]float64, piDim)
-	for p := 0; p < piDim; p++ {
-		var s float64
-		for x := 0; x < xdim; x++ {
-			s += joint[p*xdim+x]
-		}
-		pi[p] = s
-	}
-	return pi
-}
-
-// PiCounts returns the exact per-configuration counts of the parent
-// marginal when no child joint has provided them by projection yet —
-// via the popcount kernel when the parent set is eligible, else from
-// the row codes. The caller must not mutate the result.
-func (ix *ParentIndex) PiCounts() []float64 {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.piCounts == nil {
-		counts := make([]float64, ix.PiDim)
-		if len(ix.Vars) == 0 || ix.n == 0 {
-			counts[0] = float64(ix.n)
-		} else if t, ok := popcountCounts(ix.ds, ix.Vars); ok {
-			copy(counts, t.P)
-		} else {
-			for _, c := range ix.RowCodes() {
-				counts[c]++
-			}
-		}
-		ix.piCounts = counts
-	}
-	return ix.piCounts
-}
-
-// PiTable returns the parent-set count marginal as a Table (a copy).
-func (ix *ParentIndex) PiTable() *Table {
-	return &Table{
-		Vars: append([]Var(nil), ix.Vars...),
-		Dims: append([]int(nil), ix.Dims...),
-		P:    append([]float64(nil), ix.PiCounts()...),
-	}
-}
-
-// Ladder reproduces, from exact integer counts, the cell values the
-// serial Materialize produces by repeatedly accumulating +1/n: cum[m] is
-// the float64 result of m successive additions of 1/n starting from 0,
-// which is exactly the partial-sum sequence of a cell hit m times. It is
-// the piece that lets the shared-scan engine return bit-identical
-// probabilities to the legacy per-candidate scans without re-walking the
-// rows. Growth is lazy and synchronized; slices returned by UpTo are
-// safe for concurrent reads (entries are written once, before exposure).
-type Ladder struct {
-	mu  sync.Mutex
-	inv float64
-	cum []float64
-}
-
-// NewLadder creates a ladder for datasets of n rows. With n = 0 every
-// count is 0, and 0 maps to 0.
-func NewLadder(n int) *Ladder {
-	return &Ladder{inv: 1 / float64(n), cum: make([]float64, 1, 64)}
-}
-
-// UpTo returns the cumulative table grown to at least m+1 entries, so
-// result[c] is valid for any count c <= m.
-func (l *Ladder) UpTo(m int) []float64 {
-	l.mu.Lock()
-	for len(l.cum) <= m {
-		l.cum = append(l.cum, l.cum[len(l.cum)-1]+l.inv)
-	}
-	c := l.cum
-	l.mu.Unlock()
-	return c
-}
-
-// Apply rescales an exact count table into the probability table the
-// serial Materialize would have produced, bit for bit.
-func (l *Ladder) Apply(t *Table) {
-	maxC := 0
-	for _, p := range t.P {
-		if int(p) > maxC {
-			maxC = int(p)
-		}
-	}
-	cum := l.UpTo(maxC)
-	for i, p := range t.P {
-		t.P[i] = cum[int(p)]
-	}
 }
 
 // IndexCache is a bounded, concurrency-safe LRU of ParentIndex values

@@ -6,9 +6,8 @@ package marginal
 // column masks) and a joint count cell is a projection (popcount of the
 // intersected mask). For the 1–3-way marginals PrivBayes materializes
 // over low-arity attributes this replaces the per-row scan with ~2 word
-// operations per 64 rows per cell, and — because counts are exact
-// integers — composes with Ladder to stay bit-identical to the serial
-// row-walk at every parallelism.
+// operations per 64 rows per cell. Counts are exact integers, so both
+// engines give the same tables at every parallelism.
 
 import (
 	"math/bits"

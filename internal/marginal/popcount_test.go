@@ -80,8 +80,8 @@ func TestPopcountCountsMatchRowMajor(t *testing.T) {
 }
 
 // TestPopcountMaterializeBitIdentical checks the probability tables —
-// popcount counts rescaled by serialScale — are bit-identical to the
-// serial row walk's repeated +1/n accumulation.
+// exact counts scaled once by 1/n — are bit-identical whichever engine
+// counted them.
 func TestPopcountMaterializeBitIdentical(t *testing.T) {
 	ds := mixedData(467, 12)
 	varSets := [][]Var{
@@ -137,31 +137,6 @@ func TestCountChildrenPopcountMatchesRowWalk(t *testing.T) {
 							tc.parents, j, i, par, fast[j].P[i], ref[j].P[i])
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestPiCountsPopcountMatchesRowWalk checks the lazily derived parent
-// marginal agrees between the two engines, both straight from the
-// index and via child-joint projection.
-func TestPiCountsPopcountMatchesRowWalk(t *testing.T) {
-	ds := mixedData(600, 15)
-	parentSets := [][]Var{
-		nil,
-		{{Attr: 0}},
-		{{Attr: 0}, {Attr: 3}},
-		{{Attr: 4}},
-	}
-	for _, parents := range parentSets {
-		fast := BuildParentIndex(ds, parents, 1).PiCounts()
-		var ref []float64
-		withRowMajor(func() {
-			ref = BuildParentIndex(ds, parents, 1).PiCounts()
-		})
-		for i := range ref {
-			if fast[i] != ref[i] {
-				t.Fatalf("parents %v config %d: popcount %v, row walk %v", parents, i, fast[i], ref[i])
 			}
 		}
 	}

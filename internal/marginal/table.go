@@ -78,8 +78,9 @@ func (t *Table) Codes(idx int, dst []int) []int {
 }
 
 // Materialize computes the empirical joint distribution of the variables
-// on the dataset, normalized to total mass 1 (Line 3 of Algorithm 1).
-// With n = 0 rows the table is uniform.
+// on the dataset, normalized to total mass 1 (Line 3 of Algorithm 1):
+// the exact counts of MaterializeCounts scaled once by 1/n. With n = 0
+// rows the table is uniform.
 func Materialize(ds *dataset.Dataset, vars []Var) *Table {
 	n := ds.N()
 	if n == 0 {
@@ -90,34 +91,9 @@ func Materialize(ds *dataset.Dataset, vars []Var) *Table {
 		}
 		return t
 	}
-	if t, ok := popcountCounts(ds, vars); ok {
-		// Exact integer counts rescaled by the repeated-addition rule
-		// reproduce the serial +1/n row walk bit for bit (see Ladder).
-		serialScale(t, n)
-		return t
-	}
-	t := NewTable(ds, vars)
-	t.countInto(ds, 1/float64(n))
+	t := MaterializeCounts(ds, vars)
+	t.Scale(1 / float64(n))
 	return t
-}
-
-// serialScale turns an exact count table into the probability table the
-// serial countInto(ds, 1/n) accumulation would have produced, bit for
-// bit: a cell hit m times holds the result of m successive additions of
-// 1/n, and cells accumulate independently, so replaying each cell's
-// additions reproduces the row walk exactly. Total work is Σ counts = n
-// float additions — the row walk's accumulation cost without touching
-// the rows.
-func serialScale(t *Table, n int) {
-	inv := 1 / float64(n)
-	for i, p := range t.P {
-		m := int(p)
-		var acc float64
-		for j := 0; j < m; j++ {
-			acc += inv
-		}
-		t.P[i] = acc
-	}
 }
 
 // MaterializeCounts computes raw integer counts (as float64 values). The
@@ -128,14 +104,10 @@ func MaterializeCounts(ds *dataset.Dataset, vars []Var) *Table {
 		return t
 	}
 	t := NewTable(ds, vars)
-	t.countInto(ds, 1)
-	return t
-}
-
-func (t *Table) countInto(ds *dataset.Dataset, w float64) {
 	c := newCounter(t, ds)
-	c.countRange(0, ds.N(), w, t.P)
+	c.countRange(0, ds.N(), t.P)
 	c.release()
+	return t
 }
 
 // counter precomputes per-variable stride, column, and generalization
@@ -181,17 +153,14 @@ func (c *counter) release() {
 	}
 }
 
-// countRange accumulates w per row of [lo, hi) into dst, decoding
+// countRange adds one per row of [lo, hi) to its cell of dst, decoding
 // columns a chunk at a time so bit-packed columns unpack word-at-a-time
-// instead of per row-read. Row order is preserved, keeping the serial
-// accumulation bit-identical to the pre-columnar row walk. Safe for
-// concurrent calls on one counter: decode scratch is per call.
-func (c *counter) countRange(lo, hi int, w float64, dst []float64) {
+// instead of per row-read. Safe for concurrent calls on one counter:
+// decode scratch is per call.
+func (c *counter) countRange(lo, hi int, dst []float64) {
 	k := len(c.strides)
 	if k == 0 {
-		for r := lo; r < hi; r++ {
-			dst[0] += w
-		}
+		dst[0] += float64(hi - lo)
 		return
 	}
 	decoded := make([][]uint16, k)
@@ -213,7 +182,7 @@ func (c *counter) countRange(lo, hi int, w float64, dst []float64) {
 				}
 				idx += code * c.strides[i]
 			}
-			dst[idx] += w
+			dst[idx]++
 		}
 	}
 	for i := range scratch {

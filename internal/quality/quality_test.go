@@ -44,25 +44,25 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunParallelismInvariant: the determinism contract says any
-// parallelism other than 1 is bit-identical, so the quality report must
-// not depend on the worker bound.
+// TestRunParallelismInvariant: the determinism contract says every
+// parallelism is bit-identical, so the quality report must not depend
+// on the worker bound.
 func TestRunParallelismInvariant(t *testing.T) {
-	opt2 := smallOptions()
-	opt4 := smallOptions()
-	opt4.Parallelism = 4
-	r2, err := Run(context.Background(), opt2)
-	if err != nil {
-		t.Fatal(err)
+	results := func(par int) []byte {
+		opt := smallOptions()
+		opt.Parallelism = par
+		r, err := Run(context.Background(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal(r.Results)
+		return b
 	}
-	r4, err := Run(context.Background(), opt4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, _ := json.Marshal(r2.Results)
-	b4, _ := json.Marshal(r4.Results)
-	if !bytes.Equal(b2, b4) {
-		t.Fatalf("results differ between parallelism 2 and 4:\n%s\n%s", b2, b4)
+	want := results(2)
+	for _, par := range []int{1, 4} {
+		if got := results(par); !bytes.Equal(got, want) {
+			t.Fatalf("results differ between parallelism 2 and %d:\n%s\n%s", par, want, got)
+		}
 	}
 }
 

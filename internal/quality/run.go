@@ -30,10 +30,9 @@ type Options struct {
 	// TrainRows / TestRows / SynthRows size the source sample, the SVM
 	// holdout and the synthetic release.
 	TrainRows, TestRows, SynthRows int
-	// Parallelism is pinned to 2 by DefaultOptions: any value other
-	// than 1 is bit-identical on every machine (the repo's determinism
-	// contract), and 2 never silently degrades to the distinct serial
-	// stream on single-core runners.
+	// Parallelism bounds the workers; DefaultOptions sets 2. Every
+	// value gives the same report on every machine (the repo's
+	// determinism contract).
 	Parallelism int
 	// Thresholds gates results per scenario name; nil disables gating.
 	Thresholds map[string][]Limits

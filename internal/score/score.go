@@ -79,11 +79,6 @@ type Scorer struct {
 	cs marginal.CountSource
 	n  int
 
-	// ladder normalizes MI and R joints: it reproduces the serial
-	// Materialize accumulation bit for bit, so scores are the same at
-	// every parallelism and from every source.
-	ladder *marginal.Ladder
-
 	mu   sync.Mutex
 	memo *marginal.VarLRU[float64]
 
@@ -127,7 +122,6 @@ func NewScorerCounts(fn Function, attrs []dataset.Attribute, cs marginal.CountSo
 		Fn:        fn,
 		cs:        cs,
 		n:         cs.Rows(),
-		ladder:    marginal.NewLadder(cs.Rows()),
 		memo:      marginal.NewVarLRU[float64](cacheSize),
 		allBinary: all,
 	}
@@ -175,8 +169,8 @@ func (s *Scorer) CacheSize() int {
 }
 
 // evaluate computes the score from one exact count table laid out
-// [Π..., X]. F reads the counts directly; MI and R read probabilities
-// normalized through the ladder.
+// [Π..., X]. F reads the counts directly; MI and R read the counts
+// scaled once by 1/n.
 func (s *Scorer) evaluate(joint *marginal.Table) float64 {
 	switch s.Fn {
 	case F:
@@ -187,10 +181,10 @@ func (s *Scorer) evaluate(joint *marginal.Table) float64 {
 		}
 		return FScoreFromCounts(joint.P, s.n)
 	case MI:
-		s.ladder.Apply(joint)
+		joint.Scale(1 / float64(s.n))
 		return infotheory.MutualInformationSplit(joint)
 	case R:
-		s.ladder.Apply(joint)
+		joint.Scale(1 / float64(s.n))
 		return RScore(joint)
 	default:
 		panic("score: unknown function")

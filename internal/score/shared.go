@@ -11,10 +11,9 @@ package score
 // O(#Π·n·k + #cand·n).
 //
 // Joint counts are exact integers whatever the source or parallelism,
-// and marginal.Ladder converts them into the very float values the
-// serial Materialize accumulates, so MI, F and R see byte-equal inputs:
-// the learned network is identical at every Parallelism setting,
-// including 1.
+// and MI and R scale them once by 1/n, so every score sees byte-equal
+// inputs: the learned network is identical at every Parallelism
+// setting.
 
 import (
 	"context"

@@ -73,11 +73,9 @@ func (b *workerBudget) acquire(ctx context.Context, want int, shed bool) (got in
 	defer stop()
 
 	// Grants come in units of at least two slots (budget permitting):
-	// server-side sampling always runs the chunked parallel path, whose
-	// determinism contract needs parallelism >= 2, and the floor keeps
-	// the grant honest about those two goroutines. A total budget of 1
-	// is the single exception — there the grant is 1 and the sampler
-	// oversubscribes by one goroutine.
+	// a request asking for one worker still runs on two. That is
+	// admission policy only — output is the same at any grant. A total
+	// budget of 1 grants 1.
 	floor := min(2, b.total)
 	if want < floor {
 		want = floor

@@ -233,8 +233,8 @@ func (c *Client) Synthesize(ctx context.Context, id string, sr SynthesizeRequest
 }
 
 // Marginal asks for the exact marginal distribution over the named
-// attributes (see Model.InferMarginal). maxCells 0 accepts the server
-// default bound.
+// attributes, answered by Model.Query on the server. maxCells 0
+// accepts the server default bound.
 func (c *Client) Marginal(ctx context.Context, id string, attrs []string, maxCells int) (MarginalResult, error) {
 	body, err := json.Marshal(marginalRequest{Attrs: attrs, MaxCells: maxCells})
 	if err != nil {

@@ -8,8 +8,8 @@ import (
 )
 
 // TestQueryEndpointMarginal: the v2 query endpoint agrees bit for bit
-// with the v1 marginal endpoint and with in-process inference — all
-// three are the same engine.
+// with the v1 marginal endpoint and with an in-process Model.Query —
+// all three are the same engine.
 func TestQueryEndpointMarginal(t *testing.T) {
 	_, c, m := newTestServer(t, Config{})
 	ctx := context.Background()
@@ -24,7 +24,7 @@ func TestQueryEndpointMarginal(t *testing.T) {
 	if res.Kind != "marginal" || len(res.Dims) != 2 {
 		t.Fatalf("result = %+v", res)
 	}
-	want, err := m.InferMarginal([]int{0, 2}, 0)
+	want, err := m.Query(ctx, core.Marginal("color", "employed"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestQueryEndpointMarginal(t *testing.T) {
 	}
 	for i := range want.P {
 		if res.P[i] != want.P[i] {
-			t.Fatalf("cell %d: query %v, InferMarginal %v", i, res.P[i], want.P[i])
+			t.Fatalf("cell %d: endpoint %v, Model.Query %v", i, res.P[i], want.P[i])
 		}
 	}
 	v1, err := c.Marginal(ctx, "fixture", []string{"color", "employed"}, 0)

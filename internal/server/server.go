@@ -602,9 +602,7 @@ func parseSynthesizeParams(r *http.Request) (synthesizeParams, error) {
 //
 // Determinism: for a fixed (model, n, seed) the streamed rows are
 // byte-identical across requests, worker counts, and server load —
-// chunk geometry and RNG streams are derived from (n, seed) only, and
-// the effective parallelism passed to the sampler is kept >= 2 so the
-// worker-count-independent chunked RNG scheme is always in effect (see
+// chunk geometry and RNG streams are derived from (n, seed) only (see
 // core.Model.SampleP). When the caller omits seed, the server draws one
 // and returns it in the X-Privbayes-Seed header, so any stream can be
 // reproduced later.
@@ -686,22 +684,19 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 				return // client gone while waiting for workers
 			}
 		}
-		// Parallelism 1 selects the sampler's serial legacy stream,
-		// which draws different tuples than the chunked scheme; pin the
-		// chunked path so the response never depends on how many
-		// workers the budget could spare. The request context cancels
-		// generation mid-chunk (every 2048 rows), so a disconnected
-		// client stops costing CPU within one sample chunk.
+		// The chunk samples at the granted worker count; the bytes do
+		// not depend on it. The request context cancels generation
+		// mid-chunk (every 2048 rows), so a disconnected client stops
+		// costing CPU within one sample chunk.
 		// Timing one chunk is a pure side channel: the clock reads
 		// bracket the sample call and touch neither rng nor the chunk
 		// geometry, so the streamed bytes are identical with telemetry
 		// on and off (TestSynthesizeDeterministicWithTelemetry).
-		eff := max(got, 2)
 		var t0 time.Time
 		if s.metrics.enabled() {
 			t0 = time.Now()
 		}
-		chunk, err := model.SampleContext(ctx, rows, rng, eff)
+		chunk, err := model.SampleContext(ctx, rows, rng, got)
 		if s.metrics.enabled() {
 			s.metrics.pipelinePhase.With("sampling").Observe(time.Since(t0).Seconds())
 		}
@@ -743,8 +738,7 @@ type marginalRequest struct {
 // model — no sampling error, no privacy cost. It is the v1 wire form of
 // the query engine: the request compiles to core.Marginal(attrs...) and
 // runs through Model.Query, so its answers are byte-identical to the
-// richer POST /models/{id}/query endpoint (and to the InferMarginal
-// answers it historically served).
+// richer POST /models/{id}/query endpoint.
 func (s *Server) handleMarginal(w http.ResponseWriter, r *http.Request) {
 	model, _, err := s.registry.Get(r.PathValue("id"))
 	if err != nil {
@@ -1056,7 +1050,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	fitOpts := []privbayes.Option{
 		privbayes.WithEpsilon(epsilon),
 		privbayes.WithSeed(seed),
-		privbayes.WithParallelism(max(got, 2)), // stay on the worker-count-independent paths
+		privbayes.WithParallelism(got),
 	}
 	if s.metrics.enabled() {
 		// The progress adapter only reads the clock on serialized

@@ -263,14 +263,11 @@ func TestUploadRoundTrip(t *testing.T) {
 // TestLedgerFileCannotBeClobbered: with the ledger inside the models
 // dir (the `make serve` default), a model registered as "ledger" must
 // not overwrite the privacy ledger — and a ledger file clobbered some
-// other way must fail closed at Open rather than load as empty.
+// other way must fail closed at open rather than load as empty.
 func TestLedgerFileCannotBeClobbered(t *testing.T) {
 	dir := t.TempDir()
 	ledgerPath := filepath.Join(dir, "ledger.json")
-	ledger, err := accountant.Open(ledgerPath, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ledger := openLedger(t, ledgerPath)
 	if err := ledger.Charge("d", 0.9); err != nil {
 		t.Fatal(err)
 	}
@@ -280,37 +277,42 @@ func TestLedgerFileCannotBeClobbered(t *testing.T) {
 	if err := m.WriteJSON(&artifact, 1); err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Upload(context.Background(), "ledger", bytes.NewReader(artifact.Bytes()))
+	_, err := c.Upload(context.Background(), "ledger", bytes.NewReader(artifact.Bytes()))
 	if err == nil || !strings.Contains(err.Error(), "collides with the ledger") {
 		t.Fatalf("upload as 'ledger': %v", err)
 	}
 	// The spend survives on disk.
-	back, err := accountant.Open(ledgerPath, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := back.Get("d"); e.Spent != 0.9 {
+	if e := openLedger(t, ledgerPath).Get("d"); e.Spent != 0.9 {
 		t.Errorf("ledger entry after attack = %+v", e)
 	}
 
 	// Fail-closed: a model artifact written over the ledger path is
-	// rejected at Open, never silently loaded as an empty ledger.
+	// rejected at open, never silently loaded as an empty ledger.
 	if err := os.WriteFile(ledgerPath, artifact.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := accountant.Open(ledgerPath, 1.0); err == nil {
+	if _, err := accountant.OpenWAL(ledgerPath, 1.0, accountant.Options{}); err == nil {
 		t.Error("clobbered ledger must fail to open")
 	}
+}
+
+// openLedger opens a WAL ledger with a default budget of 1, closed when
+// the test ends.
+func openLedger(t *testing.T, path string) *accountant.Ledger {
+	t.Helper()
+	l, err := accountant.OpenWAL(path, 1.0, accountant.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l
 }
 
 // TestLoadDirSkipsLedgerFile: the ledger living in the models dir must
 // not produce a spurious "corrupt model" load error.
 func TestLoadDirSkipsLedgerFile(t *testing.T) {
 	dir := t.TempDir()
-	ledger, err := accountant.Open(filepath.Join(dir, "ledger.json"), 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ledger := openLedger(t, filepath.Join(dir, "ledger.json"))
 	if err := ledger.Charge("d", 0.1); err != nil { // materialize the file
 		t.Fatal(err)
 	}
@@ -428,7 +430,7 @@ func TestMarginalMatchesInference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := m.InferMarginal([]int{0, 2}, 0)
+	want, err := m.Query(context.Background(), core.Marginal("color", "employed"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,10 +114,6 @@ type config struct {
 	progress    func(Progress)
 }
 
-func defaultConfig() config {
-	return config{beta: DefaultBeta, theta: DefaultTheta, hierarchy: true}
-}
-
 // Option configures Fit, Synthesize, NewFitter and NewSession. Options
 // apply left to right; later options override earlier ones.
 type Option func(*config)
@@ -168,8 +164,8 @@ func WithConsistency(enabled bool) Option {
 
 // WithParallelism bounds the worker pool for candidate scoring,
 // marginal counting and sampling. <= 0 (the default) uses all CPU
-// cores; 1 forces the serial code paths. For a fixed seed, output is
-// bit-identical at every parallelism other than 1, on any machine.
+// cores. It only sets speed: for a fixed seed, output is bit-identical
+// at every parallelism, 1 included, on any machine.
 func WithParallelism(p int) Option {
 	return func(c *config) { c.parallelism = p }
 }
@@ -202,13 +198,7 @@ func WithProgress(fn func(Progress)) Option {
 
 // resolve folds opts over the defaults.
 func resolve(opts []Option) config {
-	c := defaultConfig()
-	for _, o := range opts {
-		if o != nil {
-			o(&c)
-		}
-	}
-	return c
+	return config{beta: DefaultBeta, theta: DefaultTheta, hierarchy: true}.merge(opts)
 }
 
 // merge folds additional per-call opts over a fitter's resolved config.

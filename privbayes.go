@@ -32,8 +32,9 @@
 // shared *rand.Rand; options are functional (WithEpsilon, WithBeta,
 // WithScore, WithParallelism, WithProgress, ...). Fitter bundles
 // options for reuse, and Session additionally shares score caches
-// across repeated fits of one dataset. The v1 entry points survive as
-// the deprecated FitV1/SynthesizeV1 shims with bit-identical output.
+// across repeated fits of one dataset. Parallelism only sets speed: for
+// a fixed seed, fits, samples and streams are byte-identical at every
+// parallelism.
 //
 // The exported types alias the internal implementation packages, so the
 // whole pipeline — datasets, taxonomy hierarchies, fitted models — is
@@ -69,8 +70,8 @@ const (
 
 // Model is a fitted PrivBayes model: the private Bayesian network plus
 // its noisy conditional distributions. Sampling from a Model incurs no
-// further privacy cost, whether materialized (Sample, SampleP,
-// SampleContext) or streamed (Synthesize, SynthesizeTo).
+// further privacy cost, whether materialized (SampleP, SampleContext)
+// or streamed (Synthesize, SynthesizeTo).
 type Model = core.Model
 
 // ModelInfo is a serializable summary of a fitted model — schema,

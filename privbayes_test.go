@@ -141,7 +141,7 @@ func TestModelSampleArbitrarySize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syn := m.Sample(123, rand.New(rand.NewSource(13)))
+	syn := m.SampleP(123, rand.New(rand.NewSource(13)), 0)
 	if syn.N() != 123 {
 		t.Errorf("sample size %d, want 123", syn.N())
 	}
@@ -164,7 +164,7 @@ func TestSaveLoadModel(t *testing.T) {
 	if eps != 1.0 {
 		t.Errorf("epsilon metadata = %v", eps)
 	}
-	syn := back.Sample(100, rand.New(rand.NewSource(22)))
+	syn := back.SampleP(100, rand.New(rand.NewSource(22)), 0)
 	if syn.N() != 100 || syn.D() != ds.D() {
 		t.Errorf("reloaded model sample shape %dx%d", syn.N(), syn.D())
 	}

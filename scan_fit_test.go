@@ -15,6 +15,16 @@ import (
 	"time"
 )
 
+// modelBytes serializes a model for byte-for-byte comparison.
+func modelBytes(t *testing.T, m *Model) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := SaveModel(&buf, m, 1); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestFitScannerMatchesFit is the out-of-core contract at the facade:
 // a fit that only ever sees chunked scans of a CSV file produces the
 // byte-identical model an in-memory fit produces from the same rows,
