@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,7 +15,10 @@ func noisyJoints(t *testing.T, seed int64) ([]*marginal.Table, Network) {
 	ds := chainData(4000, seed)
 	sc := score.NewScorer(score.F, ds)
 	rng := rand.New(rand.NewSource(seed + 1))
-	net := GreedyBayesBinary(ds, 2, math.Inf(1), sc, 1, rng)
+	net, err := greedyBayes(context.Background(), ds.D(), binaryCandidates(ds.D(), 2), math.Inf(1), sc, 1, rng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var joints []*marginal.Table
 	for _, pair := range net.Pairs {
 		j := marginal.Materialize(ds, pair.Vars())

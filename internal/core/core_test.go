@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -95,7 +96,10 @@ func TestGreedyBayesBinaryStructure(t *testing.T) {
 	sc := score.NewScorer(score.F, ds)
 	rng := rand.New(rand.NewSource(2))
 	for _, k := range []int{1, 2, 3} {
-		net := GreedyBayesBinary(ds, k, math.Inf(1), sc, 1, rng)
+		net, err := greedyBayes(context.Background(), ds.D(), binaryCandidates(ds.D(), k), math.Inf(1), sc, 1, rng, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := net.Validate(ds.D()); err != nil {
 			t.Fatalf("k=%d: invalid network: %v", k, err)
 		}
@@ -120,7 +124,10 @@ func TestGreedyBayesBinaryStructure(t *testing.T) {
 func TestGreedyBayesBinaryFindsChain(t *testing.T) {
 	ds := chainData(8000, 3)
 	sc := score.NewScorer(score.MI, ds)
-	net := GreedyBayesBinary(ds, 1, math.Inf(1), sc, 1, rand.New(rand.NewSource(4)))
+	net, err := greedyBayes(context.Background(), ds.D(), binaryCandidates(ds.D(), 1), math.Inf(1), sc, 1, rand.New(rand.NewSource(4)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The non-private greedy Chow-Liu tree must recover the strong
 	// chain edges: each of a1..a3 should have its chain neighbor as the
 	// parent (whichever side was added first).
@@ -134,7 +141,10 @@ func TestGreedyBayesGeneralRespectsCap(t *testing.T) {
 	ds := mixedData(5000, 5)
 	sc := score.NewScorer(score.R, ds)
 	eps2 := 0.07
-	net := GreedyBayesGeneral(ds, 4, math.Inf(1), eps2, true, sc, 1, rand.New(rand.NewSource(6)))
+	net, err := greedyBayes(context.Background(), ds.D(), generalCandidates(ds, 4, eps2, true, 1), math.Inf(1), sc, 1, rand.New(rand.NewSource(6)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := net.Validate(ds.D()); err != nil {
 		t.Fatal(err)
 	}
@@ -190,10 +200,14 @@ func TestNoisyConditionalsBinaryDerivation(t *testing.T) {
 	sc := score.NewScorer(score.F, ds)
 	rng := rand.New(rand.NewSource(8))
 	k := 2
-	net := GreedyBayesBinary(ds, k, math.Inf(1), sc, 1, rng)
+	net, err := greedyBayes(context.Background(), ds.D(), binaryCandidates(ds.D(), k), math.Inf(1), sc, 1, rng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Without noise, derived head conditionals must equal direct
 	// materialization.
-	conds, err := NoisyConditionalsBinary(ds, net, k, 1.0, true, false, 1, rng)
+	conds, err := noisyConditionals(context.Background(), marginal.NewMemorySource(ds, 1), net, k, 1.0,
+		Options{InfiniteMarginalBudget: true, Parallelism: 1, Rand: rng}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +230,15 @@ func TestNoisyConditionalsGeneralShapes(t *testing.T) {
 	ds := mixedData(3000, 9)
 	sc := score.NewScorer(score.R, ds)
 	rng := rand.New(rand.NewSource(10))
-	net := GreedyBayesGeneral(ds, 4, math.Inf(1), 0.5, true, sc, 1, rng)
-	conds := NoisyConditionalsGeneral(ds, net, 0.5, false, false, 1, rng)
+	net, err := greedyBayes(context.Background(), ds.D(), generalCandidates(ds, 4, 0.5, true, 1), math.Inf(1), sc, 1, rng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conds, err := noisyConditionals(context.Background(), marginal.NewMemorySource(ds, 1), net, 0, 0.5,
+		Options{Parallelism: 1, Rand: rng}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, c := range conds {
 		if c.X != net.Pairs[i].X {
 			t.Fatalf("conditional %d child mismatch", i)

@@ -137,8 +137,8 @@ func TestRefitCountsMatchesConditionals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(33))
-		wantConds, err := NoisyConditionalsBinary(ds, m.Network, m.K, 0.56, false, false, par, rng)
+		wantConds, err := noisyConditionals(context.Background(), marginal.NewMemorySource(ds, par), m.Network, m.K, 0.56,
+			Options{Parallelism: par, Rand: rand.New(rand.NewSource(33))}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -171,6 +171,9 @@ func fitModel(ctx context.Context, attrs []dataset.Attribute, cs marginal.CountS
 	if ds.N() == 0 {
 		return nil, errors.New("core: empty dataset")
 	}
+	// The paper resets β when network learning has no choice to make
+	// (footnote 6); the split is kept, which changes behaviour only
+	// immaterially.
 	eps1 := opt.Beta * opt.Epsilon
 	eps2 := (1 - opt.Beta) * opt.Epsilon
 
@@ -199,49 +202,40 @@ func fitModel(ctx context.Context, attrs []dataset.Attribute, cs marginal.CountS
 		return nil, errors.New("core: supplied scorer reads a different source than this fit")
 	}
 
-	progress := newProgressSink(opt.Progress)
+	// The mode picks Algorithm 2's candidates and a degree k for
+	// Algorithm 1, or Algorithm 4's candidates and Algorithm 3, which is
+	// Algorithm 1 at k = 0.
 	m := &Model{Attrs: append([]dataset.Attribute(nil), ds.Attrs()...), Score: opt.Score, K: -1}
+	k := 0
+	var gen candidates
 	switch opt.Mode {
 	case ModeBinary:
-		k := opt.K
+		k = opt.K
 		if k < 0 {
-			k = ChooseK(ds.N(), ds.D(), (1-opt.Beta)*opt.Epsilon, opt.Theta)
+			k = ChooseK(ds.N(), ds.D(), eps2, opt.Theta)
 			if opt.MaxK > 0 && k > opt.MaxK {
 				k = opt.MaxK
 			}
 		}
-		if k > ds.D()-1 {
-			k = ds.D() - 1
-		}
+		k = min(k, ds.D()-1)
 		m.K = k
-		// With only one possible network (k = 0 still leaves parent
-		// choice trivial only when d = 1), the paper resets β when no
-		// choice exists; we keep the split, which matches footnote 6's
-		// observation without changing behaviour materially.
-		net, err := GreedyBayesBinaryContext(ctx, ds, k, eps1, sc, opt.Parallelism, opt.Rand, progress)
-		if err != nil {
-			return nil, err
-		}
-		m.Network = net
-		conds, err := noisyConditionalsBinary(ctx, cs, m.Network, k, eps2, opt.InfiniteMarginalBudget, opt.Consistency, opt.Parallelism, opt.Rand, progress)
-		if err != nil {
-			return nil, err
-		}
-		m.Conds = conds
+		gen = binaryCandidates(ds.D(), k)
 	case ModeGeneral:
-		net, err := GreedyBayesGeneralContext(ctx, ds, opt.Theta, eps1, eps2, opt.UseHierarchy, sc, opt.Parallelism, opt.Rand, progress)
-		if err != nil {
-			return nil, err
-		}
-		m.Network = net
-		conds, err := noisyConditionalsGeneral(ctx, cs, m.Network, eps2, opt.InfiniteMarginalBudget, opt.Consistency, opt.Parallelism, opt.Rand, progress)
-		if err != nil {
-			return nil, err
-		}
-		m.Conds = conds
+		gen = generalCandidates(ds, opt.Theta, eps2, opt.UseHierarchy, opt.Parallelism)
 	default:
 		return nil, fmt.Errorf("core: unknown mode %d", opt.Mode)
 	}
+	progress := newProgressSink(opt.Progress)
+	net, err := greedyBayes(ctx, ds.D(), gen, eps1, sc, opt.Parallelism, opt.Rand, progress)
+	if err != nil {
+		return nil, err
+	}
+	m.Network = net
+	conds, err := noisyConditionals(ctx, cs, net, k, eps2, opt, progress)
+	if err != nil {
+		return nil, err
+	}
+	m.Conds = conds
 	if err := m.Network.Validate(ds.D()); err != nil {
 		return nil, err
 	}
@@ -255,7 +249,8 @@ func fitModel(ctx context.Context, attrs []dataset.Attribute, cs marginal.CountS
 // Beta is ignored). This is the curator's incremental refit — with a
 // StoreSource whose tables were maintained on ingest, no row is
 // re-read at all. k is the binary-mode anchor degree the network was
-// learned with; it is ignored in ModeGeneral.
+// learned with; it is ignored in ModeGeneral, whose Algorithm 3 is
+// Algorithm 1 at k = 0.
 func RefitCountsContext(ctx context.Context, attrs []dataset.Attribute, cs marginal.CountSource, net Network, k int, opt Options) (*Model, error) {
 	if opt.Rand == nil {
 		return nil, errors.New("core: Options.Rand is required")
@@ -270,7 +265,6 @@ func RefitCountsContext(ctx context.Context, attrs []dataset.Attribute, cs margi
 	if err := net.Validate(d); err != nil {
 		return nil, err
 	}
-	progress := newProgressSink(opt.Progress)
 	m := &Model{Attrs: append([]dataset.Attribute(nil), attrs...), Score: opt.Score, K: -1, Network: net}
 	switch opt.Mode {
 	case ModeBinary:
@@ -278,20 +272,16 @@ func RefitCountsContext(ctx context.Context, attrs []dataset.Attribute, cs margi
 			return nil, fmt.Errorf("core: refit anchor degree %d outside [0, %d]", k, d-1)
 		}
 		m.K = k
-		conds, err := noisyConditionalsBinary(ctx, cs, net, k, opt.Epsilon, opt.InfiniteMarginalBudget, opt.Consistency, opt.Parallelism, opt.Rand, progress)
-		if err != nil {
-			return nil, err
-		}
-		m.Conds = conds
 	case ModeGeneral:
-		conds, err := noisyConditionalsGeneral(ctx, cs, net, opt.Epsilon, opt.InfiniteMarginalBudget, opt.Consistency, opt.Parallelism, opt.Rand, progress)
-		if err != nil {
-			return nil, err
-		}
-		m.Conds = conds
+		k = 0
 	default:
 		return nil, fmt.Errorf("core: unknown mode %d", opt.Mode)
 	}
+	conds, err := noisyConditionals(ctx, cs, net, k, opt.Epsilon, opt, newProgressSink(opt.Progress))
+	if err != nil {
+		return nil, err
+	}
+	m.Conds = conds
 	return m, nil
 }
 

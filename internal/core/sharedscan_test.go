@@ -49,13 +49,18 @@ func TestMaterializeJointCachedBitIdentical(t *testing.T) {
 func TestNoisyConditionalsCachedBitIdentical(t *testing.T) {
 	ds := chainData(2500, 32)
 	sc := score.NewScorer(score.F, ds)
-	net := GreedyBayesBinary(ds, 2, 0.5, sc, 2, rand.New(rand.NewSource(9)))
+	net, err := greedyBayes(context.Background(), ds.D(), binaryCandidates(ds.D(), 2), 0.5, sc, 2, rand.New(rand.NewSource(9)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, par := range []int{1, 2, 4} {
-		want, err := NoisyConditionalsBinary(ds, net, 2, 1.0, false, false, par, rand.New(rand.NewSource(10)))
+		want, err := noisyConditionals(context.Background(), marginal.NewMemorySource(ds, par), net, 2, 1.0,
+			Options{Parallelism: par, Rand: rand.New(rand.NewSource(10))}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := noisyConditionalsBinary(context.Background(), sc.CountSource(), net, 2, 1.0, false, false, par, rand.New(rand.NewSource(10)), nil)
+		got, err := noisyConditionals(context.Background(), sc.CountSource(), net, 2, 1.0,
+			Options{Parallelism: par, Rand: rand.New(rand.NewSource(10))}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

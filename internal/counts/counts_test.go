@@ -1,7 +1,6 @@
 package counts
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -141,70 +140,6 @@ func TestMergeRejectsMismatch(t *testing.T) {
 	}
 	if err := a.Merge(a); err == nil {
 		t.Fatal("self-merge accepted")
-	}
-}
-
-// TestSerializationRoundTrip: WriteTo → ReadStore is exact, and the
-// encoding itself is deterministic.
-func TestSerializationRoundTrip(t *testing.T) {
-	attrs := testSchema()
-	s := NewStore(attrs)
-	registerAll(t, s)
-	if err := s.Accumulate(randomDataset(5, 3000, attrs)); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadStore(bytes.NewReader(buf.Bytes()), attrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	storesEqual(t, s, got)
-
-	var buf2 bytes.Buffer
-	if _, err := got.WriteTo(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("serialization is not deterministic across a round trip")
-	}
-}
-
-func TestReadStoreRejectsCorruption(t *testing.T) {
-	attrs := testSchema()
-	s := NewStore(attrs)
-	registerAll(t, s)
-	if err := s.Accumulate(randomDataset(5, 200, attrs)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	// Flip one byte anywhere: the CRC (or magic check) must reject it.
-	for _, off := range []int{0, 7, len(good) / 2, len(good) - 5, len(good) - 1} {
-		bad := append([]byte(nil), good...)
-		bad[off] ^= 0x40
-		if _, err := ReadStore(bytes.NewReader(bad), attrs); err == nil {
-			t.Fatalf("corruption at offset %d accepted", off)
-		}
-	}
-	// Truncations must error, not panic.
-	for cut := 0; cut < len(good); cut += 13 {
-		if _, err := ReadStore(bytes.NewReader(good[:cut]), attrs); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-	// Schema mismatch.
-	wrong := testSchema()
-	wrong[0] = dataset.NewCategorical("a", []string{"x", "y"})
-	if _, err := ReadStore(bytes.NewReader(good), wrong); err == nil {
-		t.Fatal("schema mismatch accepted")
 	}
 }
 

@@ -54,13 +54,6 @@ func NewProvider(ctx context.Context, src *dataset.ChunkSource, parallelism int)
 	return p, nil
 }
 
-// NewProviderWithRows skips the initial counting scan for callers that
-// already know the exact row count (e.g. the curator's row log). A
-// wrong count surfaces as ErrSourceChanged on the first scan.
-func NewProviderWithRows(ctx context.Context, src *dataset.ChunkSource, rows, parallelism int) *Provider {
-	return &Provider{src: src, ctx: ctx, par: parallelism, n: rows, tables: map[string]*marginal.Table{}}
-}
-
 // Rows implements marginal.CountSource.
 func (p *Provider) Rows() int { return p.n }
 

@@ -87,9 +87,6 @@ func (c *Column) Len() int { return c.n }
 // Size returns the domain size the column encodes.
 func (c *Column) Size() int { return c.size }
 
-// Width returns the physical code width in bits (1, 2, 8 or 16).
-func (c *Column) Width() int { return c.width }
-
 // Maskable reports whether the column is bit-packed (width <= 2), i.e.
 // whether per-value row bitmasks derive from its planes in O(n/64) word
 // operations — the eligibility test of the popcount counting kernels.

@@ -53,14 +53,6 @@ type ChunkSource struct {
 	Open func() (Scanner, error)
 }
 
-// Rows returns the effective chunk size.
-func (s *ChunkSource) Rows() int {
-	if s.ChunkRows <= 0 {
-		return DefaultChunkRows
-	}
-	return s.ChunkRows
-}
-
 // CSVFile returns a re-scannable source over a headered CSV file.
 func CSVFile(path string, attrs []Attribute, chunkRows int) *ChunkSource {
 	return &ChunkSource{Attrs: attrs, ChunkRows: chunkRows, Open: func() (Scanner, error) {

@@ -248,11 +248,7 @@ func TestChunkSourceFilesRescan(t *testing.T) {
 func TestScanDataset(t *testing.T) {
 	want := scanTestDataset(t, 257)
 	sameRows(t, want, drain(t, ScanDataset(want, 64)))
-	src := DatasetSource(want, 64)
-	if src.Rows() != 64 {
-		t.Fatalf("Rows() = %d", src.Rows())
-	}
-	sc, err := src.Open()
+	sc, err := DatasetSource(want, 64).Open()
 	if err != nil {
 		t.Fatal(err)
 	}

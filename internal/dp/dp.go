@@ -19,19 +19,6 @@ func Laplace(rng *rand.Rand, scale float64) float64 {
 	return -scale * math.Log1p(-2*u)
 }
 
-// LaplaceMechanism perturbs each value with Laplace(sensitivity/epsilon)
-// noise in place, satisfying epsilon-DP for a query with the given L1
-// sensitivity (Definition 2.2).
-func LaplaceMechanism(rng *rand.Rand, values []float64, sensitivity, epsilon float64) {
-	if epsilon <= 0 {
-		panic("dp: LaplaceMechanism requires epsilon > 0")
-	}
-	b := sensitivity / epsilon
-	for i := range values {
-		values[i] += Laplace(rng, b)
-	}
-}
-
 // Exponential samples an index with probability proportional to
 // exp(epsilon * score / (2 * sensitivity)), the exponential mechanism of
 // McSherry and Talwar (Section 2.1). Scores are shifted by their maximum

@@ -31,29 +31,6 @@ func TestLaplaceStats(t *testing.T) {
 	}
 }
 
-func TestLaplaceMechanism(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	vals := make([]float64, 50000)
-	LaplaceMechanism(rng, vals, 2.0, 0.5) // scale 4
-	var absMean float64
-	for _, v := range vals {
-		absMean += math.Abs(v)
-	}
-	absMean /= float64(len(vals))
-	if math.Abs(absMean-4) > 0.15 {
-		t.Errorf("E|noise| = %v, want ≈ sensitivity/ε = 4", absMean)
-	}
-}
-
-func TestLaplaceMechanismRejectsNonPositiveEpsilon(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	LaplaceMechanism(rand.New(rand.NewSource(1)), []float64{0}, 1, 0)
-}
-
 func TestExponentialArgmaxAtInfiniteEpsilon(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	scores := []float64{0.1, 0.9, 0.5}

@@ -6,10 +6,10 @@ package marginal
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"privbayes/internal/dataset"
+	"privbayes/internal/dp"
 )
 
 // Var identifies an attribute at a generalization level. Level 0 is the
@@ -212,21 +212,11 @@ func (t *Table) Scale(f float64) {
 }
 
 // AddLaplace adds i.i.d. Laplace(scale) noise to every cell (Line 4 of
-// Algorithm 1). The noise function is injected so callers can share one
-// seeded source.
+// Algorithm 1), drawn in cell order from rng.
 func (t *Table) AddLaplace(rng *rand.Rand, scale float64) {
 	for i := range t.P {
-		t.P[i] += laplace(rng, scale)
+		t.P[i] += dp.Laplace(rng, scale)
 	}
-}
-
-// laplace draws one Laplace(0, b) variate by inverse-CDF sampling.
-func laplace(rng *rand.Rand, b float64) float64 {
-	u := rng.Float64() - 0.5
-	if u < 0 {
-		return b * math.Log1p(2*u)
-	}
-	return -b * math.Log1p(-2*u)
 }
 
 // ClampNormalize sets negative cells to zero and rescales to total mass 1
