@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build test race bench bench-json serve lint cover fmt \
 	apicheck api-baseline examples quality fuzz crashsafety logcheck \
-	perfbench-vet
+	perfbench-vet perfbench-smoke
 
 # Minimum total statement coverage accepted by `make cover` (percent).
 COVER_FLOOR ?= 70
@@ -39,6 +39,23 @@ bench:
 # build, lint and test stay green.
 perfbench-vet:
 	cd perfbench && $(GO) vet .
+
+# Run each perfbench workload once at the benchmark's own window
+# (BENCHMARK.json) and fail unless its result line, the last line of
+# its output, reads "correct":true and "failed":0. perfbench-vet only
+# compiles the benchmark; this also runs its output checks (the
+# out-of-core model read back through ReadCSV, streams parsed back,
+# fixed-seed stream hashes), so a library change that breaks them fails
+# here instead of only in paired benchmark runs.
+perfbench-smoke:
+	@set -e; \
+	secs=$$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])'); \
+	for w in $$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do \
+		line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds $$secs --trace 0 | tail -n 1); \
+		echo "$$w: $$line"; \
+		if ! echo "$$line" | grep -q '"correct":true' || ! echo "$$line" | grep -Eq '"failed":0[,}]'; then \
+			echo "perfbench-smoke: $$w is not correct or has failed operations"; exit 1; fi; \
+	done
 
 # Timed benchmarks, captured machine-readably. Scoring: runs
 # BenchmarkScoreBatchShared over the (d, k) grid and the columnar vs
@@ -92,10 +109,12 @@ quality:
 	@cat BENCH_quality.json
 
 # Native fuzzing smoke over the untrusted-input parsers — model
-# artifacts (core.ReadModelJSON, behind LoadModel), CSV uploads
-# (dataset.ReadCSV), JSONL row appends (dataset.ScanJSONL), the
-# curator's on-disk row record codec — plus the differential counting
-# fuzz pinning the popcount kernel to the legacy row-major counts.
+# artifacts (core.ReadModelJSON, behind LoadModel), the one CSV/JSONL
+# row decoder (FuzzReadCSV drives ReadCSV and ScanCSV, the decoder of
+# POST /fit uploads and the CLI; FuzzScanJSONL drives ScanJSONL, the
+# decoder of row appends), the curator's on-disk row record codec —
+# plus the differential counting fuzz pinning the popcount kernel to
+# the legacy row-major counts.
 # FUZZTIME bounds each target; the nightly workflow runs with a larger
 # budget.
 fuzz:

@@ -149,13 +149,11 @@ var speedupPairs = []struct{ fast, base, label string }{
 	// end-to-end serving pair.
 	{"BenchmarkTelemetryOverhead/off/", "BenchmarkTelemetryOverhead/on/", "telemetry_on_vs_off/"},
 	{"BenchmarkServeSynthesizeTelemetry/off/", "BenchmarkServeSynthesizeTelemetry/on/", "serve_telemetry_on_vs_off/"},
-	// Curator pairs: fit_outofcore_vs_inmemory is inverted like the
-	// telemetry pairs — the ratio is scanner_ns/inmemory_ns, the
-	// overhead of re-scanning a spooled log instead of fitting
-	// materialized columns. refit_cold_vs_incremental reads the usual
-	// way: how much faster an incremental refit over the maintained
-	// count store is than a cold rescan of the row log.
-	{"BenchmarkFitInMemory/", "BenchmarkFitScanner/", "fit_outofcore_vs_inmemory/"},
+	// How much faster an incremental curator refit over the maintained
+	// count store is than a cold rescan of the row log. The out-of-core
+	// fit's cost against the in-memory one is not paired here: a fit
+	// small enough for this benchmark misstates it, so perfbench's
+	// fit-outofcore and fit-binary workloads measure it end to end.
 	{"BenchmarkRefitIncremental/", "BenchmarkRefitCold/", "refit_cold_vs_incremental/"},
 }
 

@@ -28,6 +28,7 @@ import (
 
 	"privbayes"
 	"privbayes/internal/cliutil"
+	"privbayes/internal/dataset"
 	"privbayes/internal/profiling"
 )
 
@@ -84,23 +85,16 @@ func run(ctx context.Context, in, out string, epsilon, beta, theta float64, bins
 		return fmt.Errorf("%s has no data rows", in)
 	}
 
+	// The schema is inferred from the cells as text; the rows are then
+	// decoded against it by the library's CSV decoder, which rejects a
+	// cell the schema cannot hold, such as a non-finite number.
 	attrs := inferSchema(header, records, bins)
-	ds := privbayes.NewDataset(attrs)
-	rec := make([]uint16, len(attrs))
-	for _, cells := range records {
-		for c := range attrs {
-			a := &attrs[c]
-			if a.Kind == privbayes.Continuous {
-				v, err := strconv.ParseFloat(cells[c], 64)
-				if err != nil {
-					return fmt.Errorf("column %s: %v", a.Name, err)
-				}
-				rec[c] = uint16(a.Bin(v))
-			} else {
-				rec[c] = uint16(a.Code(cells[c]))
-			}
-		}
-		ds.Append(rec)
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	ds, err := dataset.ReadCSV(f, attrs)
+	if err != nil {
+		return err
 	}
 
 	model, err := privbayes.Fit(ctx, ds,

@@ -80,6 +80,38 @@ func TestRunMissingInput(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonFiniteCell: a non-finite number in a numeric column
+// must fail the run with the cell's position, not widen the inferred
+// bins to infinity and write +Inf (or NaN) into every synthetic row.
+func TestRunRejectsNonFiniteCell(t *testing.T) {
+	for _, cell := range []string{"inf", "NaN"} {
+		t.Run(cell, func(t *testing.T) {
+			dir := t.TempDir()
+			in := writeInput(t, dir)
+			data, err := os.ReadFile(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(string(data), "\n")
+			cells := strings.Split(lines[6], ",") // data row 6
+			cells[2] = cell
+			lines[6] = strings.Join(cells, ",")
+			if err := os.WriteFile(in, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			err = run(context.Background(), in, filepath.Join(dir, "out.csv"), 1.0, 0.3, 4, 16, 0, 0, 7)
+			if err == nil {
+				t.Fatal("run accepted a non-finite cell")
+			}
+			for _, want := range []string{"row 6", "column 3 (amount)", "non-finite"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %q", err, want)
+				}
+			}
+		})
+	}
+}
+
 func TestInferSchema(t *testing.T) {
 	header := []string{"cat", "num"}
 	records := [][]string{}

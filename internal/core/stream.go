@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"iter"
@@ -26,28 +25,17 @@ const StreamChunkRows = 16_384
 // or the dataset.Attribute accessors.
 type Row []uint16
 
-// Format selects the wire encoding of SynthesizeTo.
-type Format int
+// Format selects the wire encoding of SynthesizeTo; the encodings
+// themselves live in internal/dataset.
+type Format = dataset.Format
 
 const (
 	// FormatCSV emits a header row then one decoded CSV row per record.
-	FormatCSV Format = iota
+	FormatCSV = dataset.FormatCSV
 	// FormatJSONL emits one JSON object per record, keys in schema
 	// order, no header.
-	FormatJSONL
+	FormatJSONL = dataset.FormatJSONL
 )
-
-// String names the format as used in privbayesd query parameters.
-func (f Format) String() string {
-	switch f {
-	case FormatCSV:
-		return "csv"
-	case FormatJSONL:
-		return "jsonl"
-	default:
-		return fmt.Sprintf("Format(%d)", int(f))
-	}
-}
 
 // synthConfig is the resolved option set of one streaming-synthesis
 // call.
@@ -155,18 +143,9 @@ func (m *Model) SynthesizeTo(ctx context.Context, w io.Writer, n int, format For
 	cfg := resolveSynth(opts)
 	rng := cfg.source.Rand()
 
-	var cw *csv.Writer
-	var jw *dataset.JSONLWriter
-	switch format {
-	case FormatCSV:
-		cw = csv.NewWriter(w)
-		if err := cw.Write(dataset.New(m.Attrs).CSVHeader()); err != nil {
-			return err
-		}
-	case FormatJSONL:
-		jw = dataset.NewJSONLWriter(w, m.Attrs)
-	default:
-		return fmt.Errorf("core: unknown format %v", format)
+	rw, err := dataset.NewRowWriter(w, m.Attrs, format)
+	if err != nil {
+		return err
 	}
 
 	cfg.progress.start(PhaseSampling, n)
@@ -176,18 +155,8 @@ func (m *Model) SynthesizeTo(ctx context.Context, w io.Writer, n int, format For
 		if err != nil {
 			return err
 		}
-		if cw != nil {
-			if err := chunk.WriteCSVRows(cw, 0, rows); err != nil {
-				return err
-			}
-			cw.Flush()
-			if err := cw.Error(); err != nil {
-				return err
-			}
-		} else {
-			if err := jw.WriteRows(chunk, 0, rows); err != nil {
-				return err
-			}
+		if err := rw.WriteRows(chunk, 0, rows); err != nil {
+			return err
 		}
 		cfg.progress.add(PhaseSampling, rows, n)
 	}

@@ -410,7 +410,23 @@ func TestRefitChargeIdempotency(t *testing.T) {
 		if id != "adult-refit-1400" {
 			t.Fatalf("post-restart refit id %q, want adult-refit-1400", id)
 		}
-		st, _ := c2.Status("adult")
+		// The fit marker is written after the model is published, so wait
+		// for the refit to finish before reading the status.
+		var st Status
+		deadline = time.Now().Add(30 * time.Second)
+		for {
+			st, err = c2.Status("adult")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.Refitting {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("timed out waiting for the post-restart refit to finish")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 		if st.FitKind != "incremental" {
 			t.Fatalf("post-restart refit kind %q, want incremental (store rebuilt from the log)", st.FitKind)
 		}

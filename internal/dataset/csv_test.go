@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"bytes"
-	"encoding/csv"
 	"strings"
 	"testing"
 )
@@ -107,28 +106,24 @@ func TestWriteCSVRowsChunksMatchWholeFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Header + rows written in uneven chunks through one csv.Writer
-	// must byte-match WriteCSV — the contract the streaming synthesis
+	// Rows written in uneven chunks through one RowWriter must
+	// byte-match WriteCSV — the contract the streaming synthesis
 	// endpoint relies on.
 	var chunked bytes.Buffer
-	cw := csv.NewWriter(&chunked)
-	if err := cw.Write(d.CSVHeader()); err != nil {
+	rw, err := NewRowWriter(&chunked, attrs, FormatCSV)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range [][2]int{{0, 3}, {3, 4}, {4, 10}} {
-		if err := d.WriteCSVRows(cw, r[0], r[1]); err != nil {
+		if err := rw.WriteRows(d, r[0], r[1]); err != nil {
 			t.Fatal(err)
 		}
-	}
-	cw.Flush()
-	if cw.Error() != nil {
-		t.Fatal(cw.Error())
 	}
 	if whole.String() != chunked.String() {
 		t.Errorf("chunked output differs:\nwhole:\n%schunked:\n%s", whole.String(), chunked.String())
 	}
 
-	if err := d.WriteCSVRows(cw, 5, 99); err == nil {
+	if err := rw.WriteRows(d, 5, 99); err == nil {
 		t.Error("out-of-range row range must error")
 	}
 }

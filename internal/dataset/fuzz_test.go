@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// FuzzReadCSV hammers the CSV decoder that backs privbayesd's curator
-// uploads: any byte stream must either fail with an error or decode
-// into a dataset whose every cell is a valid code for its attribute —
-// and must never panic.
+// FuzzReadCSV hammers the CSV decoder behind privbayesd's POST /fit
+// uploads and the CLI: any byte stream must either fail with an error
+// or decode into a dataset whose every cell is a valid code for its
+// attribute — and must never panic.
 func FuzzReadCSV(f *testing.F) {
 	// Seed corpus: a valid document and crafted corruptions — wrong
 	// header, ragged rows, unknown labels, non-finite and overflowing
@@ -44,8 +44,8 @@ func FuzzReadCSV(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// The chunked scanner shares the CSV decoder, so every document
-		// ReadCSV accepts must scan to the same rows — and vice versa.
+		// ReadCSV drains the chunk loop ScanCSV yields from, so every
+		// document ReadCSV accepts must scan clean to as many rows.
 		sc, err := ScanCSV(strings.NewReader(s), attrs, 3)
 		if err != nil {
 			t.Fatalf("ReadCSV accepted but ScanCSV rejected: %v", err)

@@ -1,17 +1,20 @@
 package dataset
 
-// Chunked row scanners: the out-of-core counterpart of ReadCSV. A
-// Scanner yields the rows of a source as a sequence of small Dataset
-// chunks, so sufficient statistics can be accumulated over datasets far
-// larger than RAM (the continuous-curator path); a ChunkSource makes a
-// scanner reopenable, which is what lets the greedy fit re-scan the
-// source once per iteration instead of materializing the rows.
+// Row decoding: the one place CSV and JSONL rows become attribute
+// codes. A Scanner yields the rows of a source as a sequence of small
+// Dataset chunks, so sufficient statistics can be accumulated over
+// datasets far larger than RAM (the out-of-core fit and the continuous
+// curator); ReadCSV and ReadJSONL drain the same chunk loop into one
+// in-memory dataset. A ChunkSource makes a scanner reopenable, which
+// is what lets the greedy fit re-scan the source once per iteration
+// instead of materializing the rows.
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -60,12 +63,12 @@ func CSVFile(path string, attrs []Attribute, chunkRows int) *ChunkSource {
 		if err != nil {
 			return nil, err
 		}
-		sc, err := ScanCSV(f, attrs, chunkRows)
+		sc, err := scanCSV(f, attrs, chunkRows)
 		if err != nil {
 			f.Close()
 			return nil, err
 		}
-		sc.(*csvScanner).closer = f
+		sc.closer = f
 		return sc, nil
 	}}
 }
@@ -78,7 +81,7 @@ func JSONLFile(path string, attrs []Attribute, chunkRows int) *ChunkSource {
 		if err != nil {
 			return nil, err
 		}
-		sc := ScanJSONL(f, attrs, chunkRows).(*jsonlScanner)
+		sc := scanJSONL(f, attrs, chunkRows)
 		sc.closer = f
 		return sc, nil
 	}}
@@ -94,10 +97,148 @@ func DatasetSource(d *Dataset, chunkRows int) *ChunkSource {
 }
 
 // ScanCSV returns a scanner over headered CSV that decodes rows
-// against the schema exactly as ReadCSV does, chunkRows rows at a
-// time. The header is read and validated immediately.
+// against the schema, chunkRows rows at a time. The header is read and
+// validated immediately.
 func ScanCSV(r io.Reader, attrs []Attribute, chunkRows int) (Scanner, error) {
+	s, err := scanCSV(r, attrs, chunkRows)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// ScanJSONL returns a scanner over newline-delimited JSON rows — the
+// format FormatJSONL writes: one object per line, categorical values
+// as label strings, continuous values as numbers (binned on decode).
+// Fields may appear in any order; every schema attribute must be
+// present and no others. Blank lines are skipped.
+func ScanJSONL(r io.Reader, attrs []Attribute, chunkRows int) Scanner {
+	return scanJSONL(r, attrs, chunkRows)
+}
+
+// ReadCSV reads records that match the given schema from CSV with a
+// header row. Categorical cells must be known labels; continuous cells
+// are parsed as finite floats and binned.
+//
+// It is ScanCSV drained into one dataset: rows are decoded straight
+// off the reader, so the whole file is never held in memory beyond the
+// 2-bytes-per-cell encoded dataset, and it is safe to point at a large
+// upload stream. Errors report the 1-based data row and column of the
+// offending cell.
+func ReadCSV(r io.Reader, attrs []Attribute) (*Dataset, error) {
+	s, err := scanCSV(r, attrs, readChunkRows)
+	if err != nil {
+		return nil, err
+	}
+	return s.readAll(0)
+}
+
+// ErrTooManyRows reports a ReadJSONL input longer than its row cap.
+var ErrTooManyRows = errors.New("dataset: too many rows")
+
+// ReadJSONL is ScanJSONL drained into one dataset. maxRows > 0 caps
+// the rows read: a longer input fails with ErrTooManyRows as soon as
+// the block of rows that crosses the cap is decoded.
+func ReadJSONL(r io.Reader, attrs []Attribute, maxRows int) (*Dataset, error) {
+	return scanJSONL(r, attrs, readChunkRows).readAll(maxRows)
+}
+
+// readChunkRows is the block ReadCSV and ReadJSONL decode at a time
+// before packing it into the one growing dataset.
+const readChunkRows = 4096
+
+// rowScanner is the one chunk loop behind every decoder. read decodes
+// the next row into rec and returns io.EOF after the last one; the
+// loop stages codes column-major, so AppendColumns packs bit-packed
+// columns 64 codes per word instead of paying per-row bit surgery. The
+// stage is reused across chunks.
+type rowScanner struct {
+	read   func(rec []uint16) error
+	attrs  []Attribute
+	chunk  int
+	rec    []uint16
+	stage  [][]uint16
+	err    error // sticky: the first failure, or io.EOF after the last row
+	closer io.Closer
+}
+
+func newRowScanner(attrs []Attribute, chunkRows int, read func(rec []uint16) error) *rowScanner {
+	if chunkRows <= 0 {
+		chunkRows = DefaultChunkRows
+	}
+	return &rowScanner{read: read, attrs: attrs, chunk: chunkRows,
+		rec: make([]uint16, len(attrs)), stage: make([][]uint16, len(attrs))}
+}
+
+// fill decodes up to one chunk of rows into the stage and returns how
+// many. It returns io.EOF only when no row is left.
+func (s *rowScanner) fill() (int, error) {
+	if s.err != nil {
+		return 0, s.err
+	}
+	for c := range s.stage {
+		s.stage[c] = s.stage[c][:0]
+	}
+	rows := 0
+	for ; rows < s.chunk; rows++ {
+		if err := s.read(s.rec); err != nil {
+			s.err = err
+			if err == io.EOF && rows > 0 {
+				break
+			}
+			return 0, err
+		}
+		for c, v := range s.rec {
+			s.stage[c] = append(s.stage[c], v)
+		}
+	}
+	return rows, nil
+}
+
+func (s *rowScanner) Next() (*Dataset, error) {
+	rows, err := s.fill()
+	if err != nil {
+		return nil, err
+	}
+	d := NewWithCapacity(s.attrs, rows)
+	d.AppendColumns(s.stage)
+	return d, nil
+}
+
+// readAll drains the scanner into one dataset; maxRows > 0 caps it
+// (see ReadJSONL).
+func (s *rowScanner) readAll(maxRows int) (*Dataset, error) {
+	d := New(s.attrs)
+	for {
+		rows, err := s.fill()
+		if err == io.EOF {
+			return d, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if maxRows > 0 && d.N()+rows > maxRows {
+			return nil, ErrTooManyRows
+		}
+		d.AppendColumns(s.stage)
+	}
+}
+
+func (s *rowScanner) Close() error {
+	if s.closer != nil {
+		c := s.closer
+		s.closer = nil
+		return c.Close()
+	}
+	return nil
+}
+
+// scanCSV reads and validates the header, then returns the chunk loop
+// over the CSV rows.
+func scanCSV(r io.Reader, attrs []Attribute, chunkRows int) (*rowScanner, error) {
 	cr := csv.NewReader(r)
+	// Rows are encoded immediately, so the csv.Reader may reuse its
+	// record buffer between rows instead of allocating per row.
 	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
@@ -111,101 +252,43 @@ func ScanCSV(r io.Reader, attrs []Attribute, chunkRows int) (Scanner, error) {
 			return nil, fmt.Errorf("dataset: column %d is %q, schema expects %q", i+1, h, attrs[i].Name)
 		}
 	}
-	if chunkRows <= 0 {
-		chunkRows = DefaultChunkRows
+	rows := &csvRows{cr: cr, attrs: attrs}
+	return newRowScanner(attrs, chunkRows, rows.read), nil
+}
+
+// csvRows decodes one CSV record per read.
+type csvRows struct {
+	cr    *csv.Reader
+	attrs []Attribute
+	row   int // 1-based data row (header excluded), for error reporting
+}
+
+func (r *csvRows) read(rec []uint16) error {
+	cells, err := r.cr.Read()
+	if err == io.EOF {
+		return io.EOF
 	}
-	return &csvScanner{cr: cr, attrs: attrs, chunk: chunkRows,
-		rec: make([]uint16, len(attrs)), stage: newStage(len(attrs))}, nil
-}
-
-// newStage allocates the per-attribute staging buffers a scanner
-// decodes rows into before bulk-packing them into a columnar chunk.
-// Staging column-major lets bit-packed columns fill 64 codes per word
-// (Dataset.AppendColumns) instead of paying per-row bit surgery, and
-// the buffers are reused across chunks.
-func newStage(d int) [][]uint16 {
-	return make([][]uint16, d)
-}
-
-func resetStage(stage [][]uint16) {
-	for c := range stage {
-		stage[c] = stage[c][:0]
+	r.row++
+	if err != nil {
+		// csv.ParseError already carries the file line; add the
+		// data-row number, which is what schema-level callers count.
+		return fmt.Errorf("dataset: row %d: %w", r.row, err)
 	}
-}
-
-type csvScanner struct {
-	cr     *csv.Reader
-	attrs  []Attribute
-	chunk  int
-	rec    []uint16
-	stage  [][]uint16 // per-attribute chunk staging, reused across Next
-	row    int        // 1-based data row, for error reporting
-	err    error
-	closer io.Closer
-}
-
-func (s *csvScanner) Next() (*Dataset, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	resetStage(s.stage)
-	rows := 0
-	for rows < s.chunk {
-		cells, err := s.cr.Read()
-		if err == io.EOF {
-			if rows == 0 {
-				s.err = io.EOF
-				return nil, io.EOF
-			}
-			break
-		}
-		s.row++
-		if err != nil {
-			s.err = fmt.Errorf("dataset: row %d: %w", s.row, err)
-			return nil, s.err
-		}
-		if err := decodeCSVRow(s.attrs, cells, s.rec, s.row); err != nil {
-			s.err = err
-			return nil, s.err
-		}
-		for c, v := range s.rec {
-			s.stage[c] = append(s.stage[c], v)
-		}
-		rows++
-	}
-	d := NewWithCapacity(s.attrs, rows)
-	d.AppendColumns(s.stage)
-	return d, nil
-}
-
-func (s *csvScanner) Close() error {
-	if s.closer != nil {
-		c := s.closer
-		s.closer = nil
-		return c.Close()
-	}
-	return nil
-}
-
-// decodeCSVRow encodes one row of raw cells against the schema. row is
-// the 1-based data row for error reporting; the messages match
-// ReadCSV's, which shares this helper.
-func decodeCSVRow(attrs []Attribute, cells []string, rec []uint16, row int) error {
 	for c, cell := range cells {
-		a := &attrs[c]
+		a := &r.attrs[c]
 		if a.Kind == Continuous {
 			v, err := strconv.ParseFloat(cell, 64)
 			if err != nil {
-				return fmt.Errorf("dataset: row %d, column %d (%s): %w", row, c+1, a.Name, err)
+				return fmt.Errorf("dataset: row %d, column %d (%s): %w", r.row, c+1, a.Name, err)
 			}
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("dataset: row %d, column %d (%s): non-finite value %q", row, c+1, a.Name, cell)
+				return fmt.Errorf("dataset: row %d, column %d (%s): non-finite value %q", r.row, c+1, a.Name, cell)
 			}
 			rec[c] = uint16(a.Bin(v))
 		} else {
 			code := a.Code(cell)
 			if code < 0 {
-				return fmt.Errorf("dataset: row %d, column %d (%s): unknown label %q", row, c+1, a.Name, cell)
+				return fmt.Errorf("dataset: row %d, column %d (%s): unknown label %q", r.row, c+1, a.Name, cell)
 			}
 			rec[c] = uint16(code)
 		}
@@ -213,112 +296,65 @@ func decodeCSVRow(attrs []Attribute, cells []string, rec []uint16, row int) erro
 	return nil
 }
 
-// ScanJSONL returns a scanner over newline-delimited JSON rows — the
-// format JSONLWriter emits: one object per line, categorical values as
-// label strings, continuous values as numbers (binned on decode).
-// Fields may appear in any order; every schema attribute must be
-// present and no others. Blank lines are skipped.
-func ScanJSONL(r io.Reader, attrs []Attribute, chunkRows int) Scanner {
-	if chunkRows <= 0 {
-		chunkRows = DefaultChunkRows
-	}
+// scanJSONL returns the chunk loop over JSONL rows.
+func scanJSONL(r io.Reader, attrs []Attribute, chunkRows int) *rowScanner {
 	br := bufio.NewScanner(r)
 	br.Buffer(make([]byte, 0, 64<<10), MaxJSONLLine)
-	return &jsonlScanner{br: br, attrs: attrs, chunk: chunkRows,
-		rec: make([]uint16, len(attrs)), stage: newStage(len(attrs))}
+	rows := &jsonlRows{br: br, attrs: attrs}
+	return newRowScanner(attrs, chunkRows, rows.read)
 }
 
-type jsonlScanner struct {
-	br     *bufio.Scanner
-	attrs  []Attribute
-	chunk  int
-	rec    []uint16
-	stage  [][]uint16 // per-attribute chunk staging, reused across Next
-	row    int        // 1-based non-blank row, for error reporting
-	err    error
-	closer io.Closer
+// jsonlRows decodes one non-blank JSONL line per read. Accepted rows
+// are always in-domain: every code it writes is < the attribute's
+// Size, so AppendColumns cannot panic.
+type jsonlRows struct {
+	br    *bufio.Scanner
+	attrs []Attribute
+	row   int // 1-based non-blank row, for error reporting
 }
 
-func (s *jsonlScanner) Next() (*Dataset, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	resetStage(s.stage)
-	rows := 0
-	for rows < s.chunk {
-		if !s.br.Scan() {
-			if err := s.br.Err(); err != nil {
-				s.err = fmt.Errorf("dataset: jsonl row %d: %w", s.row+1, err)
-				return nil, s.err
+func (r *jsonlRows) read(rec []uint16) error {
+	var line []byte
+	for len(line) == 0 {
+		if !r.br.Scan() {
+			if err := r.br.Err(); err != nil {
+				return fmt.Errorf("dataset: jsonl row %d: %w", r.row+1, err)
 			}
-			if rows == 0 {
-				s.err = io.EOF
-				return nil, io.EOF
-			}
-			break
+			return io.EOF
 		}
-		line := bytes.TrimSpace(s.br.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		s.row++
-		if err := decodeJSONLRow(s.attrs, line, s.rec, s.row); err != nil {
-			s.err = err
-			return nil, s.err
-		}
-		for c, v := range s.rec {
-			s.stage[c] = append(s.stage[c], v)
-		}
-		rows++
+		line = bytes.TrimSpace(r.br.Bytes())
 	}
-	d := NewWithCapacity(s.attrs, rows)
-	d.AppendColumns(s.stage)
-	return d, nil
-}
-
-func (s *jsonlScanner) Close() error {
-	if s.closer != nil {
-		c := s.closer
-		s.closer = nil
-		return c.Close()
-	}
-	return nil
-}
-
-// decodeJSONLRow encodes one JSONL object against the schema. Accepted
-// rows are always in-domain: every code it writes is < the attribute's
-// Size, so Append cannot panic.
-func decodeJSONLRow(attrs []Attribute, line []byte, rec []uint16, row int) error {
+	r.row++
 	var obj map[string]json.RawMessage
 	if err := json.Unmarshal(line, &obj); err != nil {
-		return fmt.Errorf("dataset: jsonl row %d: %w", row, err)
+		return fmt.Errorf("dataset: jsonl row %d: %w", r.row, err)
 	}
-	if len(obj) != len(attrs) {
-		return fmt.Errorf("dataset: jsonl row %d: %d fields, schema has %d", row, len(obj), len(attrs))
+	if len(obj) != len(r.attrs) {
+		return fmt.Errorf("dataset: jsonl row %d: %d fields, schema has %d", r.row, len(obj), len(r.attrs))
 	}
-	for c := range attrs {
-		a := &attrs[c]
+	for c := range r.attrs {
+		a := &r.attrs[c]
 		raw, ok := obj[a.Name]
 		if !ok {
-			return fmt.Errorf("dataset: jsonl row %d: missing field %q", row, a.Name)
+			return fmt.Errorf("dataset: jsonl row %d: missing field %q", r.row, a.Name)
 		}
 		if a.Kind == Continuous {
 			var v float64
 			if err := json.Unmarshal(raw, &v); err != nil {
-				return fmt.Errorf("dataset: jsonl row %d, field %q: %w", row, a.Name, err)
+				return fmt.Errorf("dataset: jsonl row %d, field %q: %w", r.row, a.Name, err)
 			}
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("dataset: jsonl row %d, field %q: non-finite value", row, a.Name)
+				return fmt.Errorf("dataset: jsonl row %d, field %q: non-finite value", r.row, a.Name)
 			}
 			rec[c] = uint16(a.Bin(v))
 		} else {
 			var label string
 			if err := json.Unmarshal(raw, &label); err != nil {
-				return fmt.Errorf("dataset: jsonl row %d, field %q: %w", row, a.Name, err)
+				return fmt.Errorf("dataset: jsonl row %d, field %q: %w", r.row, a.Name, err)
 			}
 			code := a.Code(label)
 			if code < 0 {
-				return fmt.Errorf("dataset: jsonl row %d, field %q: unknown label %q", row, a.Name, label)
+				return fmt.Errorf("dataset: jsonl row %d, field %q: unknown label %q", r.row, a.Name, label)
 			}
 			rec[c] = uint16(code)
 		}

@@ -166,6 +166,18 @@ func TestScanJSONLRoundTrip(t *testing.T) {
 		// emits bin centers, which re-bin to the same code.
 		sameRows(t, want, got)
 	}
+	// ReadJSONL drains the same chunk loop; its row cap admits exactly
+	// maxRows rows.
+	for _, maxRows := range []int{0, want.N()} {
+		got, err := ReadJSONL(bytes.NewReader(buf.Bytes()), want.Attrs(), maxRows)
+		if err != nil {
+			t.Fatalf("ReadJSONL cap %d: %v", maxRows, err)
+		}
+		sameRows(t, want, got)
+	}
+	if _, err := ReadJSONL(bytes.NewReader(buf.Bytes()), want.Attrs(), want.N()-1); !errors.Is(err, ErrTooManyRows) {
+		t.Fatalf("ReadJSONL past its cap: %v, want ErrTooManyRows", err)
+	}
 }
 
 func TestScanJSONLFieldOrderAndBlanks(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -57,6 +58,30 @@ func wantStatus(t *testing.T, err error, code int) {
 	}
 	if ae.StatusCode != code {
 		t.Fatalf("status = %d (%s), want %d", ae.StatusCode, ae.Message, code)
+	}
+}
+
+// TestAppendRowsOverBatchCap: a batch one row past curator.MaxBatchRows
+// gets 413 with the split hint, and nothing is appended.
+func TestAppendRowsOverBatchCap(t *testing.T) {
+	_, c, _ := newTestServer(t, Config{CuratorDir: t.TempDir()})
+	ctx := context.Background()
+	specs := SpecsFromAttrs([]dataset.Attribute{dataset.NewCategorical("flag", []string{"no", "yes"})})
+	if _, err := c.CreateDataset(ctx, "big", specs); err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Repeat([]byte(`{"flag":"yes"}`+"\n"), curator.MaxBatchRows+1)
+	_, err := c.AppendRows(ctx, "big", "", bytes.NewReader(body))
+	wantStatus(t, err, http.StatusRequestEntityTooLarge)
+	if want := fmt.Sprintf("batch exceeds %d rows; split the append", curator.MaxBatchRows); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not contain %q", err, want)
+	}
+	st, err := c.DatasetStatus(ctx, "big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Rows != 0 {
+		t.Fatalf("rows after rejected batch = %d, want 0", st.Rows)
 	}
 }
 

@@ -162,29 +162,15 @@ func (s *Server) handleDatasetRows(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, s.maxBytes)
-	batch := dataset.NewWithCapacity(attrs, 1024)
-	sc := dataset.ScanJSONL(body, attrs, 8192)
-	rec := make([]uint16, len(attrs))
-	for {
-		chunk, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			writeError(w, statusFor(err), "%v", err)
-			return
-		}
-		if batch.N()+chunk.N() > curator.MaxBatchRows {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"batch exceeds %d rows; split the append", curator.MaxBatchRows)
-			return
-		}
-		for i := 0; i < chunk.N(); i++ {
-			for c := 0; c < chunk.D(); c++ {
-				rec[c] = uint16(chunk.Value(i, c))
-			}
-			batch.Append(rec)
-		}
+	batch, err := dataset.ReadJSONL(body, attrs, curator.MaxBatchRows)
+	if errors.Is(err, dataset.ErrTooManyRows) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			"batch exceeds %d rows; split the append", curator.MaxBatchRows)
+		return
+	}
+	if err != nil {
+		writeError(w, statusFor(err), "%v", err)
+		return
 	}
 	if batch.N() == 0 {
 		writeError(w, http.StatusBadRequest, "request body has no rows")

@@ -24,7 +24,6 @@ package server
 
 import (
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -56,13 +55,6 @@ const (
 	DefaultMaxSynthesisRows = 10_000_000
 	// DefaultMaxUploadBytes caps model-artifact and fit-CSV uploads.
 	DefaultMaxUploadBytes = 256 << 20
-	// streamRows is the synthesis chunk: rows are generated and written
-	// in bursts of this size, bounding per-request memory regardless of
-	// n. It must be a multiple of the sampler's internal 2048-row chunk
-	// so that chunked streaming draws the identical RNG streams as one
-	// monolithic SampleP call (TestSynthesizeMatchesSampleP enforces
-	// this).
-	streamRows = 16_384
 )
 
 // Config configures a Server. The zero value serves models from memory
@@ -591,14 +583,14 @@ func parseSynthesizeParams(r *http.Request) (synthesizeParams, error) {
 
 // handleSynthesize streams n synthetic rows from a registered model.
 //
-// The response is generated in streamRows-row chunks: for each chunk
-// the request claims workers from the server-wide budget, samples the
-// chunk through Model.SampleP and the internal/parallel pool, releases
-// the workers, and only then writes the chunk to the client. Workers
-// are never held across a client write, so a slow reader back-pressures
-// its own TCP stream while the budget serves other requests, and
-// per-request memory stays bounded by the chunk size no matter how
-// large n is.
+// The response is generated in core.StreamChunkRows-row chunks: for
+// each chunk the request claims workers from the server-wide budget,
+// samples the chunk through Model.SampleP and the internal/parallel
+// pool, releases the workers, and only then writes the chunk to the
+// client. Workers are never held across a client write, so a slow
+// reader back-pressures its own TCP stream while the budget serves
+// other requests, and per-request memory stays bounded by the chunk
+// size no matter how large n is.
 //
 // Determinism: for a fixed (model, n, seed) the streamed rows are
 // byte-identical across requests, worker counts, and server load —
@@ -651,27 +643,21 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Privbayes-Model", meta.ID)
 	w.Header().Set("X-Privbayes-Seed", strconv.FormatInt(seed, 10))
 	w.Header().Set("X-Privbayes-Rows", strconv.Itoa(p.N))
-	if p.Format == "csv" {
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
+	format, contentType := dataset.FormatCSV, "text/csv; charset=utf-8"
+	if p.Format == "jsonl" {
+		format, contentType = dataset.FormatJSONL, "application/x-ndjson"
 	}
+	w.Header().Set("Content-Type", contentType)
 
 	flusher, _ := w.(http.Flusher)
 	rng := rand.New(rand.NewSource(seed))
-	var cw *csv.Writer
-	var jw *dataset.JSONLWriter
-	if p.Format == "csv" {
-		cw = csv.NewWriter(w)
-		if err := cw.Write(dataset.New(model.Attrs).CSVHeader()); err != nil {
-			return
-		}
-	} else {
-		jw = dataset.NewJSONLWriter(w, model.Attrs)
+	rw, err := dataset.NewRowWriter(w, model.Attrs, format)
+	if err != nil {
+		return
 	}
 
-	for lo := 0; lo < p.N; lo += streamRows {
-		rows := min(streamRows, p.N-lo)
+	for lo := 0; lo < p.N; lo += core.StreamChunkRows {
+		rows := min(core.StreamChunkRows, p.N-lo)
 		// The first chunk rides on the admission grant; later chunks
 		// re-acquire (non-shedding) so workers are never held across a
 		// client write.
@@ -705,18 +691,8 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 			return // client gone mid-generation
 		}
 		s.metrics.synthRows.Add(float64(rows))
-		if p.Format == "csv" {
-			if err := chunk.WriteCSVRows(cw, 0, rows); err != nil {
-				return
-			}
-			cw.Flush()
-			if cw.Error() != nil {
-				return
-			}
-		} else {
-			if err := jw.WriteRows(chunk, 0, rows); err != nil {
-				return
-			}
+		if err := rw.WriteRows(chunk, 0, rows); err != nil {
+			return
 		}
 		if flusher != nil {
 			flusher.Flush()

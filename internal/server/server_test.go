@@ -123,8 +123,8 @@ func TestHealthAndModelMetadata(t *testing.T) {
 // data a client receives.
 func TestSynthesizeMatchesSampleP(t *testing.T) {
 	_, c, m := newTestServer(t, Config{MaxWorkers: 3})
-	// Crosses several streamRows chunks and ends mid-chunk.
-	n := 2*streamRows + 5_000
+	// Crosses several core.StreamChunkRows chunks and ends mid-chunk.
+	n := 2*core.StreamChunkRows + 5_000
 	seed := int64(99)
 
 	stream, err := c.Synthesize(context.Background(), "fixture", SynthesizeRequest{N: n, Seed: &seed, Parallelism: 2})
@@ -653,7 +653,7 @@ func TestConcurrentSynthesisSharesWorkerBudget(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			seed := int64(i)
-			stream, err := c.Synthesize(ctx, "fixture", SynthesizeRequest{N: streamRows + 100, Seed: &seed, Parallelism: 8})
+			stream, err := c.Synthesize(ctx, "fixture", SynthesizeRequest{N: core.StreamChunkRows + 100, Seed: &seed, Parallelism: 8})
 			if err != nil {
 				errs[i] = err
 				return
@@ -694,7 +694,7 @@ func TestAbandonedRequestReleasesWorkers(t *testing.T) {
 	s, c, _ := newTestServer(t, Config{MaxWorkers: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	seed := int64(1)
-	stream, err := c.Synthesize(ctx, "fixture", SynthesizeRequest{N: 4 * streamRows, Seed: &seed})
+	stream, err := c.Synthesize(ctx, "fixture", SynthesizeRequest{N: 4 * core.StreamChunkRows, Seed: &seed})
 	if err != nil {
 		t.Fatal(err)
 	}
