@@ -112,15 +112,17 @@ quality:
 # artifacts (core.ReadModelJSON, behind LoadModel), the one CSV/JSONL
 # row decoder (FuzzReadCSV drives ReadCSV and ScanCSV, the decoder of
 # POST /fit uploads and the CLI; FuzzScanJSONL drives ScanJSONL, the
-# decoder of row appends), the curator's on-disk row record codec —
-# plus the differential counting fuzz pinning the popcount kernel to
-# the legacy row-major counts.
+# decoder of row appends), the WAL framing every daemon start recovers
+# (FuzzWALOpen: ledger and row logs), the curator's on-disk row record
+# codec — plus the differential counting fuzz pinning the popcount
+# kernel to the legacy row-major counts.
 # FUZZTIME bounds each target; the nightly workflow runs with a larger
 # budget.
 fuzz:
 	$(GO) test -run NONE -fuzz 'FuzzReadModelJSON$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run NONE -fuzz 'FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run NONE -fuzz 'FuzzScanJSONL$$' -fuzztime $(FUZZTIME) ./internal/dataset
+	$(GO) test -run NONE -fuzz 'FuzzWALOpen$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run NONE -fuzz 'FuzzAppendRows$$' -fuzztime $(FUZZTIME) ./internal/curator
 	$(GO) test -run NONE -fuzz 'FuzzColumnarCounts$$' -fuzztime $(FUZZTIME) ./internal/marginal
 

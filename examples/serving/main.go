@@ -21,6 +21,7 @@ import (
 	"privbayes/internal/accountant"
 	"privbayes/internal/data"
 	"privbayes/internal/server"
+	"privbayes/internal/telemetry"
 )
 
 func main() {
@@ -30,11 +31,10 @@ func main() {
 
 	// The daemon: model registry + worker budget + privacy ledger.
 	ledger := accountant.New(1.0) // each dataset may spend ε ≤ 1 total
-	srv, err := server.New(server.Config{
-		ModelsDir: dir,
-		Ledger:    ledger,
-		Logf:      func(f string, a ...any) { fmt.Printf("  [daemon] "+f+"\n", a...) },
-	})
+	// The daemon logs as privbayesd does by default: text lines on stderr.
+	logger, err := telemetry.NewLogger(os.Stderr, "text", "info")
+	check(err)
+	srv, err := server.New(server.Config{ModelsDir: dir, Ledger: ledger, Logger: logger})
 	check(err)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	check(err)

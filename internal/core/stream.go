@@ -131,11 +131,12 @@ func (m *Model) Synthesize(ctx context.Context, n int, opts ...SynthOption) iter
 
 // SynthesizeTo streams n synthetic rows to w in the given format —
 // the write-side twin of Synthesize, generating and encoding one
-// StreamChunkRows burst at a time. CSV output carries a header row and
-// matches Dataset.WriteCSV of the equivalent SampleP call byte for
-// byte; JSONL matches privbayesd's synthesize endpoint. A cancelled
-// ctx stops between bursts (and mid-burst inside the sampler) and
-// returns ctx.Err(); write failures return the writer's error.
+// StreamChunkRows burst at a time. CSV output carries a header row,
+// also when n is 0, and matches Dataset.WriteCSV of the equivalent
+// SampleP call byte for byte; JSONL matches privbayesd's synthesize
+// endpoint. A cancelled ctx stops between bursts (and mid-burst inside
+// the sampler) and returns ctx.Err(); write failures return the
+// writer's error.
 func (m *Model) SynthesizeTo(ctx context.Context, w io.Writer, n int, format Format, opts ...SynthOption) error {
 	if n < 0 {
 		return fmt.Errorf("core: negative row count %d", n)
@@ -165,15 +166,11 @@ func (m *Model) SynthesizeTo(ctx context.Context, w io.Writer, n int, format For
 
 // AppendRowText appends the decoded text of each cell of row to dst —
 // the categorical label or the formatted bin center, exactly as CSV
-// output renders it — and returns the extended slice.
+// output renders it (dataset.Attribute.Text) — and returns the
+// extended slice.
 func (m *Model) AppendRowText(dst []string, row Row) []string {
 	for c, code := range row {
-		a := &m.Attrs[c]
-		if a.Kind == dataset.Continuous {
-			dst = append(dst, fmt.Sprintf("%g", a.BinCenter(int(code))))
-		} else {
-			dst = append(dst, a.Label(int(code)))
-		}
+		dst = append(dst, m.Attrs[c].Text(int(code)))
 	}
 	return dst
 }

@@ -170,7 +170,7 @@ func BenchmarkRefitCold(b *testing.B) {
 	b.Run(fmt.Sprintf("rows=%d", benchRows), func(b *testing.B) {
 		ds := benchData(benchRows)
 		path := benchLog(b, ds)
-		src := rowLogSource(path, ds.Attrs(), 8192, int64(ds.N()))
+		src := rowLogSource(nil, path, ds.Attrs(), 8192, int64(ds.N()))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := privbayes.FitScanner(context.Background(), src, benchFitOpts()...); err != nil {

@@ -194,8 +194,9 @@ func (c *Curator) Create(id string, attrs []dataset.Attribute) error {
 	if err := validID(id); err != nil {
 		return err
 	}
-	if len(attrs) == 0 {
-		return errors.New("curator: schema has no attributes")
+	rec, err := encodeSchema(attrs)
+	if err != nil {
+		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -213,11 +214,7 @@ func (c *Curator) Create(id string, attrs []dataset.Attribute) error {
 	if err != nil {
 		return err
 	}
-	rec, err := encodeSchema(attrs)
-	if err == nil {
-		err = log.Append(rec)
-	}
-	if err != nil {
+	if err := log.Append(rec); err != nil {
 		log.Close()
 		c.fs.Remove(path)
 		return err
@@ -308,8 +305,7 @@ func (c *Curator) buildStore(d *curated, net core.Network, maxRows int64) (*coun
 	if maxRows == 0 {
 		return st, nil
 	}
-	src := rowLogSource(d.path, d.attrs, c.cfg.ChunkRows, maxRows)
-	sc, err := src.Open()
+	sc, err := rowLogSource(c.fs, d.path, d.attrs, c.cfg.ChunkRows, maxRows).Open()
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +313,7 @@ func (c *Curator) buildStore(d *curated, net core.Network, maxRows int64) (*coun
 	for {
 		chunk, err := sc.Next()
 		if err == io.EOF {
-			break
+			return st, nil
 		}
 		if err != nil {
 			return nil, err
@@ -326,10 +322,6 @@ func (c *Curator) buildStore(d *curated, net core.Network, maxRows int64) (*coun
 			return nil, err
 		}
 	}
-	if st.Rows() != maxRows {
-		return nil, fmt.Errorf("curator: store rebuild read %d rows, log metadata says %d", st.Rows(), maxRows)
-	}
-	return st, nil
 }
 
 func registeredStore(attrs []dataset.Attribute, net core.Network) (*counts.Store, error) {
@@ -706,7 +698,7 @@ func (c *Curator) refit(d *curated) (outcome, kind string, err error) {
 			Rand:        c.refitRand(),
 		})
 	} else {
-		src := rowLogSource(d.path, d.attrs, c.cfg.ChunkRows, rowsAt)
+		src := rowLogSource(c.fs, d.path, d.attrs, c.cfg.ChunkRows, rowsAt)
 		opts := append(append([]privbayes.Option(nil), c.cfg.FitOptions...),
 			privbayes.WithEpsilon(eps), privbayes.WithParallelism(par))
 		m, err = privbayes.FitScanner(ctx, src, opts...)

@@ -5,10 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,6 +23,7 @@ import (
 	"privbayes/internal/marginal"
 	"privbayes/internal/score"
 	"privbayes/internal/telemetry"
+	"privbayes/internal/wal"
 )
 
 // binData generates correlated binary rows, the curator test workload.
@@ -500,7 +504,7 @@ func TestRowLogScanMatchesBatches(t *testing.T) {
 		maxRows int64
 		want    int
 	}{{0, 2500}, {1700, 1700}} {
-		src := rowLogSource(filepath.Join(dir, "d.rows"), ds.Attrs(), 333, tc.maxRows)
+		src := rowLogSource(nil, filepath.Join(dir, "d.rows"), ds.Attrs(), 333, tc.maxRows)
 		sc, err := src.Open()
 		if err != nil {
 			t.Fatal(err)
@@ -551,4 +555,227 @@ func TestStalenessTrigger(t *testing.T) {
 	if id != "d-refit-200" {
 		t.Fatalf("staleness refit id %q, want d-refit-200", id)
 	}
+}
+
+// TestCreateRejectsUnrecoverableSchema: Create refuses every schema the
+// schema record's decoder would refuse at recovery, and leaves no row
+// log behind.
+func TestCreateRejectsUnrecoverableSchema(t *testing.T) {
+	dir := t.TempDir()
+	c, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	bin := []string{"0", "1"}
+	for name, attrs := range map[string][]dataset.Attribute{
+		"empty":           nil,
+		"duplicate name":  {dataset.NewCategorical("a", bin), dataset.NewCategorical("a", bin)},
+		"duplicate label": {dataset.NewCategorical("a", []string{"x", "x"})},
+		"infinite range":  {dataset.NewContinuous("a", 0, math.Inf(1), 4)},
+	} {
+		if err := c.Create("d", attrs); err == nil {
+			t.Errorf("%s: Create accepted the schema", name)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "d.rows")); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: row log left behind (stat: %v)", name, err)
+		}
+	}
+}
+
+// TestColdRefitFailsOnDamagedRowLog: a row record damaged after
+// recovery fails the next cold refit with wal.ErrCorrupt instead of
+// fitting the rows before the damage under the full snapshot's id. The
+// refit publishes nothing and refunds its ε. Damage to the final
+// record reads as a torn tail, so the scan ends early; the snapshot
+// still names rows the log no longer holds, and that fails the same
+// way. A restart refuses the log with damage before its end.
+func TestColdRefitFailsOnDamagedRowLog(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		batch int // row record to damage, of four
+	}{{"middle", 1}, {"final", 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			led := accountant.New(100)
+			pub := newPublisher()
+			// A row trigger no test reaches: the refit below runs on demand.
+			cfg := Config{Dir: dir, Ledger: led, RefitEpsilon: 1, RefitRows: 1 << 40,
+				Publish: pub.publish, Lookup: pub.lookup}
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds := binData(4000, 12)
+			if err := c.Create("d", ds.Attrs()); err != nil {
+				t.Fatal(err)
+			}
+			for b := 0; b < 4; b++ {
+				if _, err := c.Append("d", "", ds.Slice(b*1000, (b+1)*1000)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if c, err = New(cfg); err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			path := filepath.Join(dir, "d.rows")
+			flipRowRecordByte(t, path, tc.batch)
+			d, err := c.lookup("d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			outcome, kind, err := c.refit(d)
+			if !errors.Is(err, wal.ErrCorrupt) || outcome != "failed" || kind != "cold" {
+				t.Fatalf("refit: outcome %q kind %q err %v, want a failed cold refit matching wal.ErrCorrupt", outcome, kind, err)
+			}
+			pub.mu.Lock()
+			published := len(pub.models)
+			pub.mu.Unlock()
+			if published != 0 {
+				t.Fatalf("published %d model(s) from a damaged log", published)
+			}
+			if got := led.Get("d").Spent; got != 0 {
+				t.Fatalf("ε spent %g after the failed refit, want 0", got)
+			}
+			if tc.name == "middle" {
+				if err := c.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if c2, err := New(cfg); !errors.Is(err, wal.ErrCorrupt) {
+					if c2 != nil {
+						c2.Close()
+					}
+					t.Fatalf("restart over mid-log damage: %v, want wal.ErrCorrupt", err)
+				}
+			}
+		})
+	}
+}
+
+// flipRowRecordByte flips the last payload byte of the batch-th row
+// record (0-based) of the row log at path.
+func flipRowRecordByte(t *testing.T, path string, batch int) {
+	t.Helper()
+	r, err := wal.OpenReader(nil, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var at int64 = -1
+	for seen := 0; at < 0; {
+		off, payload, err := r.Next()
+		if err != nil {
+			t.Fatalf("row record %d not found: %v", batch, err)
+		}
+		if payload[0] == recRows {
+			if seen == batch {
+				at = off + 8 + int64(len(payload)) - 1 // past the 8-byte frame header
+			}
+			seen++
+		}
+	}
+	r.Close()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xFF
+	if _, err := f.WriteAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRowLogRecoveryBoundedMemory: recovery streams a row log one
+// record at a time, so reopening a log of more than 64 MiB, written in
+// 4 MiB batches, grows the heap by far less than the file; reading the
+// whole file first grows it by the file's size. A watcher goroutine
+// samples heap usage throughout recovery, as
+// TestFitScannerMillionRowsBoundedMemory does.
+func TestRowLogRecoveryBoundedMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("68 MiB row log in -short mode")
+	}
+	dir := t.TempDir()
+	c, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrs := []dataset.Attribute{
+		dataset.NewCategorical("a", []string{"0", "1"}),
+		dataset.NewCategorical("b", []string{"0", "1"}),
+	}
+	if err := c.Create("big", attrs); err != nil {
+		t.Fatal(err)
+	}
+	batch := dataset.NewWithCapacity(attrs, MaxBatchRows) // 4 MiB of codes per record
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < MaxBatchRows; i++ {
+		batch.Append([]uint16{uint16(rng.Intn(2)), uint16(rng.Intn(2))})
+	}
+	const batches = 17
+	for i := 0; i < batches; i++ {
+		if _, err := c.Append("big", "", batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, "big.rows"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() < 64<<20 {
+		t.Fatalf("row log is %d bytes, want at least 64 MiB", fi.Size())
+	}
+	batch = nil
+
+	runtime.GC()
+	var base runtime.MemStats
+	runtime.ReadMemStats(&base)
+	var peak atomic.Uint64
+	done := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		var ms runtime.MemStats
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			runtime.ReadMemStats(&ms)
+			if ms.HeapAlloc > peak.Load() {
+				peak.Store(ms.HeapAlloc)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}()
+	c2, err := New(Config{Dir: dir})
+	close(done)
+	<-sampled
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if st, err := c2.Status("big"); err != nil || st.Rows != batches*MaxBatchRows {
+		t.Fatalf("recovered status %+v (err %v), want %d rows", st, err, batches*MaxBatchRows)
+	}
+	growth := int64(peak.Load()) - int64(base.HeapAlloc)
+	if growth > 32<<20 {
+		t.Errorf("peak heap growth %.1f MiB recovering a %.1f MiB row log; want < 32 MiB",
+			float64(growth)/(1<<20), float64(fi.Size())/(1<<20))
+	}
+	t.Logf("recovering a %.1f MiB row log: peak heap growth %.1f MiB",
+		float64(fi.Size())/(1<<20), float64(growth)/(1<<20))
 }

@@ -3,8 +3,8 @@ package curator
 // The per-dataset row log. Each curated dataset owns one append-only
 // WAL (internal/wal) whose records are:
 //
-//	type 0 "schema": JSON attrSpec array — written once at creation;
-//	  reopening validates the stored schema against the caller's.
+//	type 0 "schema": JSON dataset.AttrSpec array, the wire schema of
+//	  POST /fit — written once at creation.
 //	type 1 "rows":   [keyLen u16][key][d u16][nrows u32][values u16 LE]
 //	  — one acknowledged append batch. The key is the client's
 //	  idempotency key ("" for fire-and-forget appends).
@@ -16,21 +16,21 @@ package curator
 // The WAL's fsync-then-acknowledge contract gives the curator its
 // crash semantics for free: an acknowledged batch is on stable storage
 // before the HTTP 200 leaves the process, and a batch torn by a crash
-// was never acknowledged and vanishes at recovery.
+// was never acknowledged and vanishes at recovery. This file owns only
+// the payload encodings: the framing is read by internal/wal alone,
+// and logged rows reach a fit through internal/dataset's chunk loop.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
-	"os"
 	"time"
 
 	"privbayes/internal/core"
 	"privbayes/internal/dataset"
+	"privbayes/internal/faultfs"
+	"privbayes/internal/wal"
 )
 
 // Record type tags.
@@ -43,57 +43,6 @@ const (
 // MaxBatchRows bounds one append batch; larger ingests split into
 // multiple batches client-side.
 const MaxBatchRows = 1 << 20
-
-// attrSpec is the stored schema form, one attribute per element — the
-// same wire shape the serving layer speaks (server.AttrSpec), redefined
-// here so the curator does not depend on the HTTP layer. Taxonomy
-// hierarchies beyond the automatic continuous binary tree are not
-// carried, matching the serving schema's contract.
-type attrSpec struct {
-	Name   string   `json:"name"`
-	Kind   string   `json:"kind"`
-	Labels []string `json:"labels,omitempty"`
-	Min    float64  `json:"min,omitempty"`
-	Max    float64  `json:"max,omitempty"`
-	Bins   int      `json:"bins,omitempty"`
-}
-
-func specsFromAttrs(attrs []dataset.Attribute) []attrSpec {
-	specs := make([]attrSpec, len(attrs))
-	for i := range attrs {
-		a := &attrs[i]
-		if a.Kind == dataset.Continuous {
-			specs[i] = attrSpec{Name: a.Name, Kind: "continuous", Min: a.Min, Max: a.Max, Bins: a.Size()}
-		} else {
-			specs[i] = attrSpec{Name: a.Name, Kind: "categorical", Labels: append([]string(nil), a.Labels...)}
-		}
-	}
-	return specs
-}
-
-func attrsFromSpecs(specs []attrSpec) ([]dataset.Attribute, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("curator: stored schema has no attributes")
-	}
-	attrs := make([]dataset.Attribute, len(specs))
-	for i, s := range specs {
-		switch s.Kind {
-		case "categorical":
-			if len(s.Labels) == 0 || len(s.Labels) > 1<<16 {
-				return nil, fmt.Errorf("curator: stored attribute %q has %d labels", s.Name, len(s.Labels))
-			}
-			attrs[i] = dataset.NewCategorical(s.Name, s.Labels)
-		case "continuous":
-			if s.Bins < 1 || s.Bins > 1<<16 || math.IsNaN(s.Min) || math.IsNaN(s.Max) || s.Min >= s.Max {
-				return nil, fmt.Errorf("curator: stored attribute %q has invalid binning", s.Name)
-			}
-			attrs[i] = dataset.NewContinuous(s.Name, s.Min, s.Max, s.Bins)
-		default:
-			return nil, fmt.Errorf("curator: stored attribute %q has unknown kind %q", s.Name, s.Kind)
-		}
-	}
-	return attrs, nil
-}
 
 // attrsEqual compares two schemas structurally (name, kind, domain).
 func attrsEqual(a, b []dataset.Attribute) bool {
@@ -139,9 +88,14 @@ func unmarshalFitMarker(payload []byte, fm *fitMarker) error {
 	return nil
 }
 
-// encodeSchema builds the type-0 record payload.
+// encodeSchema builds the type-0 record payload. A schema recovery's
+// decodeSchema would reject is refused here, before it reaches the log.
 func encodeSchema(attrs []dataset.Attribute) ([]byte, error) {
-	body, err := json.Marshal(specsFromAttrs(attrs))
+	specs := dataset.SpecsFromAttrs(attrs)
+	if _, err := dataset.SchemaFromSpecs(specs); err != nil {
+		return nil, err
+	}
+	body, err := json.Marshal(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -149,11 +103,11 @@ func encodeSchema(attrs []dataset.Attribute) ([]byte, error) {
 }
 
 func decodeSchema(payload []byte) ([]dataset.Attribute, error) {
-	var specs []attrSpec
+	var specs []dataset.AttrSpec
 	if err := json.Unmarshal(payload, &specs); err != nil {
 		return nil, fmt.Errorf("curator: decode stored schema: %w", err)
 	}
-	return attrsFromSpecs(specs)
+	return dataset.SchemaFromSpecs(specs)
 }
 
 // encodeRows builds the type-1 record payload for one batch.
@@ -217,182 +171,86 @@ func decodeRowsHeader(payload []byte) (rowsHeader, error) {
 	return h, nil
 }
 
-// decodeRowsInto appends at most limit of the record's rows to dst
-// (limit < 0 means all), validating every code against the schema.
-func decodeRowsInto(dst *dataset.Dataset, payload []byte, h rowsHeader, limit int) error {
-	if h.d != dst.D() {
-		return fmt.Errorf("curator: rows record has %d columns, schema has %d", h.d, dst.D())
-	}
-	n := h.n
-	if limit >= 0 && n > limit {
-		n = limit
-	}
-	rec := make([]uint16, h.d)
-	off := h.valsOff
-	for r := 0; r < n; r++ {
-		for c := 0; c < h.d; c++ {
-			v := binary.LittleEndian.Uint16(payload[off:])
-			if int(v) >= dst.Attr(c).Size() {
-				return fmt.Errorf("curator: row %d col %d: code %d out of domain [0, %d)", r, c, v, dst.Attr(c).Size())
-			}
-			rec[c] = v
-			off += 2
+// decodeRow decodes the first row of a rows record's value block into
+// rec, checking every code against its attribute's domain.
+func decodeRow(rec []uint16, vals []byte, attrs []dataset.Attribute) error {
+	for c := range rec {
+		v := binary.LittleEndian.Uint16(vals[2*c:])
+		if int(v) >= attrs[c].Size() {
+			return fmt.Errorf("column %d: code %d out of domain [0, %d)", c, v, attrs[c].Size())
 		}
-		dst.Append(rec)
+		rec[c] = v
 	}
 	return nil
 }
 
-// wireMagic mirrors the wal package's file header; the streaming row
-// scanner below parses the log directly so a multi-gigabyte row log is
-// never held in memory during a fit scan.
-const wireMagic = "PBWAL\x00\x01\n"
-
-var wireCastagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // rowLogSource builds a re-scannable chunk source over the row log at
-// path: the out-of-core fit path of a cold refit. Only intact type-1
-// records contribute rows; the scan tolerates a torn tail exactly like
-// WAL recovery (the torn record was never acknowledged). maxRows > 0
-// bounds the scan to the first maxRows ingested rows — the snapshot
-// that lets a fit scan a log other clients are still appending to.
-func rowLogSource(path string, attrs []dataset.Attribute, chunkRows int, maxRows int64) *dataset.ChunkSource {
-	if chunkRows <= 0 {
-		chunkRows = dataset.DefaultChunkRows
-	}
+// path, read through fs: the out-of-core fit path of a cold refit and
+// the count-store seed. The WAL reader yields intact records in order
+// and only type-1 records contribute rows. maxRows > 0 bounds the scan
+// to the first maxRows ingested rows — the snapshot that lets a fit
+// scan a log other clients are still appending to — and a log that
+// ends before them is damaged: every snapshot row was acknowledged.
+func rowLogSource(fs faultfs.FS, path string, attrs []dataset.Attribute, chunkRows int, maxRows int64) *dataset.ChunkSource {
 	return &dataset.ChunkSource{
 		Attrs:     attrs,
 		ChunkRows: chunkRows,
 		Open: func() (dataset.Scanner, error) {
-			f, err := os.Open(path)
+			r, err := wal.OpenReader(fs, path)
 			if err != nil {
 				return nil, err
 			}
-			br := bufio.NewReaderSize(f, 1<<20)
-			hdr := make([]byte, len(wireMagic))
-			if _, err := io.ReadFull(br, hdr); err != nil || string(hdr) != wireMagic {
-				f.Close()
-				return nil, fmt.Errorf("curator: %s is not a row log", path)
-			}
-			remaining := int64(-1)
-			if maxRows > 0 {
-				remaining = maxRows
-			}
-			return &rowLogScanner{f: f, br: br, attrs: attrs, chunkRows: chunkRows, remaining: remaining}, nil
+			rows := &rowLogRows{r: r, path: path, attrs: attrs, maxRows: maxRows}
+			return dataset.ScanRows(attrs, chunkRows, rows.read, r), nil
 		},
 	}
 }
 
-// rowLogScanner streams type-1 records off the log, re-chunking their
-// rows into chunkRows-sized datasets. Batch boundaries never leak into
-// chunk boundaries, so the emitted row stream is identical to the
-// ingest order regardless of how appends were batched.
-type rowLogScanner struct {
-	f         *os.File
-	br        *bufio.Reader
-	attrs     []dataset.Attribute
-	chunkRows int
-	remaining int64 // rows left to emit; -1 = unlimited
-
-	pending *dataset.Dataset // partially filled chunk
-	eof     bool
-	err     error
+// rowLogRows decodes one logged row per read, taking the next type-1
+// record off the WAL reader once the current one is spent. Batch
+// boundaries never reach the chunk loop, so the row stream is the
+// ingest order however appends were batched.
+type rowLogRows struct {
+	r       *wal.Reader
+	path    string
+	attrs   []dataset.Attribute
+	vals    []byte // the current record's undecoded rows; valid until r.Next
+	rows    int64  // rows decoded so far
+	maxRows int64  // snapshot bound; <= 0 reads to the end of the log
 }
 
-func (s *rowLogScanner) Next() (*dataset.Dataset, error) {
-	if s.err != nil {
-		return nil, s.err
+func (s *rowLogRows) read(rec []uint16) error {
+	if s.maxRows > 0 && s.rows == s.maxRows {
+		return io.EOF
 	}
-	for !s.eof {
-		if s.pending != nil && s.pending.N() >= s.chunkRows {
-			break
-		}
-		if s.remaining == 0 {
-			s.eof = true
-			break
-		}
-		payload, err := s.readRecord()
-		if err == io.EOF {
-			s.eof = true
-			break
+	for len(s.vals) == 0 {
+		_, payload, err := s.r.Next()
+		if err == io.EOF && s.maxRows > 0 {
+			return fmt.Errorf("curator: row log %s ends after %d of the snapshot's %d rows: %w",
+				s.path, s.rows, s.maxRows, wal.ErrCorrupt)
 		}
 		if err != nil {
-			s.err = err
-			return nil, err
+			return err
 		}
-		if len(payload) == 0 || payload[0] != recRows {
+		if payload[0] != recRows {
 			continue
 		}
 		h, err := decodeRowsHeader(payload[1:])
 		if err != nil {
-			s.err = err
-			return nil, err
+			return err
 		}
-		if s.pending == nil {
-			s.pending = dataset.New(s.attrs)
+		if h.d != len(s.attrs) {
+			return fmt.Errorf("curator: rows record has %d columns, schema has %d", h.d, len(s.attrs))
 		}
-		limit := -1
-		if s.remaining >= 0 {
-			limit = int(s.remaining)
-		}
-		before := s.pending.N()
-		if err := decodeRowsInto(s.pending, payload[1:], h, limit); err != nil {
-			s.err = err
-			return nil, err
-		}
-		if s.remaining >= 0 {
-			s.remaining -= int64(s.pending.N() - before)
-		}
+		s.vals = payload[1+h.valsOff:]
 	}
-	if s.pending == nil || s.pending.N() == 0 {
-		s.err = io.EOF
-		return nil, io.EOF
+	if err := decodeRow(rec, s.vals, s.attrs); err != nil {
+		return fmt.Errorf("curator: %s row %d: %w", s.path, s.rows, err)
 	}
-	out := s.pending
-	if out.N() > s.chunkRows {
-		// Split: emit exactly chunkRows, carry the tail forward.
-		head := out.Slice(0, s.chunkRows)
-		tail := dataset.New(s.attrs)
-		rec := make([]uint16, out.D())
-		for r := s.chunkRows; r < out.N(); r++ {
-			for c := 0; c < out.D(); c++ {
-				rec[c] = uint16(out.Value(r, c))
-			}
-			tail.Append(rec)
-		}
-		s.pending = tail
-		return head, nil
-	}
-	s.pending = nil
-	return out, nil
+	s.vals = s.vals[2*len(rec):]
+	s.rows++
+	return nil
 }
-
-// readRecord reads one WAL record, verifying its checksum. A torn tail
-// (truncated header/payload or checksum mismatch at end of file)
-// surfaces as io.EOF: those bytes were never acknowledged.
-func (s *rowLogScanner) readRecord() ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(s.br, hdr[:]); err != nil {
-		return nil, io.EOF // clean end or torn header
-	}
-	length := binary.LittleEndian.Uint32(hdr[:4])
-	if length == 0 || length > 16<<20 {
-		return nil, fmt.Errorf("curator: implausible row-log record length %d", length)
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(s.br, payload); err != nil {
-		return nil, io.EOF // torn payload
-	}
-	if crc32.Checksum(payload, wireCastagnoli) != binary.LittleEndian.Uint32(hdr[4:]) {
-		// Checksum mismatch: if more data follows this is corruption, but
-		// the WAL layer already failed Open in that case; by the time a
-		// scan runs, a mismatch can only be a tail torn after recovery.
-		return nil, io.EOF
-	}
-	return payload, nil
-}
-
-func (s *rowLogScanner) Close() error { return s.f.Close() }
 
 // nowUnixNano is a seam for tests that pin time.
 var nowUnixNano = func() int64 { return time.Now().UnixNano() }

@@ -5,9 +5,10 @@ package dataset
 // Dataset chunks, so sufficient statistics can be accumulated over
 // datasets far larger than RAM (the out-of-core fit and the continuous
 // curator); ReadCSV and ReadJSONL drain the same chunk loop into one
-// in-memory dataset. A ChunkSource makes a scanner reopenable, which
-// is what lets the greedy fit re-scan the source once per iteration
-// instead of materializing the rows.
+// in-memory dataset, and ScanRows opens it to the curator's row logs.
+// A ChunkSource makes a scanner reopenable, which is what lets the
+// greedy fit re-scan the source once per iteration instead of
+// materializing the rows.
 
 import (
 	"bufio"
@@ -146,6 +147,17 @@ func ReadJSONL(r io.Reader, attrs []Attribute, maxRows int) (*Dataset, error) {
 // readChunkRows is the block ReadCSV and ReadJSONL decode at a time
 // before packing it into the one growing dataset.
 const readChunkRows = 4096
+
+// ScanRows returns the chunk loop over a row source that read decodes
+// one row at a time: read writes the next row's codes into rec, each
+// below its attribute's Size, and returns io.EOF after the last row.
+// Close closes closer (nil for none). It is how row formats outside
+// this package (the curator's row logs) reach the one chunk loop.
+func ScanRows(attrs []Attribute, chunkRows int, read func(rec []uint16) error, closer io.Closer) Scanner {
+	s := newRowScanner(attrs, chunkRows, read)
+	s.closer = closer
+	return s
+}
 
 // rowScanner is the one chunk loop behind every decoder. read decodes
 // the next row into rec and returns io.EOF after the last one; the

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 )
 
 // Format selects a row wire encoding.
@@ -54,7 +53,8 @@ type RowWriter struct {
 }
 
 // NewRowWriter prepares a writer of format f for the given schema. A
-// CSV writer buffers its header row; the first WriteRows emits it.
+// CSV writer writes its header row at once, so an output of no rows
+// still carries it.
 func NewRowWriter(w io.Writer, attrs []Attribute, f Format) (*RowWriter, error) {
 	switch f {
 	case FormatCSV:
@@ -62,7 +62,7 @@ func NewRowWriter(w io.Writer, attrs []Attribute, f Format) (*RowWriter, error) 
 		for i := range attrs {
 			rw.rec[i] = attrs[i].Name
 		}
-		if err := rw.cw.Write(rw.rec); err != nil {
+		if err := rw.cw.WriteAll([][]string{rw.rec}); err != nil {
 			return nil, fmt.Errorf("dataset: write header: %w", err)
 		}
 		return rw, nil
@@ -107,13 +107,7 @@ func (rw *RowWriter) WriteRows(d *Dataset, lo, hi int) error {
 func (rw *RowWriter) writeCSV(d *Dataset, lo, hi int) error {
 	for r := lo; r < hi; r++ {
 		for c := range rw.rec {
-			a := &rw.attrs[c]
-			code := d.Value(r, c)
-			if a.Kind == Continuous {
-				rw.rec[c] = strconv.FormatFloat(a.BinCenter(code), 'g', -1, 64)
-			} else {
-				rw.rec[c] = a.Label(code)
-			}
+			rw.rec[c] = rw.attrs[c].Text(d.Value(r, c))
 		}
 		if err := rw.cw.Write(rw.rec); err != nil {
 			return fmt.Errorf("dataset: write row %d: %w", r+1, err)
@@ -136,7 +130,7 @@ func (rw *RowWriter) writeJSONL(d *Dataset, lo, hi int) error {
 			if rw.labels[c] != nil {
 				rw.buf.Write(rw.labels[c][code])
 			} else {
-				rw.scratch = strconv.AppendFloat(rw.scratch[:0], rw.attrs[c].BinCenter(code), 'g', -1, 64)
+				rw.scratch = rw.attrs[c].appendBinCenter(rw.scratch[:0], code)
 				rw.buf.Write(rw.scratch)
 			}
 		}

@@ -104,7 +104,7 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "schema body: %v", err)
 		return
 	}
-	attrs, err := SchemaFromSpecs(specs)
+	attrs, err := dataset.SchemaFromSpecs(specs)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

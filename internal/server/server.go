@@ -111,12 +111,8 @@ type Config struct {
 	// selects the real filesystem. Tests inject write/sync/rename
 	// faults and crashes here (internal/faultfs).
 	FS faultfs.FS
-	// Logf, when set, receives operational log lines. It predates
-	// Logger and wins over it for those lines when both are set.
-	Logf func(format string, args ...any)
 	// Logger receives structured logs: one line per request (with its
-	// request ID) plus operational notes when Logf is unset. Nil
-	// discards them.
+	// request ID) plus operational notes. Nil discards them.
 	Logger *slog.Logger
 	// Telemetry, when set, receives every server metric family and is
 	// served at GET /metrics and GET /debug/vars. Nil disables metrics;
@@ -303,10 +299,6 @@ func (s *Server) Close() error {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-		return
-	}
 	s.log.Info(fmt.Sprintf(format, args...))
 }
 
@@ -857,7 +849,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 				writeError(w, http.StatusBadRequest, "dataset_id, epsilon and schema must precede the data part")
 				return
 			}
-			attrs, err = SchemaFromSpecs(specs)
+			attrs, err = dataset.SchemaFromSpecs(specs)
 			if err != nil {
 				writeError(w, http.StatusBadRequest, "%v", err)
 				return

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"math/rand"
 	"mime/multipart"
@@ -308,6 +309,15 @@ func openLedger(t *testing.T, path string) *accountant.Ledger {
 	return l
 }
 
+// captureLogs returns a Logger for Config.Logger and a func reading the
+// lines it has written so far.
+func captureLogs() (*slog.Logger, func() []string) {
+	var buf bytes.Buffer
+	return slog.New(slog.NewTextHandler(&buf, nil)), func() []string {
+		return strings.Split(strings.TrimSpace(buf.String()), "\n")
+	}
+}
+
 // TestLoadDirSkipsLedgerFile: the ledger living in the models dir must
 // not produce a spurious "corrupt model" load error.
 func TestLoadDirSkipsLedgerFile(t *testing.T) {
@@ -316,16 +326,15 @@ func TestLoadDirSkipsLedgerFile(t *testing.T) {
 	if err := ledger.Charge("d", 0.1); err != nil { // materialize the file
 		t.Fatal(err)
 	}
-	var logs []string
-	s, err := New(Config{ModelsDir: dir, Ledger: ledger,
-		Logf: func(f string, a ...any) { logs = append(logs, fmt.Sprintf(f, a...)) }})
+	logger, logs := captureLogs()
+	s, err := New(Config{ModelsDir: dir, Ledger: ledger, Logger: logger})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Registry().Len() != 0 {
 		t.Errorf("registry = %d models", s.Registry().Len())
 	}
-	for _, l := range logs {
+	for _, l := range logs() {
 		if strings.Contains(l, "skipping") {
 			t.Errorf("ledger file produced a load error: %s", l)
 		}
@@ -411,16 +420,16 @@ func TestLoadDirSkipsCorruptArtifacts(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "corrupt.json"), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var logs []string
-	s, err := New(Config{ModelsDir: dir, Logf: func(f string, a ...any) { logs = append(logs, fmt.Sprintf(f, a...)) }})
+	logger, logs := captureLogs()
+	s, err := New(Config{ModelsDir: dir, Logger: logger})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Registry().Len() != 1 {
 		t.Errorf("registry has %d models, want 1 (corrupt skipped)", s.Registry().Len())
 	}
-	if len(logs) < 2 { // one skip line + one loaded line
-		t.Errorf("logs = %v", logs)
+	if lines := logs(); len(lines) < 2 { // one skip line + one loaded line
+		t.Errorf("logs = %v", lines)
 	}
 }
 
@@ -915,7 +924,7 @@ func TestRequestWorkersHonorsPerRequestCap(t *testing.T) {
 
 func TestSchemaFromSpecsValidation(t *testing.T) {
 	good := SpecsFromAttrs(testSchema())
-	if attrs, err := SchemaFromSpecs(good); err != nil || len(attrs) != 3 {
+	if attrs, err := dataset.SchemaFromSpecs(good); err != nil || len(attrs) != 3 {
 		t.Fatalf("round trip: %v", err)
 	}
 	cases := []struct {
@@ -931,10 +940,11 @@ func TestSchemaFromSpecsValidation(t *testing.T) {
 		{"zero bins", func(s []AttrSpec) []AttrSpec { s[1].Bins = 0; return s }},
 		{"inverted range", func(s []AttrSpec) []AttrSpec { s[1].Min, s[1].Max = 5, -5; return s }},
 		{"nan min", func(s []AttrSpec) []AttrSpec { s[1].Min = math.NaN(); return s }},
+		{"inf max", func(s []AttrSpec) []AttrSpec { s[1].Max = math.Inf(1); return s }},
 	}
 	for _, tc := range cases {
 		specs := SpecsFromAttrs(testSchema())
-		if _, err := SchemaFromSpecs(tc.mod(specs)); err == nil {
+		if _, err := dataset.SchemaFromSpecs(tc.mod(specs)); err == nil {
 			t.Errorf("%s: want error", tc.name)
 		}
 	}

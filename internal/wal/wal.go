@@ -1,6 +1,7 @@
 // Package wal is an append-only, checksummed, fsync'd write-ahead log.
 // It is the durability primitive under the privacy-budget ledger
-// (internal/accountant): a record handed to Append is on stable storage
+// (internal/accountant) and under the curator's per-dataset row logs
+// (internal/curator): a record handed to Append is on stable storage
 // when Append returns, so a crash at any instant — torn final write
 // included — loses at most the record that was never acknowledged.
 //
@@ -10,12 +11,15 @@
 //	repeated records: [4-byte LE payload length][4-byte LE CRC32C(payload)][payload]
 //
 // Payload bytes are opaque to this package; the caller owns their
-// encoding. Recovery scans the file front to back verifying every
-// checksum. An invalid record that reaches end-of-file is a torn tail
-// from a crash mid-append and is silently truncated; an invalid record
-// with valid-looking data after it is real corruption and fails Open
-// with a *CorruptError carrying the byte offset (Options.Fsck downgrades
-// that to truncation, for explicit operator-driven repair).
+// encoding. This package is the only reader of the framing: a Reader
+// streams the file front to back, verifying every checksum and holding
+// one record in memory at a time, and serves both Open's recovery and
+// read-only scans (OpenReader). An invalid record that reaches
+// end-of-file is a torn tail from a crash mid-append: it ends the log,
+// and recovery silently truncates it. An invalid record with
+// valid-looking data after it is real corruption and fails with a
+// *CorruptError carrying the byte offset (Options.Fsck downgrades that
+// to truncation during recovery, for explicit operator-driven repair).
 //
 // Compact atomically replaces the log with a single checkpoint record
 // (temp file + fsync + rename + directory fsync), bounding recovery time
@@ -24,10 +28,12 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -45,6 +51,10 @@ const headerLen = 8
 // cannot come from a torn append (appends write the valid length first),
 // so it is diagnosed as corruption, not a torn tail.
 const MaxRecordLen = 16 << 20
+
+// readAhead is a Reader's buffer. A payload longer than it is read
+// straight into the record buffer, so memory stays one record plus this.
+const readAhead = 64 << 10
 
 // castagnoli is the CRC32C table (hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -93,109 +103,178 @@ type Log struct {
 }
 
 // Open recovers the log at path, calling replay for every intact record
-// in order (offset is the record's position, for diagnostics), then
-// leaves the log open for appends. A missing file is created empty. If
-// replay returns an error, Open fails with it.
+// in order (offset is the record's position, for diagnostics; payload
+// is valid only during the call), then leaves the log open for appends.
+// A missing file is created empty. If replay returns an error, Open
+// fails with it.
 func Open(path string, opts Options, replay func(offset int64, payload []byte) error) (*Log, error) {
 	fs := faultfs.Or(opts.FS)
 	l := &Log{path: path, fs: fs}
 
-	data, err := fs.ReadFile(path)
+	// One handle serves recovery's reads and then every append: O_APPEND
+	// writes land at the end of the file whatever was read.
+	f, err := fs.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
 	if errors.Is(err, os.ErrNotExist) {
 		return l, l.create()
 	}
 	if err != nil {
-		return nil, fmt.Errorf("wal: read %s: %w", path, err)
+		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	if len(data) < len(magic) {
-		if isPrefixOf(data, magic) {
-			// A crash tore the very first write; nothing was committed.
-			return l, l.recreate()
-		}
-		return nil, &CorruptError{Path: path, Offset: 0, Reason: "file shorter than the WAL magic and not a prefix of it"}
-	}
-	if string(data[:len(magic)]) != magic {
-		return nil, &CorruptError{Path: path, Offset: 0, Reason: "bad magic (not a WAL file)"}
-	}
-
-	end, records, err := scan(data, func(off int64, payload []byte) error {
-		return replay(off, payload)
-	})
+	r := newReader(f, path)
+	torn, err := r.readMagic()
 	if err != nil {
-		ce, ok := err.(*CorruptError)
-		if !ok || !opts.Fsck {
-			if ok {
-				ce.Path = path
-			}
+		f.Close()
+		return nil, err
+	}
+	if torn {
+		// A crash tore the very first write; nothing was committed.
+		f.Close()
+		return l, l.recreate()
+	}
+	for {
+		off, payload, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if _, ok := err.(*CorruptError); ok && opts.Fsck {
+			break // operator-sanctioned repair: drop everything from the damage on
+		}
+		if err == nil {
+			err = replay(off, payload)
+		}
+		if err != nil {
+			f.Close()
 			return nil, err
 		}
-		// Operator-sanctioned repair: drop everything from the damage on.
-		end = ce.Offset
+		l.records++
 	}
-	l.records = records
-	if end < int64(len(data)) {
-		l.truncated = int64(len(data)) - end
-		if err := fs.Truncate(path, end); err != nil {
+	// r.off ends the valid prefix: past the last intact record, at the
+	// torn tail or at the damage.
+	l.size = r.off
+	fi, err := fs.Stat(path)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("wal: stat %s: %w", path, err)
+	}
+	if fi.Size() > l.size {
+		l.truncated = fi.Size() - l.size
+		if err := fs.Truncate(path, l.size); err != nil {
+			f.Close()
 			return nil, fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
 		}
-	}
-	l.size = end
-	f, err := fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open %s for append: %w", path, err)
-	}
-	l.f = f
-	if l.truncated > 0 {
 		// Make the repair itself durable before acknowledging recovery.
 		if err := f.Sync(); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("wal: sync repaired %s: %w", path, err)
 		}
 	}
+	l.f = f
 	return l, nil
 }
 
-// isPrefixOf reports whether data is a strict prefix of s.
-func isPrefixOf(data []byte, s string) bool {
-	return len(data) < len(s) && string(data) == s[:len(data)]
+// Reader streams a log's records front to back, holding one record in
+// memory at a time: the payload Next returns is valid until the next
+// call. Open recovers through a Reader; OpenReader gives read-only
+// scans the same framing rules.
+type Reader struct {
+	path string
+	f    faultfs.File
+	br   *bufio.Reader
+	off  int64  // offset of the next record: the end of the valid prefix
+	buf  []byte // payload buffer, reused across records
+	err  error  // sticky: io.EOF at the end of the log, or the first failure
 }
 
-// scan walks records, calling emit for each valid one, and returns the
-// offset of the first byte past the last valid record plus the record
-// count. A torn tail ends the scan silently; mid-file damage returns a
-// *CorruptError (Path filled by the caller).
-func scan(data []byte, emit func(offset int64, payload []byte) error) (end int64, records int, err error) {
-	off := int64(len(magic))
-	n := int64(len(data))
-	for off < n {
-		rem := n - off
-		if rem < headerLen {
-			return off, records, nil // torn header
-		}
-		length := int64(binary.LittleEndian.Uint32(data[off:]))
-		if length == 0 || length > MaxRecordLen {
-			return off, records, &CorruptError{Offset: off, Reason: fmt.Sprintf("implausible record length %d", length)}
-		}
-		recEnd := off + headerLen + length
-		if recEnd > n {
-			return off, records, nil // torn payload
-		}
-		wantCRC := binary.LittleEndian.Uint32(data[off+4:])
-		payload := data[off+headerLen : recEnd]
-		if crc32.Checksum(payload, castagnoli) != wantCRC {
-			if recEnd == n {
-				return off, records, nil // torn final record
-			}
-			return off, records, &CorruptError{Offset: off, Reason: "checksum mismatch with further data after the record"}
-		}
-		if err := emit(off, payload); err != nil {
-			return off, records, err
-		}
-		records++
-		off = recEnd
-	}
-	return off, records, nil
+func newReader(f faultfs.File, path string) *Reader {
+	return &Reader{path: path, f: f, br: bufio.NewReaderSize(f, readAhead)}
 }
+
+// OpenReader opens the log at path through fs (nil selects the real
+// filesystem) for a read-only scan. A file that is a strict prefix of
+// the magic holds no records.
+func OpenReader(fs faultfs.FS, path string) (*Reader, error) {
+	f, err := faultfs.Or(fs).OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return nil, fmt.Errorf("wal: open %s: %w", path, err)
+	}
+	r := newReader(f, path)
+	if _, err := r.readMagic(); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return r, nil
+}
+
+// readMagic consumes the file header. torn reports a file that is a
+// strict prefix of the magic: a crash tore the log's very first write.
+func (r *Reader) readMagic() (torn bool, err error) {
+	var hdr [len(magic)]byte
+	n, err := io.ReadFull(r.br, hdr[:])
+	switch {
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		if string(hdr[:n]) != magic[:n] {
+			return false, &CorruptError{Path: r.path, Offset: 0, Reason: "file shorter than the WAL magic and not a prefix of it"}
+		}
+		r.err = io.EOF
+		return true, nil
+	case err != nil:
+		return false, fmt.Errorf("wal: read %s: %w", r.path, err)
+	case string(hdr[:]) != magic:
+		return false, &CorruptError{Path: r.path, Offset: 0, Reason: "bad magic (not a WAL file)"}
+	}
+	r.off = int64(len(magic))
+	return false, nil
+}
+
+// Next returns the next intact record, never empty, and its offset. It
+// returns io.EOF at the end of the log, which a torn tail also marks: a
+// record cut short by the end of the file, or a final record whose
+// checksum fails, was never acknowledged. Damage with data after it is
+// a *CorruptError at the damaged record's offset. Errors are sticky.
+func (r *Reader) Next() (offset int64, payload []byte, err error) {
+	if r.err != nil {
+		return 0, nil, r.err
+	}
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
+		return r.fail(err) // the end of the log, or a torn header
+	}
+	length := binary.LittleEndian.Uint32(hdr[:])
+	if length == 0 || length > MaxRecordLen {
+		return r.fail(&CorruptError{Path: r.path, Offset: r.off, Reason: fmt.Sprintf("implausible record length %d", length)})
+	}
+	if cap(r.buf) < int(length) {
+		r.buf = make([]byte, length)
+	}
+	payload = r.buf[:length]
+	if _, err := io.ReadFull(r.br, payload); err != nil {
+		return r.fail(err) // a torn payload
+	}
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:]) {
+		if _, err := r.br.Peek(1); err != nil {
+			return r.fail(err) // io.EOF: the torn final record
+		}
+		return r.fail(&CorruptError{Path: r.path, Offset: r.off, Reason: "checksum mismatch with further data after the record"})
+	}
+	offset = r.off
+	r.off += headerLen + int64(length)
+	return offset, payload, nil
+}
+
+// fail makes err sticky. A short read is the end of the log.
+func (r *Reader) fail(err error) (int64, []byte, error) {
+	switch {
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		err = io.EOF
+	case !errors.Is(err, ErrCorrupt):
+		err = fmt.Errorf("wal: read %s: %w", r.path, err)
+	}
+	r.err = err
+	return 0, nil, err
+}
+
+// Close releases the file.
+func (r *Reader) Close() error { return r.f.Close() }
 
 // create initializes a brand-new log file durably: magic, file fsync,
 // then directory fsync so the name itself survives.

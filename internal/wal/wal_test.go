@@ -2,10 +2,14 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"privbayes/internal/faultfs"
@@ -337,4 +341,81 @@ func TestAppendValidation(t *testing.T) {
 	if err := l.Append(make([]byte, MaxRecordLen+1)); err == nil {
 		t.Error("oversized payload accepted")
 	}
+}
+
+// FuzzWALOpen feeds arbitrary bytes after the magic to recovery, the
+// parser every daemon start runs over disk-resident (and therefore
+// untrusted) ledger and row logs. Neither Open nor a read-only Reader
+// may panic, and they must agree: the records Open replays are the
+// ones the Reader yields, and where Open refuses the log the Reader
+// reports the same damage. A successful Open leaves a log that reopens
+// to the same records with nothing left to truncate, and an Fsck open
+// always succeeds.
+func FuzzWALOpen(f *testing.F) {
+	var valid []byte
+	for _, p := range payloads(3) {
+		valid = append(valid, frame(p)...)
+	}
+	f.Add(valid)
+	f.Add([]byte{})
+	f.Add(valid[:len(valid)-3])                                   // torn payload
+	f.Add(append(bytes.Clone(valid), 1, 2))                       // torn header
+	f.Add(append(frame([]byte("x")), make([]byte, headerLen)...)) // zero length
+	flipped := bytes.Clone(valid)
+	flipped[headerLen+1] ^= 0xFF // checksum mismatch before further records
+	f.Add(flipped)
+
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		path := filepath.Join(t.TempDir(), "wal")
+		if err := os.WriteFile(path, append([]byte(magic), tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var scanned [][]byte
+		r, err := OpenReader(nil, path)
+		if err != nil {
+			t.Fatalf("OpenReader: %v", err)
+		}
+		var scanErr error
+		for {
+			_, p, err := r.Next()
+			if err != nil {
+				if err != io.EOF {
+					scanErr = err
+				}
+				break
+			}
+			scanned = append(scanned, bytes.Clone(p))
+		}
+		r.Close()
+
+		var first [][]byte
+		l, err := Open(path, Options{}, func(_ int64, p []byte) error {
+			first = append(first, bytes.Clone(p))
+			return nil
+		})
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) || scanErr == nil || err.Error() != scanErr.Error() {
+				t.Fatalf("Open: %v; Reader: %v; want the same ErrCorrupt from both", err, scanErr)
+			}
+		} else {
+			l.Close()
+			if scanErr != nil || !slices.EqualFunc(first, scanned, bytes.Equal) {
+				t.Fatalf("Open replayed %d records, Reader yielded %d (err %v)", len(first), len(scanned), scanErr)
+			}
+			l2, second := openCollect(t, path, Options{})
+			l2.Close()
+			if l2.Truncated() != 0 || !slices.EqualFunc(first, second, bytes.Equal) {
+				t.Fatalf("reopen truncated %d bytes and replayed %d of %d records", l2.Truncated(), len(second), len(first))
+			}
+		}
+		l3, _ := openCollect(t, path, Options{Fsck: true})
+		l3.Close()
+	})
+}
+
+// frame encodes one record as Append writes it.
+func frame(p []byte) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(p)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(p, castagnoli))
+	return append(buf, p...)
 }

@@ -3,6 +3,7 @@ package privbayes
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"math/rand"
 	"strings"
@@ -68,20 +69,24 @@ func TestSynthesizeStreamEarlyBreak(t *testing.T) {
 }
 
 // TestSynthesizeToCSVMatchesWriteCSV: SynthesizeTo's CSV bytes equal
-// Dataset.WriteCSV of the equivalent SampleP call.
+// Dataset.WriteCSV of the equivalent SampleP call, header included
+// when no rows are asked for.
 func TestSynthesizeToCSVMatchesWriteCSV(t *testing.T) {
 	m := fitStreamModel(t)
-	const n, seed = 20_000, 93
-	var want bytes.Buffer
-	if err := m.SampleP(n, rand.New(rand.NewSource(seed)), 2).WriteCSV(&want); err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := m.SynthesizeTo(context.Background(), &got, n, FormatCSV, SynthSeed(seed)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Fatal("streamed CSV differs from materialized WriteCSV")
+	const seed = 93
+	for _, n := range []int{20_000, 0} {
+		var want bytes.Buffer
+		if err := m.SampleP(n, rand.New(rand.NewSource(seed)), 2).WriteCSV(&want); err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := m.SynthesizeTo(context.Background(), &got, n, FormatCSV, SynthSeed(seed)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Fatalf("n=%d: streamed CSV %q differs from materialized WriteCSV %q", n,
+				got.Bytes()[:min(got.Len(), 64)], want.Bytes()[:min(want.Len(), 64)])
+		}
 	}
 }
 
@@ -114,20 +119,40 @@ func TestSynthesizeToJSONL(t *testing.T) {
 	}
 }
 
-// TestAppendRowText decodes a streamed row exactly as CSV rendering
-// does.
+// TestAppendRowText decodes streamed rows exactly as CSV rendering
+// does: every cell equals the matching cell of WriteCSV over the same
+// rows.
 func TestAppendRowText(t *testing.T) {
 	m := fitStreamModel(t)
-	for row, err := range m.Synthesize(context.Background(), 1, SynthSeed(6)) {
+	const n = 300
+	rows := NewDataset(m.Attrs)
+	var text [][]string
+	for row, err := range m.Synthesize(context.Background(), n, SynthSeed(6)) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cells := m.AppendRowText(nil, row)
-		if len(cells) != 3 {
-			t.Fatalf("decoded %d cells", len(cells))
+		rows.Append(row)
+		text = append(text, m.AppendRowText(nil, row))
+	}
+	var buf bytes.Buffer
+	if err := rows.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != n+1 || len(text) != n {
+		t.Fatalf("%d CSV records and %d decoded rows, want %d and %d", len(want), len(text), n+1, n)
+	}
+	for r, cells := range text {
+		if len(cells) != len(m.Attrs) {
+			t.Fatalf("row %d: decoded %d cells, want %d", r, len(cells), len(m.Attrs))
 		}
-		if cells[0] != "0" && cells[0] != "1" {
-			t.Errorf("cell 0 = %q", cells[0])
+		for c, cell := range cells {
+			if cell != want[r+1][c] {
+				t.Fatalf("row %d col %d: AppendRowText %q, WriteCSV %q", r, c, cell, want[r+1][c])
+			}
 		}
 	}
 }
