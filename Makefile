@@ -40,21 +40,26 @@ bench:
 perfbench-vet:
 	cd perfbench && $(GO) vet .
 
-# Run each perfbench workload once at the benchmark's own window
-# (BENCHMARK.json) and fail unless its result line, the last line of
-# its output, reads "correct":true and "failed":0. perfbench-vet only
-# compiles the benchmark; this also runs its output checks (the
-# out-of-core model read back through ReadCSV, streams parsed back,
-# fixed-seed stream hashes), so a library change that breaks them fails
-# here instead of only in paired benchmark runs.
+# Run each perfbench workload twice at the benchmark's own window
+# (BENCHMARK.json), untraced and then traced (--trace 1), and fail
+# unless every result line, the last line of a run's output, reads
+# "correct":true and "failed":0. perfbench-vet only compiles the
+# benchmark; this also runs its output checks (the out-of-core model
+# read back through ReadCSV, streams parsed back, fixed-seed stream
+# hashes), so a library change that breaks them fails here instead of
+# only in paired benchmark runs. The traced run is the one that reports
+# the per-layer metrics and checks that the traced fit equals the
+# facade's (traced-equals-facade).
 perfbench-smoke:
 	@set -e; \
 	secs=$$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])'); \
 	for w in $$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do \
-		line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds $$secs --trace 0 | tail -n 1); \
-		echo "$$w: $$line"; \
-		if ! echo "$$line" | grep -q '"correct":true' || ! echo "$$line" | grep -Eq '"failed":0[,}]'; then \
-			echo "perfbench-smoke: $$w is not correct or has failed operations"; exit 1; fi; \
+		for trace in 0 1; do \
+			line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds $$secs --trace $$trace | tail -n 1); \
+			echo "$$w (trace $$trace): $$line"; \
+			if ! echo "$$line" | grep -q '"correct":true' || ! echo "$$line" | grep -Eq '"failed":0[,}]'; then \
+				echo "perfbench-smoke: $$w (trace $$trace) is not correct or has failed operations"; exit 1; fi; \
+		done; \
 	done
 
 # Timed benchmarks, captured machine-readably. Scoring: runs

@@ -139,7 +139,8 @@ func parseBenchLine(line string) (Benchmark, bool) {
 // matching sub-benchmarks are paired into headline speedups.
 var speedupPairs = []struct{ fast, base, label string }{
 	// Columnar popcount counting against the legacy row-major walk on
-	// the same bit-packed dataset (internal/marginal, d ∈ {8,16,32}).
+	// the same bit-packed dataset (internal/marginal, k ∈ {2,3,5}
+	// parents × d ∈ {8,16,32} attributes, sub-names k<k>/d<d>).
 	{"BenchmarkCountColumnar/", "BenchmarkCountRowMajor/", "columnar_vs_rowmajor/"},
 	// The exact query engine against synthesize-then-scan.
 	{"BenchmarkQuery/", "BenchmarkSynthesizeThenScan/", "query_vs_scan/"},

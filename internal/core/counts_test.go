@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -202,11 +203,13 @@ func TestRefitCountsValidation(t *testing.T) {
 	if _, err := RefitCountsContext(context.Background(), ds.Attrs(), src, net, 1, Options{Epsilon: 1, Mode: ModeBinary}); err == nil {
 		t.Error("nil rng accepted")
 	}
-	bad := good
-	bad.Rand = rand.New(rand.NewSource(1))
-	bad.Epsilon = 0
-	if _, err := RefitCountsContext(context.Background(), ds.Attrs(), src, net, 1, bad); err == nil {
-		t.Error("zero epsilon accepted")
+	for _, eps := range []float64{0, math.NaN(), math.Inf(1)} {
+		bad := good
+		bad.Rand = rand.New(rand.NewSource(1))
+		bad.Epsilon = eps
+		if _, err := RefitCountsContext(context.Background(), ds.Attrs(), src, net, 1, bad); err == nil {
+			t.Errorf("epsilon %g accepted", eps)
+		}
 	}
 	empty := counts.NewStore(ds.Attrs())
 	if _, err := RefitCountsContext(context.Background(), ds.Attrs(), empty.Source(), net, 1, good); err == nil {

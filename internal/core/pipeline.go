@@ -106,14 +106,14 @@ func (o *Options) validate(ds *dataset.Dataset) error {
 	if o.Rand == nil {
 		return errors.New("core: Options.Rand is required")
 	}
-	if o.Epsilon <= 0 && !(o.InfiniteNetworkBudget && o.InfiniteMarginalBudget) {
-		return fmt.Errorf("core: epsilon must be positive, got %g", o.Epsilon)
+	if !positiveFinite(o.Epsilon) && !(o.InfiniteNetworkBudget && o.InfiniteMarginalBudget) {
+		return fmt.Errorf("core: epsilon must be positive and finite, got %g", o.Epsilon)
 	}
-	if o.Beta <= 0 || o.Beta >= 1 {
+	if !(o.Beta > 0 && o.Beta < 1) {
 		return fmt.Errorf("core: beta must be in (0,1), got %g", o.Beta)
 	}
-	if o.Theta <= 0 {
-		return fmt.Errorf("core: theta must be positive, got %g", o.Theta)
+	if !positiveFinite(o.Theta) {
+		return fmt.Errorf("core: theta must be positive and finite, got %g", o.Theta)
 	}
 	if o.Mode == ModeBinary {
 		for i := 0; i < ds.D(); i++ {
@@ -242,6 +242,10 @@ func fitModel(ctx context.Context, attrs []dataset.Attribute, cs marginal.CountS
 	return m, nil
 }
 
+// positiveFinite reports whether x is a usable ε or θ: NaN and +Inf
+// fail, as they do the accountant's charge check.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
 // RefitCountsContext re-learns only the distribution phase: it keeps
 // the supplied network structure and materializes fresh noisy
 // conditionals from the count source, spending the whole opt.Epsilon
@@ -255,8 +259,8 @@ func RefitCountsContext(ctx context.Context, attrs []dataset.Attribute, cs margi
 	if opt.Rand == nil {
 		return nil, errors.New("core: Options.Rand is required")
 	}
-	if opt.Epsilon <= 0 && !opt.InfiniteMarginalBudget {
-		return nil, fmt.Errorf("core: epsilon must be positive, got %g", opt.Epsilon)
+	if !positiveFinite(opt.Epsilon) && !opt.InfiniteMarginalBudget {
+		return nil, fmt.Errorf("core: epsilon must be positive and finite, got %g", opt.Epsilon)
 	}
 	if cs.Rows() == 0 {
 		return nil, errors.New("core: empty dataset")

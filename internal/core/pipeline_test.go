@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -18,8 +19,13 @@ func TestFitValidation(t *testing.T) {
 	}{
 		{"missing rand", Options{Epsilon: 1, Beta: 0.3, Theta: 4, Mode: ModeBinary, Score: score.F}},
 		{"bad epsilon", Options{Epsilon: -1, Beta: 0.3, Theta: 4, Mode: ModeBinary, Score: score.F, Rand: rng}},
+		{"NaN epsilon", Options{Epsilon: math.NaN(), Beta: 0.3, Theta: 4, Mode: ModeBinary, Score: score.F, Rand: rng}},
+		{"+Inf epsilon", Options{Epsilon: math.Inf(1), Beta: 0.3, Theta: 4, Mode: ModeBinary, Score: score.F, Rand: rng}},
 		{"bad beta", Options{Epsilon: 1, Beta: 1.5, Theta: 4, Mode: ModeBinary, Score: score.F, Rand: rng}},
+		{"NaN beta", Options{Epsilon: 1, Beta: math.NaN(), Theta: 4, Mode: ModeBinary, Score: score.F, Rand: rng}},
 		{"bad theta", Options{Epsilon: 1, Beta: 0.3, Theta: -2, Mode: ModeBinary, Score: score.F, Rand: rng}},
+		{"NaN theta", Options{Epsilon: 1, Beta: 0.3, Theta: math.NaN(), Mode: ModeBinary, Score: score.F, Rand: rng}},
+		{"+Inf theta", Options{Epsilon: 1, Beta: 0.3, Theta: math.Inf(1), Mode: ModeBinary, Score: score.F, Rand: rng}},
 		{"F on general domains", Options{Epsilon: 1, Beta: 0.3, Theta: 4, Mode: ModeGeneral, Score: score.F, Rand: rng}},
 	}
 	for _, c := range cases {

@@ -168,9 +168,10 @@ func (s *Store) checkSchema(attrs []dataset.Attribute) error {
 // Accumulate adds every row of the chunk into all registered tables
 // and advances the row count. Chunks may arrive in any order and size;
 // the resulting counts equal a single pass over the concatenation.
-// Counting rides the shared-scan engine: per parent set, bit-packed
-// low-arity chunks count by bitmask+popcount without ever building
-// per-row codes, and the rest share one fused row walk.
+// Counting rides the shared-scan engine: per parent set, joints of at
+// most 64 cells over bit-packed columns count by bitmask+popcount
+// without ever building per-row codes, and the rest share one fused
+// row walk.
 func (s *Store) Accumulate(chunk *dataset.Dataset) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

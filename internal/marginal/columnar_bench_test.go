@@ -9,13 +9,14 @@ import (
 )
 
 // Paired columnar-vs-rowmajor counting benchmarks: one greedy-iteration
-// shaped workload — build the parent index for a fixed 2-parent set,
-// then count every remaining attribute as a child — over binary
-// (NLTCS-style) attributes at d ∈ {8, 16, 32}. CountColumnar runs the
-// popcount kernel; CountRowMajor forces the legacy row walk (code build
-// + fused decode scan) on the same bit-packed dataset. cmd/benchjson
-// pairs the matching sub-names into columnar_vs_rowmajor/* speedups in
-// BENCH_scoring.json.
+// shaped workload — build the parent index for a fixed set of the first
+// k attributes, then count every remaining attribute as a child — over
+// binary (NLTCS-style) attributes at k ∈ {2, 3, 5} parents and
+// d ∈ {8, 16, 32}. At k = 5 every joint has 64 cells, the popcount
+// kernel's limit. CountColumnar runs the popcount kernel; CountRowMajor
+// forces the row walk (code build + fused decode scan) on the same
+// bit-packed dataset. cmd/benchjson pairs the matching sub-names into
+// columnar_vs_rowmajor/k*/d* speedups in BENCH_scoring.json.
 
 const benchCountRows = 1 << 16
 
@@ -38,11 +39,14 @@ func benchBinaryData(n, d int, seed int64) *dataset.Dataset {
 	return ds
 }
 
-func benchCountChildren(b *testing.B, d int, rowMajor bool) {
+func benchCountChildren(b *testing.B, k, d int, rowMajor bool) {
 	ds := benchBinaryData(benchCountRows, d, 42)
-	parents := []Var{{Attr: 0}, {Attr: 1}}
-	children := make([]Var, 0, d-2)
-	for a := 2; a < d; a++ {
+	parents := make([]Var, k)
+	for a := range parents {
+		parents[a] = Var{Attr: a}
+	}
+	children := make([]Var, 0, d-k)
+	for a := k; a < d; a++ {
 		children = append(children, Var{Attr: a})
 	}
 	old := disablePopcount
@@ -59,14 +63,14 @@ func benchCountChildren(b *testing.B, d int, rowMajor bool) {
 	}
 }
 
-func BenchmarkCountColumnar(b *testing.B) {
-	for _, d := range []int{8, 16, 32} {
-		b.Run(fmt.Sprintf("d%d", d), func(b *testing.B) { benchCountChildren(b, d, false) })
+func benchCountLevels(b *testing.B, rowMajor bool) {
+	for _, k := range []int{2, 3, 5} {
+		for _, d := range []int{8, 16, 32} {
+			b.Run(fmt.Sprintf("k%d/d%d", k, d), func(b *testing.B) { benchCountChildren(b, k, d, rowMajor) })
+		}
 	}
 }
 
-func BenchmarkCountRowMajor(b *testing.B) {
-	for _, d := range []int{8, 16, 32} {
-		b.Run(fmt.Sprintf("d%d", d), func(b *testing.B) { benchCountChildren(b, d, true) })
-	}
-}
+func BenchmarkCountColumnar(b *testing.B) { benchCountLevels(b, false) }
+
+func BenchmarkCountRowMajor(b *testing.B) { benchCountLevels(b, true) }

@@ -19,6 +19,11 @@ func FuzzColumnarCounts(f *testing.F) {
 	f.Add(int64(2), uint16(64), uint16(0xffff), uint8(0))
 	f.Add(int64(3), uint16(513), uint16(0x8001), uint8(5))
 	f.Add(int64(4), uint16(1), uint16(0), uint8(7))
+	// All-binary attributes (arityBits 0) picked 4-, 5- and 6-way: up
+	// to five binary parents, the 64-cell joints the kernel still takes.
+	f.Add(int64(5), uint16(300), uint16(0), uint8(3))
+	f.Add(int64(6), uint16(777), uint16(0), uint8(4))
+	f.Add(int64(7), uint16(1029), uint16(0), uint8(5))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, arityBits uint16, pick uint8) {
 		n := int(nRaw) % 1500
 		rng := rand.New(rand.NewSource(seed))
@@ -44,8 +49,8 @@ func FuzzColumnarCounts(f *testing.F) {
 			ds.Append(rec)
 		}
 
-		// Random 1–3-way variable pick (repeats allowed).
-		k := 1 + int(pick)%3
+		// Random 1–6-way variable pick (repeats allowed).
+		k := 1 + int(pick)%6
 		vars := make([]Var, k)
 		for i := range vars {
 			vars[i] = Var{Attr: rng.Intn(d)}

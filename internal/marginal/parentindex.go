@@ -3,10 +3,11 @@ package marginal
 // This file implements the shared-scan counting engine behind batch
 // candidate scoring (Algorithm 2's dominant cost). Within one greedy
 // iteration the C(|V|,k)·(d−|V|) exponential-mechanism candidates share
-// only C(|V|,k) distinct parent sets, and those parent sets recur across
-// iterations; materializing each candidate's joint with its own O(n·(k+1))
-// row scan therefore repeats almost all of the work. A ParentIndex pays
-// the O(n·k) parent-configuration scan once per parent set, after which
+// only C(|V|,k) distinct parent sets; materializing each candidate's
+// joint with its own O(n·(k+1)) row scan would repeat almost all of the
+// work. A ParentIndex counts every child of one parent set together:
+// by the popcount kernel when the joints are small and bit-packed, else
+// by paying the O(n·k) parent-configuration scan once, after which
 // every child's joint costs a single fused O(n) pass. MemorySource
 // keeps the indexes in an IndexCache keyed by the parent set.
 
@@ -31,10 +32,11 @@ const MaxParentConfigs = math.MaxUint32
 // count table would use. One index drives joint counting for any number
 // of child attributes via CountChildren, replacing per-candidate
 // O(n·(k+1)) scans with a single fused O(n) pass per child — and when
-// the parent set and child are bit-packed low-arity columns,
-// CountChildren skips the row codes entirely and counts by bitmask
-// intersection + popcount (see popcount.go), so the O(n·k) code build
-// is lazy: it is only ever paid by parent sets that need the row path.
+// the parent set and child are raw-level bit-packed columns whose joint
+// has at most 64 cells, CountChildren skips the row codes entirely and
+// counts by bitmask intersection + popcount (see popcount.go), so the
+// O(n·k) code build is lazy: it is only ever paid by parent sets that
+// need the row path.
 type ParentIndex struct {
 	// Vars are the parent variables in materialization order. The order
 	// is part of the index identity: joint tables are laid out
@@ -140,13 +142,14 @@ func (ix *ParentIndex) N() int { return ix.n }
 
 // CountChildren materializes the exact joint count tables over
 // [ix.Vars..., child] for every child. Popcount-eligible children —
-// bit-packed low-arity parents and child, small joint — are counted by
-// bitmask intersection + popcount without ever building row codes; the
-// rest share a single fused pass over the rows, each row contributing
-// one increment per child at offset RowCodes()[r]·|dom(child)| +
-// code(child). Both paths produce integer counts, so per-worker
-// partials merge exactly and the result is bit-identical to
-// MaterializeCounts for each child, at every parallelism.
+// raw-level bit-packed parents and child, a joint of at most 64 cells —
+// are counted by bitmask intersection + popcount without ever building
+// row codes; the rest share a single fused pass over the rows, each row
+// contributing one increment per child at offset
+// RowCodes()[r]·|dom(child)| + code(child). Both paths produce integer
+// counts, so per-worker partials merge exactly and the result is
+// bit-identical to MaterializeCounts for each child, at every
+// parallelism.
 func (ix *ParentIndex) CountChildren(ds *dataset.Dataset, children []Var, parallelism int) []*Table {
 	m := len(children)
 	out := make([]*Table, m)
@@ -181,7 +184,6 @@ func (ix *ParentIndex) CountChildren(ds *dataset.Dataset, children []Var, parall
 			}
 		}
 		pk.countChildren(popChildren, popDsts)
-		pk.release()
 	} else {
 		for j := range children {
 			rest = append(rest, j)

@@ -4,10 +4,11 @@ package marginal
 // relational-algebra reading of marginal counting, where a parent
 // configuration is a selection (bitmask intersection of per-value
 // column masks) and a joint count cell is a projection (popcount of the
-// intersected mask). For the 1–3-way marginals PrivBayes materializes
-// over low-arity attributes this replaces the per-row scan with ~2 word
-// operations per 64 rows per cell. Counts are exact integers, so both
-// engines give the same tables at every parallelism.
+// intersected mask). Every joint of at most popcountMaxCells cells over
+// raw-level, bit-packed variables — any number of parents — is counted
+// this way, at about one word operation per 64 rows per cell instead of
+// a per-row scan. Counts are exact integers, so both engines give the
+// same tables at every parallelism.
 
 import (
 	"math/bits"
@@ -18,8 +19,9 @@ import (
 // popcountMaxCells bounds the joint-table size (parent configurations ×
 // child domain) the popcount kernel will take on. Beyond it the
 // mask-per-cell strategy scans the rows once per cell and loses to the
-// single fused row walk; 64 covers every joint of ≤3 maskable (≤2-bit)
-// variables.
+// single fused row walk. 64 cells admit, for example, five binary
+// parents with a binary child, or two 4-valued parents with a 4-valued
+// child.
 const popcountMaxCells = 64
 
 // disablePopcount forces the row-major counting paths, so tests and
@@ -38,140 +40,162 @@ func popVarOK(ds *dataset.Dataset, v Var) bool {
 	return c != nil && c.Maskable()
 }
 
-// popKernel holds the per-value row bitmasks of one parent set, ready
-// to count any number of children against. Masks come from the shared
-// word pool; callers must release().
+// popKernel counts children against one popcount-eligible parent set.
+// It holds only the parent columns; countChildren builds the row masks
+// from the shared word pool and returns them when it is done.
 type popKernel struct {
-	ds     *dataset.Dataset
-	nw     int          // words per row mask
-	dims   []int        // parent domain sizes
-	piDim  int          // parent configurations
-	pmasks [][][]uint64 // pmasks[i][v]: rows where parent i has code v
-	tmp    []uint64     // intersection scratch (2-parent case)
+	ds    *dataset.Dataset
+	cols  []*dataset.Column // parent columns, in table order
+	piDim int               // parent configurations
 }
 
-// newPopKernel builds the parent-side masks, or reports false when the
-// parent set is not popcount-eligible (more than 2 parents, any
-// non-maskable parent, or the kernel globally disabled).
+// newPopKernel reports false when the parent set is not
+// popcount-eligible: a parent is not maskable at raw level, the parent
+// set has more than popcountMaxCells configurations, or the kernel is
+// globally disabled. It builds no masks.
 func newPopKernel(ds *dataset.Dataset, parents []Var) (*popKernel, bool) {
-	if disablePopcount || len(parents) > 2 {
+	if disablePopcount {
 		return nil, false
 	}
-	for _, v := range parents {
+	k := &popKernel{ds: ds, cols: make([]*dataset.Column, len(parents)), piDim: 1}
+	for i, v := range parents {
 		if !popVarOK(ds, v) {
 			return nil, false
 		}
-	}
-	k := &popKernel{ds: ds, piDim: 1}
-	if len(parents) > 0 {
-		k.nw = ds.Col(parents[0].Attr).MaskWords()
-	}
-	k.dims = make([]int, len(parents))
-	k.pmasks = make([][][]uint64, len(parents))
-	for i, v := range parents {
-		col := ds.Col(v.Attr)
-		size := col.Size()
-		k.dims[i] = size
-		k.piDim *= size
-		vm := make([][]uint64, size)
-		for val := 0; val < size; val++ {
-			m := getWords(k.nw)
-			col.FillValueMask(val, m)
-			vm[val] = m
+		k.cols[i] = ds.Col(v.Attr)
+		k.piDim *= k.cols[i].Size()
+		if k.piDim > popcountMaxCells {
+			return nil, false
 		}
-		k.pmasks[i] = vm
-	}
-	if len(parents) == 2 {
-		k.tmp = getWords(k.nw)
 	}
 	return k, true
 }
 
 // childOK reports whether a child can be counted against this kernel:
-// maskable, and the joint table small enough that mask-per-cell wins.
+// maskable, and the joint table at most popcountMaxCells cells.
 func (k *popKernel) childOK(child Var) bool {
 	return popVarOK(k.ds, child) && k.piDim*child.Size(k.ds) <= popcountMaxCells
 }
 
 // countChildren fills dsts[j] — a zeroed [parents..., child_j] count
 // table laid out with the child fastest — with exact joint counts for
-// every child. Iteration is configuration-major: each parent
-// configuration's intersection mask is built once and amortized across
-// all children and child values.
+// every child. It walks the parent configurations in row-major order
+// keeping one running AND per parent depth, so a step rebuilds only the
+// masks from the first parent whose value changed. Each configuration's
+// mask is amortized across all children: a child's first |dom|−1
+// values are counted by popcount and its last value is the
+// configuration's row count minus their sum.
 func (k *popKernel) countChildren(children []Var, dsts [][]float64) {
 	if len(children) == 0 {
 		return
 	}
-	// Per-child per-value masks.
+	n := k.ds.N()
+	nw := k.ds.Col(children[0].Attr).MaskWords() // every column has n rows
+	var pooled [][]uint64
+	valueMasks := func(col *dataset.Column, vals int) [][]uint64 {
+		vm := make([][]uint64, vals)
+		for v := range vm {
+			vm[v] = getWords(nw)
+			col.FillValueMask(v, vm[v])
+			pooled = append(pooled, vm[v])
+		}
+		return vm
+	}
+	np := len(k.cols)
+	pmasks := make([][][]uint64, np) // pmasks[i][v]: rows where parent i has code v
+	and := make([][]uint64, np)      // and[i]: rows matching parents 0..i of the configuration
+	for i, col := range k.cols {
+		pmasks[i] = valueMasks(col, col.Size())
+		and[i] = getWords(nw)
+		pooled = append(pooled, and[i])
+	}
 	cmasks := make([][][]uint64, len(children))
 	xdim := make([]int, len(children))
 	for j, ch := range children {
 		col := k.ds.Col(ch.Attr)
-		// A kernel built for a 0-parent set on a virtual/empty dataset
-		// has nw from the child instead.
-		if k.nw == 0 {
-			k.nw = col.MaskWords()
-		}
-		xd := col.Size()
-		xdim[j] = xd
-		vm := make([][]uint64, xd)
-		for val := 0; val < xd; val++ {
-			m := getWords(k.nw)
-			col.FillValueMask(val, m)
-			vm[val] = m
-		}
-		cmasks[j] = vm
+		xdim[j] = col.Size()
+		cmasks[j] = valueMasks(col, xdim[j]-1)
 	}
+
+	val := make([]int, np) // the configuration's parent values
+	from := 0              // first parent depth whose value changed
 	for p := 0; p < k.piDim; p++ {
-		var cfg []uint64
-		switch len(k.pmasks) {
-		case 0:
-			cfg = nil // every row
-		case 1:
-			cfg = k.pmasks[0][p]
-		default:
-			m0 := k.pmasks[0][p/k.dims[1]]
-			m1 := k.pmasks[1][p%k.dims[1]]
-			for w := range k.tmp {
-				k.tmp[w] = m0[w] & m1[w]
+		var cfg []uint64 // nil selects every row
+		rows := n
+		for i := from; i < np; i++ {
+			// and[i] = and[i-1] & mask of parent i's value; at depth 0,
+			// the mask itself (m & m).
+			m := pmasks[i][val[i]]
+			prev := m
+			if i > 0 {
+				prev = and[i-1]
 			}
-			cfg = k.tmp
+			rows = andCount(and[i], prev, m)
 		}
-		for j := range children {
-			dst := dsts[j]
-			for x, mx := range cmasks[j] {
-				var c int
-				if cfg == nil {
-					for _, w := range mx {
-						c += bits.OnesCount64(w)
-					}
-				} else {
-					for w := range mx {
-						c += bits.OnesCount64(cfg[w] & mx[w])
-					}
-				}
-				dst[p*xdim[j]+x] = float64(c)
+		if np > 0 {
+			cfg = and[np-1]
+		}
+		for j, vm := range cmasks {
+			dst := dsts[j][p*xdim[j] : (p+1)*xdim[j]]
+			last := rows
+			for x, mx := range vm {
+				c := popcountAnd(cfg, mx)
+				dst[x] = float64(c)
+				last -= c
 			}
+			dst[len(vm)] = float64(last)
+		}
+		// Next configuration: the last parent varies fastest.
+		from = np - 1
+		for from > 0 && val[from] == len(pmasks[from])-1 {
+			val[from] = 0
+			from--
+		}
+		if from >= 0 {
+			val[from]++
 		}
 	}
-	for _, vm := range cmasks {
-		for _, m := range vm {
-			putWords(m)
-		}
+	for _, m := range pooled {
+		putWords(m)
 	}
 }
 
-// release returns the kernel's pooled masks. The kernel must not be
-// used afterwards.
-func (k *popKernel) release() {
-	for _, vm := range k.pmasks {
-		for _, m := range vm {
-			putWords(m)
+// andCount stores a & b in dst and returns its popcount.
+func andCount(dst, a, b []uint64) int {
+	a, b = a[:len(dst)], b[:len(dst)]
+	c := 0
+	for w := range dst {
+		x := a[w] & b[w]
+		dst[w] = x
+		c += bits.OnesCount64(x)
+	}
+	return c
+}
+
+// popcountAnd returns the popcount of cfg & m, or of m alone when cfg
+// is nil. It is the kernel's inner loop; four independent sums let the
+// popcounts of consecutive words overlap.
+func popcountAnd(cfg, m []uint64) int {
+	c := 0
+	if cfg == nil {
+		for _, x := range m {
+			c += bits.OnesCount64(x)
 		}
+		return c
 	}
-	if k.tmp != nil {
-		putWords(k.tmp)
+	cfg = cfg[:len(m)]
+	var c1, c2, c3 int
+	w := 0
+	for ; w+4 <= len(m); w += 4 {
+		c += bits.OnesCount64(cfg[w] & m[w])
+		c1 += bits.OnesCount64(cfg[w+1] & m[w+1])
+		c2 += bits.OnesCount64(cfg[w+2] & m[w+2])
+		c3 += bits.OnesCount64(cfg[w+3] & m[w+3])
 	}
+	for ; w < len(m); w++ {
+		c += bits.OnesCount64(cfg[w] & m[w])
+	}
+	return c + c1 + c2 + c3
 }
 
 // popcountCounts materializes the exact count table of vars — read as
@@ -180,16 +204,12 @@ func (k *popKernel) release() {
 // eligible. The counts are identical (as integers, hence bit-identical
 // as float64) to MaterializeCounts' row walk.
 func popcountCounts(ds *dataset.Dataset, vars []Var) (*Table, bool) {
-	if len(vars) == 0 || len(vars) > 3 {
+	if len(vars) == 0 {
 		return nil, false
 	}
 	parents, child := vars[:len(vars)-1], vars[len(vars)-1]
 	k, ok := newPopKernel(ds, parents)
-	if !ok {
-		return nil, false
-	}
-	defer k.release()
-	if !k.childOK(child) {
+	if !ok || !k.childOK(child) {
 		return nil, false
 	}
 	t := NewTable(ds, vars)

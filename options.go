@@ -3,6 +3,7 @@ package privbayes
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"privbayes/internal/core"
 	"privbayes/internal/score"
@@ -118,19 +119,20 @@ type config struct {
 // apply left to right; later options override earlier ones.
 type Option func(*config)
 
-// WithEpsilon sets the total differential-privacy budget ε. Required
-// by every fitting entry point.
+// WithEpsilon sets the total differential-privacy budget ε, which must
+// be positive and finite. Required by every fitting entry point.
 func WithEpsilon(epsilon float64) Option {
 	return func(c *config) { c.epsilon = epsilon; c.epsilonSet = true }
 }
 
 // WithBeta sets the budget split β between network learning (βε) and
-// distribution learning ((1−β)ε). Default DefaultBeta.
+// distribution learning ((1−β)ε), in (0, 1). Default DefaultBeta.
 func WithBeta(beta float64) Option {
 	return func(c *config) { c.beta = beta }
 }
 
-// WithTheta sets the θ-usefulness threshold. Default DefaultTheta.
+// WithTheta sets the θ-usefulness threshold, which must be positive
+// and finite. Default DefaultTheta.
 func WithTheta(theta float64) Option {
 	return func(c *config) { c.theta = theta }
 }
@@ -218,20 +220,24 @@ func (c config) validate() error {
 	if !c.epsilonSet {
 		return errors.New("privbayes: WithEpsilon is required")
 	}
-	if c.epsilon <= 0 {
-		return fmt.Errorf("privbayes: epsilon must be positive, got %g", c.epsilon)
+	if !positiveFinite(c.epsilon) {
+		return fmt.Errorf("privbayes: epsilon must be positive and finite, got %g", c.epsilon)
 	}
-	if c.beta <= 0 || c.beta >= 1 {
+	if !(c.beta > 0 && c.beta < 1) {
 		return fmt.Errorf("privbayes: beta must be in (0,1), got %g", c.beta)
 	}
-	if c.theta <= 0 {
-		return fmt.Errorf("privbayes: theta must be positive, got %g", c.theta)
+	if !positiveFinite(c.theta) {
+		return fmt.Errorf("privbayes: theta must be positive and finite, got %g", c.theta)
 	}
 	if c.score < ScoreAuto || c.score > ScoreR {
 		return fmt.Errorf("privbayes: invalid score function %v", c.score)
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is a usable ε or θ: NaN and +Inf
+// fail, as they do the accountant's charge check.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // toCore maps the resolved config onto internal pipeline options for
 // one dataset. The returned options carry a fresh generator derived

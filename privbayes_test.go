@@ -70,11 +70,10 @@ func TestFitRequiresEpsilon(t *testing.T) {
 
 func TestFitRejectsBadEpsilon(t *testing.T) {
 	ds := toyData(100, 6)
-	if _, err := Fit(context.Background(), ds, WithEpsilon(0), WithSeed(1)); err == nil {
-		t.Fatal("zero epsilon must error")
-	}
-	if _, err := Fit(context.Background(), ds, WithEpsilon(-1), WithSeed(1)); err == nil {
-		t.Fatal("negative epsilon must error")
+	for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := Fit(context.Background(), ds, WithEpsilon(eps), WithSeed(1)); err == nil {
+			t.Errorf("epsilon %g must error", eps)
+		}
 	}
 }
 
@@ -83,7 +82,10 @@ func TestFitRejectsBadOptions(t *testing.T) {
 	cases := map[string][]Option{
 		"beta 0":      {WithEpsilon(1), WithBeta(0)},
 		"beta 1":      {WithEpsilon(1), WithBeta(1)},
+		"beta NaN":    {WithEpsilon(1), WithBeta(math.NaN())},
 		"theta 0":     {WithEpsilon(1), WithTheta(0)},
+		"theta NaN":   {WithEpsilon(1), WithTheta(math.NaN())},
+		"theta +Inf":  {WithEpsilon(1), WithTheta(math.Inf(1))},
 		"score junk":  {WithEpsilon(1), WithScore(ScoreFunction(42))},
 		"score F gen": {WithEpsilon(1), WithScore(ScoreF)}, // non-binary data
 	}
