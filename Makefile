@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build test race bench bench-json serve lint cover fmt \
 	apicheck api-baseline examples quality fuzz crashsafety logcheck \
-	perfbench-vet perfbench-smoke
+	perfbench-vet perfbench-smoke loc
 
 # Minimum total statement coverage accepted by `make cover` (percent).
 COVER_FLOOR ?= 70
@@ -199,3 +199,13 @@ cover:
 
 fmt:
 	gofmt -w .
+
+# Size report: non-test Go lines outside perfbench/, per package
+# directory and in total — the figure simplicity changes quote before
+# and after. It only reports; nothing gates on it.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); \
+			n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+			printf "%6d  total\n", t }'

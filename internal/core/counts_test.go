@@ -134,7 +134,7 @@ func TestRefitCountsMatchesConditionals(t *testing.T) {
 	for _, par := range []int{1, 2} {
 		refitOpt := Options{Epsilon: 0.56, Mode: ModeBinary, Score: score.F,
 			Parallelism: par, Rand: rand.New(rand.NewSource(33))}
-		got, err := RefitCountsContext(context.Background(), ds.Attrs(), st.Source(), m.Network, m.K, refitOpt)
+		got, err := RefitCountsContext(context.Background(), ds.Attrs(), st, m.Network, m.K, refitOpt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestRefitCountsGeneralMode(t *testing.T) {
 	if err := st.Accumulate(ds); err != nil {
 		t.Fatal(err)
 	}
-	refit, err := RefitCountsContext(context.Background(), ds.Attrs(), st.Source(), m.Network, -1,
+	refit, err := RefitCountsContext(context.Background(), ds.Attrs(), st, m.Network, -1,
 		Options{Epsilon: 0.7, Mode: ModeGeneral, Score: score.R, Parallelism: 2, Rand: rand.New(rand.NewSource(10))})
 	if err != nil {
 		t.Fatal(err)
@@ -195,31 +195,30 @@ func TestRefitCountsValidation(t *testing.T) {
 	if err := st.Accumulate(ds); err != nil {
 		t.Fatal(err)
 	}
-	src := st.Source()
 	net := Network{Pairs: []APPair{
 		{X: marginal.Var{Attr: 0}}, {X: marginal.Var{Attr: 1}, Parents: []marginal.Var{{Attr: 0}}}}}
 	good := Options{Epsilon: 1, Mode: ModeBinary, Score: score.F, Rand: rand.New(rand.NewSource(1))}
 
-	if _, err := RefitCountsContext(context.Background(), ds.Attrs(), src, net, 1, Options{Epsilon: 1, Mode: ModeBinary}); err == nil {
+	if _, err := RefitCountsContext(context.Background(), ds.Attrs(), st, net, 1, Options{Epsilon: 1, Mode: ModeBinary}); err == nil {
 		t.Error("nil rng accepted")
 	}
 	for _, eps := range []float64{0, math.NaN(), math.Inf(1)} {
 		bad := good
 		bad.Rand = rand.New(rand.NewSource(1))
 		bad.Epsilon = eps
-		if _, err := RefitCountsContext(context.Background(), ds.Attrs(), src, net, 1, bad); err == nil {
+		if _, err := RefitCountsContext(context.Background(), ds.Attrs(), st, net, 1, bad); err == nil {
 			t.Errorf("epsilon %g accepted", eps)
 		}
 	}
 	empty := counts.NewStore(ds.Attrs())
-	if _, err := RefitCountsContext(context.Background(), ds.Attrs(), empty.Source(), net, 1, good); err == nil {
+	if _, err := RefitCountsContext(context.Background(), ds.Attrs(), empty, net, 1, good); err == nil {
 		t.Error("empty source accepted")
 	}
-	if _, err := RefitCountsContext(context.Background(), ds.Attrs(), src, net, 99, good); err == nil {
+	if _, err := RefitCountsContext(context.Background(), ds.Attrs(), st, net, 99, good); err == nil {
 		t.Error("out-of-range anchor degree accepted")
 	}
 	badNet := Network{Pairs: []APPair{{X: marginal.Var{Attr: 42}}}}
-	if _, err := RefitCountsContext(context.Background(), ds.Attrs(), src, badNet, 0, good); err == nil {
+	if _, err := RefitCountsContext(context.Background(), ds.Attrs(), st, badNet, 0, good); err == nil {
 		t.Error("invalid network accepted")
 	}
 }

@@ -101,7 +101,7 @@ func TestFitModelDigests(t *testing.T) {
 			refitOpt := opt
 			refitOpt.Epsilon = 0.7 * opt.Epsilon
 			refitOpt.Rand = rand.New(rand.NewSource(62))
-			refit, err := RefitCountsContext(context.Background(), tc.ds.Attrs(), st.Source(), m.Network, m.K, refitOpt)
+			refit, err := RefitCountsContext(context.Background(), tc.ds.Attrs(), st, m.Network, m.K, refitOpt)
 			if err != nil {
 				t.Fatalf("%s parallelism %d refit: %v", tc.name, par, err)
 			}

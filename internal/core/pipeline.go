@@ -43,8 +43,8 @@ type Options struct {
 	// MaxK, when positive, caps the automatically chosen degree in
 	// ModeBinary. The paper reports multi-hour runs at k ≥ 6; the
 	// experiment harness caps k to keep reproduction runs tractable
-	// (see DESIGN.md, Substitutions) while the library default is
-	// uncapped.
+	// (experiment.Config.MaxK, 5 by default) while the library default
+	// is uncapped.
 	MaxK int
 	// Score selects the exponential-mechanism score function. The
 	// paper's recommendation: F in ModeBinary, R in ModeGeneral.
@@ -251,7 +251,7 @@ func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 // conditionals from the count source, spending the whole opt.Epsilon
 // on distribution learning (there is no structure-learning charge, so
 // Beta is ignored). This is the curator's incremental refit — with a
-// StoreSource whose tables were maintained on ingest, no row is
+// counts.Store whose tables were maintained on ingest, no row is
 // re-read at all. k is the binary-mode anchor degree the network was
 // learned with; it is ignored in ModeGeneral, whose Algorithm 3 is
 // Algorithm 1 at k = 0.

@@ -59,15 +59,14 @@ func storesEqual(t *testing.T, a, b *Store) {
 		t.Fatalf("groups %d vs %d", len(a.groups), len(b.groups))
 	}
 	for _, g := range a.groups {
-		for j, child := range g.children {
-			bt := b.CountTable(g.parents, child)
-			if bt == nil {
-				t.Fatalf("table (%v | %v) missing", child, g.parents)
-			}
-			at := g.tables[j]
-			for i, c := range at.Counts {
-				if float64(c) != bt.P[i] {
-					t.Fatalf("table (%v | %v) cell %d: %d vs %g", child, g.parents, i, c, bt.P[i])
+		bts, err := b.CountTables(g.parents, g.children)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, at := range g.tables {
+			for i, c := range at.P {
+				if c != bts[j].P[i] {
+					t.Fatalf("table (%v | %v) cell %d: %g vs %g", g.children[j], g.parents, i, c, bts[j].P[i])
 				}
 			}
 		}
@@ -172,6 +171,8 @@ func TestProviderMatchesDirectCounts(t *testing.T) {
 		{Parents: nil, Children: []marginal.Var{v(0)}},
 		{Parents: []marginal.Var{v(0)}, Children: []marginal.Var{v(1), v(2)}},
 		{Parents: []marginal.Var{v(2), v(3)}, Children: []marginal.Var{v(0), v(1)}},
+		// 96 cells, past the popcount kernel's 64: the row walk.
+		{Parents: []marginal.Var{v(0), v(2), v(3)}, Children: []marginal.Var{v(1)}},
 	}
 
 	for _, chunk := range []int{64, 999, 4000, 1 << 16} {
@@ -194,8 +195,7 @@ func TestProviderMatchesDirectCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ix := marginal.BuildParentIndex(ds, req.Parents, 1)
-			want := ix.CountChildren(ds, req.Children, 1)
+			want := marginal.BuildParentIndex(ds, req.Parents).CountChildren(ds, req.Children, 1)
 			for j := range got {
 				for i := range want[j].P {
 					if got[j].P[i] != want[j].P[i] {
@@ -226,6 +226,9 @@ func TestProviderReturnsCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	v0 := marginal.Var{Attr: 0}
+	if err := p.Prefetch(context.Background(), []marginal.CountRequest{{Children: []marginal.Var{v0}}}); err != nil {
+		t.Fatal(err)
+	}
 	a, err := p.CountTables(nil, []marginal.Var{v0})
 	if err != nil {
 		t.Fatal(err)
@@ -237,6 +240,9 @@ func TestProviderReturnsCopies(t *testing.T) {
 	}
 	if b[0].P[0] == -1e9 {
 		t.Fatal("caller mutation leaked into the provider cache")
+	}
+	if scans, _ := p.Stats(); scans != 2 { // row count + prefetch
+		t.Fatalf("%d scans, want both tables served from the prefetched store", scans)
 	}
 }
 
@@ -252,9 +258,31 @@ func TestProviderContextCancel(t *testing.T) {
 	if _, err := p.CountTables(nil, []marginal.Var{{Attr: 0}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	// The cancellation is sticky.
-	if err := p.Err(); !errors.Is(err, context.Canceled) {
+	// The cancellation is sticky: a later call fails without scanning.
+	if _, err := p.CountTables(nil, []marginal.Var{{Attr: 1}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("sticky error lost: %v", err)
+	}
+	if scans, _ := p.Stats(); scans != 1 {
+		t.Fatalf("%d scans after cancellation, want only the row count", scans)
+	}
+
+	// Prefetch stops on either context, with that context's error.
+	reqs := []marginal.CountRequest{{Children: []marginal.Var{{Attr: 0}}}}
+	live, err := NewProvider(context.Background(), dataset.DatasetSource(ds, 100), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Prefetch(ctx, reqs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("prefetch under a cancelled call context: want context.Canceled, got %v", err)
+	}
+	fitCtx, stop := context.WithCancel(context.Background())
+	ended, err := NewProvider(fitCtx, dataset.DatasetSource(ds, 100), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	if err := ended.Prefetch(context.Background(), reqs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("prefetch after the provider's context ended: want context.Canceled, got %v", err)
 	}
 }
 
@@ -281,17 +309,15 @@ func TestStoreSource(t *testing.T) {
 	if err := s.Accumulate(ds); err != nil {
 		t.Fatal(err)
 	}
-	ss := s.Source()
-	if ss.Rows() != 1000 {
-		t.Fatalf("rows %d", ss.Rows())
+	if s.Rows() != 1000 {
+		t.Fatalf("rows %d", s.Rows())
 	}
 	v := func(a int) marginal.Var { return marginal.Var{Attr: a} }
-	got, err := ss.CountTables([]marginal.Var{v(0)}, []marginal.Var{v(1), v(2)})
+	got, err := s.CountTables([]marginal.Var{v(0)}, []marginal.Var{v(1), v(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := marginal.BuildParentIndex(ds, []marginal.Var{v(0)}, 1)
-	want := ix.CountChildren(ds, []marginal.Var{v(1), v(2)}, 1)
+	want := marginal.BuildParentIndex(ds, []marginal.Var{v(0)}).CountChildren(ds, []marginal.Var{v(1), v(2)}, 1)
 	for j := range got {
 		for i := range want[j].P {
 			if got[j].P[i] != want[j].P[i] {
@@ -299,7 +325,7 @@ func TestStoreSource(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ss.CountTables([]marginal.Var{v(2)}, []marginal.Var{v(0)}); err == nil {
+	if _, err := s.CountTables([]marginal.Var{v(2)}, []marginal.Var{v(0)}); err == nil {
 		t.Fatal("unregistered table served")
 	}
 }

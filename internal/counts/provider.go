@@ -1,17 +1,17 @@
 package counts
 
 // Provider is the scan-backed count source behind privbayes.FitScanner:
-// it answers CountTables requests by chunked passes over a reopenable
-// row source, holding only one chunk plus the requested tables in
-// memory. The scoring engine prefetches each greedy iteration's whole
-// candidate batch, so the provider pays one full scan per iteration —
-// the out-of-core cost model — instead of one per parent set.
+// it answers CountTables requests from a Store filled by one chunked
+// pass over a reopenable row source, holding only one chunk plus the
+// requested tables in memory. The scoring engine prefetches each greedy
+// iteration's whole candidate batch, so the provider refills its store
+// with one full scan per iteration — the out-of-core cost model —
+// instead of one per parent set.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"privbayes/internal/dataset"
@@ -32,11 +32,11 @@ type Provider struct {
 	par int
 	n   int
 
-	mu     sync.Mutex
-	tables map[string]*marginal.Table // finished tables, keyed by [parents..., child]
-	err    error                      // sticky: a failed scan poisons the provider
-	scans  int64
-	rows   int64 // cumulative rows read across scans
+	mu    sync.Mutex
+	store *Store // the last prefetched batch; nil before the first
+	err   error  // sticky: a failed scan poisons the provider
+	scans int64
+	rows  int64 // cumulative rows read across scans
 }
 
 // NewProvider counts the source's rows with one validating scan and
@@ -45,24 +45,17 @@ type Provider struct {
 // affects the counts. The context governs every subsequent scan: when
 // it ends, in-flight and future requests fail with its error.
 func NewProvider(ctx context.Context, src *dataset.ChunkSource, parallelism int) (*Provider, error) {
-	p := &Provider{src: src, ctx: ctx, par: parallelism, tables: map[string]*marginal.Table{}}
-	n, err := p.scanRows(nil, nil)
-	if err != nil {
+	p := &Provider{src: src, ctx: ctx, par: parallelism}
+	st := NewStore(src.Attrs)
+	if err := p.scan(ctx, st); err != nil {
 		return nil, err
 	}
-	p.n = n
+	p.n = st.Rows()
 	return p, nil
 }
 
 // Rows implements marginal.CountSource.
 func (p *Provider) Rows() int { return p.n }
-
-// Err returns the sticky scan error, if any.
-func (p *Provider) Err() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
 
 // Stats reports the number of full source scans performed and the
 // cumulative rows read — the out-of-core cost counters surfaced by
@@ -73,194 +66,100 @@ func (p *Provider) Stats() (scans, rowsRead int64) {
 	return p.scans, p.rows
 }
 
-func tableKey(parents []marginal.Var, child marginal.Var) string {
-	return varsKey(append(append([]marginal.Var(nil), parents...), child))
+// current returns the last prefetched store and the sticky error.
+func (p *Provider) current() (*Store, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.store, p.err
 }
 
-// Prefetch implements marginal.BatchCountSource: one scan satisfies
-// every missing table of the batch, and the table cache is trimmed to
-// exactly the batch's tables — the provider's resident set is bounded
-// by one batch, one chunk, and the scan accumulators.
+// Prefetch implements marginal.BatchCountSource. When the current
+// store already holds every requested table it returns at once;
+// otherwise it registers the batch in a fresh store, fills it with one
+// scan and makes it current. The provider's resident set is bounded by
+// one batch, one chunk, and the scan accumulators.
 func (p *Provider) Prefetch(ctx context.Context, reqs []marginal.CountRequest) error {
-	p.mu.Lock()
-	if p.err != nil {
-		p.mu.Unlock()
-		return p.err
+	st, err := p.current()
+	if err != nil {
+		return err
 	}
-	keep := map[string]*marginal.Table{}
-	var missing []marginal.CountRequest
+	missing := false
 	for _, req := range reqs {
-		var absent []marginal.Var
-		for _, child := range req.Children {
-			key := tableKey(req.Parents, child)
-			if t, ok := keep[key]; ok && t != nil {
-				continue
-			}
-			if t, ok := p.tables[key]; ok {
-				keep[key] = t
-				continue
-			}
-			keep[key] = nil
-			absent = append(absent, child)
-		}
-		if len(absent) > 0 {
-			missing = append(missing, marginal.CountRequest{Parents: req.Parents, Children: absent})
-		}
+		missing = missing || st == nil || !st.Holds(req.Parents, req.Children...)
 	}
-	p.mu.Unlock()
-
-	if len(missing) > 0 {
-		built, err := p.scanTables(ctx, missing)
-		if err != nil {
-			return err
-		}
-		for key, t := range built {
-			keep[key] = t
-		}
+	if !missing {
+		return nil
 	}
-
+	if st, err = p.fill(ctx, reqs); err != nil {
+		return err
+	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.err == nil {
-		p.tables = keep
+		p.store = st
 	}
-	err := p.err
-	p.mu.Unlock()
-	return err
+	return p.err
 }
 
 // CountTables implements marginal.CountSource. Tables the last
-// Prefetch covered are served from memory; anything else costs a scan.
-// Returned tables are copies — callers may normalize or noise them.
+// Prefetch covered are served from memory; anything else costs a scan
+// of a one-request store. Returned tables are copies — callers may
+// normalize or noise them.
 func (p *Provider) CountTables(parents []marginal.Var, children []marginal.Var) ([]*marginal.Table, error) {
-	p.mu.Lock()
-	if p.err != nil {
-		p.mu.Unlock()
-		return nil, p.err
-	}
-	out := make([]*marginal.Table, len(children))
-	var absent []marginal.Var
-	for j, child := range children {
-		if t, ok := p.tables[tableKey(parents, child)]; ok {
-			out[j] = t.Clone()
-		} else {
-			absent = append(absent, child)
-		}
-	}
-	p.mu.Unlock()
-	if len(absent) == 0 {
-		return out, nil
-	}
-
-	built, err := p.scanTables(p.ctx, []marginal.CountRequest{{Parents: parents, Children: absent}})
+	st, err := p.current()
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	for key, t := range built {
-		p.tables[key] = t
-	}
-	for j, child := range children {
-		if out[j] == nil {
-			out[j] = p.tables[tableKey(parents, child)].Clone()
+	if st == nil || !st.Holds(parents, children...) {
+		if st, err = p.fill(p.ctx, []marginal.CountRequest{{Parents: parents, Children: children}}); err != nil {
+			return nil, err
 		}
 	}
-	p.mu.Unlock()
-	return out, nil
+	return st.CountTables(parents, children)
 }
 
-// scanTables performs one full scan accumulating every requested
-// table. Accumulation is integer addition in float64 cells, exact for
-// any chunking — the resulting tables are bit-identical to
-// ParentIndex.CountChildren over the materialized dataset.
-func (p *Provider) scanTables(ctx context.Context, reqs []marginal.CountRequest) (map[string]*marginal.Table, error) {
-	vds := dataset.NewVirtual(p.src.Attrs, p.n)
-	accs := make([][]*marginal.Table, len(reqs))
-	for i, req := range reqs {
-		if _, ok := marginal.ParentConfigs(vds, req.Parents); !ok {
-			// The in-memory engine falls back to per-candidate row scans
-			// here; out of core there are no rows to rescan. Unreachable
-			// under θ-usefulness caps.
-			return nil, p.fail(fmt.Errorf("counts: parent set %v overflows the code domain; not materializable out of core", req.Parents))
-		}
-		accs[i] = make([]*marginal.Table, len(req.Children))
-		for j, child := range req.Children {
-			accs[i][j] = marginal.NewTable(vds, append(append([]marginal.Var(nil), req.Parents...), child))
+// fill registers reqs in a fresh store and fills it with one full scan
+// of the source, which must see as many rows as the first scan did.
+func (p *Provider) fill(ctx context.Context, reqs []marginal.CountRequest) (*Store, error) {
+	st := NewStore(p.src.Attrs)
+	st.Parallelism = p.par
+	for _, req := range reqs {
+		if err := st.Register(req.Parents, req.Children); err != nil {
+			return nil, p.fail(err)
 		}
 	}
-
-	rows, err := p.scanRows(ctx, func(chunk *dataset.Dataset) {
-		for i, req := range reqs {
-			ix := marginal.BuildParentIndex(chunk, req.Parents, p.par)
-			ts := ix.CountChildren(chunk, req.Children, p.par)
-			for j, t := range ts {
-				dst := accs[i][j].P
-				for c, v := range t.P {
-					dst[c] += v
-				}
-			}
-		}
-	})
-	if err != nil {
+	if err := p.scan(ctx, st); err != nil {
 		return nil, err
 	}
-	if rows != p.n {
-		return nil, p.fail(fmt.Errorf("%w: scan saw %d rows, expected %d", ErrSourceChanged, rows, p.n))
+	if st.Rows() != p.n {
+		return nil, p.fail(fmt.Errorf("%w: scan saw %d rows, expected %d", ErrSourceChanged, st.Rows(), p.n))
 	}
-
-	out := make(map[string]*marginal.Table, len(reqs))
-	for i, req := range reqs {
-		for j, child := range req.Children {
-			out[tableKey(req.Parents, child)] = accs[i][j]
-		}
-	}
-	return out, nil
+	return st, nil
 }
 
-// scanRows opens the source and walks every chunk through visit (nil
-// visits just count), honoring both the provider's fit context and the
-// per-call context. Errors are sticky.
-func (p *Provider) scanRows(ctx context.Context, visit func(*dataset.Dataset)) (int, error) {
-	sc, err := p.src.Open()
-	if err != nil {
-		return 0, p.fail(fmt.Errorf("counts: open source: %w", err))
+// scan accumulates one full pass over the source into st and counts it
+// in Stats. It stops when either ctx or the provider's context ends,
+// with that context's error. Errors are sticky.
+func (p *Provider) scan(ctx context.Context, st *Store) error {
+	if ctx != p.ctx {
+		var cancel context.CancelCauseFunc
+		ctx, cancel = context.WithCancelCause(ctx)
+		defer cancel(nil)
+		stop := context.AfterFunc(p.ctx, func() { cancel(context.Cause(p.ctx)) })
+		defer stop()
+		// AfterFunc runs late on an already-ended context; a scan must
+		// not start then.
+		if p.ctx.Err() != nil {
+			cancel(context.Cause(p.ctx))
+		}
 	}
-	defer sc.Close()
-	rows := 0
-	for {
-		if err := p.ctxErr(ctx); err != nil {
-			return rows, p.fail(err)
-		}
-		chunk, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return rows, p.fail(err)
-		}
-		if chunk.N() == 0 {
-			continue
-		}
-		rows += chunk.N()
-		if visit != nil {
-			visit(chunk)
-		}
+	if err := st.Scan(ctx, p.src); err != nil {
+		return p.fail(err)
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.scans++
-	p.rows += int64(rows)
-	p.mu.Unlock()
-	return rows, nil
-}
-
-func (p *Provider) ctxErr(ctx context.Context) error {
-	if p.ctx != nil {
-		if err := p.ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if ctx != nil {
-		return ctx.Err()
-	}
+	p.rows += int64(st.Rows())
 	return nil
 }
 

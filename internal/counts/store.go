@@ -1,17 +1,20 @@
-// Package counts implements the mergeable sufficient-statistic layer of
-// the out-of-core fit path: additive integer joint count tables keyed by
-// the marginal.ParentIndex code encoding. All of PrivBayes' data access
-// reduces to [parents..., child] count tables, and integer counts are
-// exact under any chunking, sharding or accumulation order — so a Store
-// accumulated chunk by chunk (or merged across shards) yields tables
-// bit-identical to a single pass over the full dataset, and any fit
-// driven from them is byte-identical to the in-memory fit.
+// Package counts implements the count sources that read rows chunk by
+// chunk. All of PrivBayes' data access reduces to [parents..., child]
+// joint count tables, and integer counts are exact under any chunking,
+// sharding or accumulation order. A Store holds such tables: it
+// accumulates chunks, merges across shards, and serves fits as a
+// marginal.CountSource, with tables bit-identical to a single pass
+// over the full dataset, so any fit driven from them is byte-identical
+// to the in-memory fit. A Provider refills a Store once per greedy
+// batch from a reopenable row source.
 package counts
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 
 	"privbayes/internal/dataset"
@@ -27,39 +30,15 @@ const MaxTableCells = 1 << 28
 // MaxTableCells cells (or overflow the ParentIndex code domain).
 var ErrTableTooLarge = errors.New("counts: table exceeds the cell budget")
 
-// Table is one additive integer count table laid out [parents...,
-// child], row-major with the child varying fastest — cell index
-// parentCode·|dom(child)| + childCode, exactly the marginal.ParentIndex
-// encoding.
-type Table struct {
-	Vars   []marginal.Var
-	Dims   []int
-	Counts []int64
-}
-
-// Marginal converts the integer table into a float64 count table of
-// the shape ParentIndex.CountChildren produces.
-func (t *Table) Marginal() *marginal.Table {
-	p := make([]float64, len(t.Counts))
-	for i, c := range t.Counts {
-		p[i] = float64(c)
-	}
-	return &marginal.Table{
-		Vars: append([]marginal.Var(nil), t.Vars...),
-		Dims: append([]int(nil), t.Dims...),
-		P:    p,
-	}
-}
-
 // group is the per-parent-set unit of accumulation: all registered
-// children of one ordered parent set share one ParentIndex scan.
+// children of one ordered parent set are counted together.
 type group struct {
 	parents  []marginal.Var
 	children []marginal.Var
-	tables   []*Table
+	tables   []*marginal.Table
 }
 
-func (g *group) childTable(child marginal.Var) *Table {
+func (g *group) childTable(child marginal.Var) *marginal.Table {
 	for j, c := range g.children {
 		if c == child {
 			return g.tables[j]
@@ -68,15 +47,17 @@ func (g *group) childTable(child marginal.Var) *Table {
 	return nil
 }
 
-// Store is a mergeable set of integer count tables over one schema.
-// Tables are declared with Register and maintained by Accumulate;
-// stores over disjoint row shards combine exactly with Merge. All
-// methods are safe for concurrent use.
+// Store is a mergeable set of exact count tables over one schema, each
+// a marginal.Table laid out [parents..., child] with integer-valued
+// cells (exact up to 2⁵³ rows). Tables are declared with Register and
+// filled by Accumulate or Scan; stores over disjoint row shards combine
+// exactly with Merge. A Store is a marginal.CountSource over the rows
+// it has accumulated. All methods are safe for concurrent use.
 type Store struct {
 	mu     sync.Mutex
 	attrs  []dataset.Attribute
 	vds    *dataset.Dataset // virtual: schema-only, for Var.Size lookups
-	rows   int64
+	rows   int
 	groups []*group
 	byKey  map[string]*group
 
@@ -95,9 +76,6 @@ func NewStore(attrs []dataset.Attribute) *Store {
 	}
 }
 
-// Attrs returns the store's schema. The caller must not mutate it.
-func (s *Store) Attrs() []dataset.Attribute { return s.attrs }
-
 // varsKey builds an exact map key for an ordered variable list.
 func varsKey(vars []marginal.Var) string {
 	b := make([]byte, 0, len(vars)*8)
@@ -110,9 +88,9 @@ func varsKey(vars []marginal.Var) string {
 
 // Register declares the [parents..., child] tables for every child,
 // allocating zeroed counts. Registering an existing table is a no-op;
-// new children join the parent set's existing scan group. Tables
-// registered after rows were accumulated count only subsequent rows —
-// curators seed them with a cold scan first.
+// new children join the parent set's existing group. Tables registered
+// after rows were accumulated count only subsequent rows — curators
+// seed them with a cold scan first.
 func (s *Store) Register(parents []marginal.Var, children []marginal.Var) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -136,19 +114,27 @@ func (s *Store) Register(parents []marginal.Var, children []marginal.Var) error 
 		if g.childTable(child) != nil {
 			continue
 		}
-		xdim := child.Size(s.vds)
-		if int64(piDim)*int64(xdim) > MaxTableCells {
-			return fmt.Errorf("%w: %v with child %v has %d cells", ErrTableTooLarge, parents, child, int64(piDim)*int64(xdim))
-		}
-		vars := append(append([]marginal.Var(nil), parents...), child)
-		dims := make([]int, len(vars))
-		for i, v := range vars {
-			dims[i] = v.Size(s.vds)
+		if cells := int64(piDim) * int64(child.Size(s.vds)); cells > MaxTableCells {
+			return fmt.Errorf("%w: %v with child %v has %d cells", ErrTableTooLarge, parents, child, cells)
 		}
 		g.children = append(g.children, child)
-		g.tables = append(g.tables, &Table{Vars: vars, Dims: dims, Counts: make([]int64, piDim*xdim)})
+		g.tables = append(g.tables, marginal.NewTable(s.vds, append(append([]marginal.Var(nil), parents...), child)))
 	}
 	return nil
+}
+
+// Holds reports whether the [parents..., child] table of every child
+// is registered.
+func (s *Store) Holds(parents []marginal.Var, children ...marginal.Var) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	g := s.byKey[varsKey(parents)]
+	for _, child := range children {
+		if g == nil || g.childTable(child) == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // checkSchema verifies a chunk (or peer store) schema matches.
@@ -168,10 +154,9 @@ func (s *Store) checkSchema(attrs []dataset.Attribute) error {
 // Accumulate adds every row of the chunk into all registered tables
 // and advances the row count. Chunks may arrive in any order and size;
 // the resulting counts equal a single pass over the concatenation.
-// Counting rides the shared-scan engine: per parent set, joints of at
-// most 64 cells over bit-packed columns count by bitmask+popcount
-// without ever building per-row codes, and the rest share one fused
-// row walk.
+// Each parent set's children are counted against the chunk together by
+// ParentIndex.CountChildren: by bitmask and popcount when the joints
+// are small and bit-packed, else by one fused walk of the chunk's rows.
 func (s *Store) Accumulate(chunk *dataset.Dataset) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -179,17 +164,39 @@ func (s *Store) Accumulate(chunk *dataset.Dataset) error {
 		return err
 	}
 	for _, g := range s.groups {
-		ix := marginal.BuildParentIndex(chunk, g.parents, s.Parallelism)
-		ts := ix.CountChildren(chunk, g.children, s.Parallelism)
+		ts := marginal.BuildParentIndex(chunk, g.parents).CountChildren(chunk, g.children, s.Parallelism)
 		for j, t := range ts {
-			dst := g.tables[j].Counts
-			for i, v := range t.P {
-				dst[i] += int64(v)
-			}
+			addCells(g.tables[j], t)
 		}
 	}
-	s.rows += int64(chunk.N())
+	s.rows += chunk.N()
 	return nil
+}
+
+// Scan accumulates one full pass over src, checking ctx before each
+// chunk; when ctx ends it returns context.Cause(ctx). A failed scan
+// leaves a partial pass in the store, which should then be discarded.
+func (s *Store) Scan(ctx context.Context, src *dataset.ChunkSource) error {
+	sc, err := src.Open()
+	if err != nil {
+		return fmt.Errorf("counts: open source: %w", err)
+	}
+	defer sc.Close()
+	for {
+		if ctx.Err() != nil {
+			return context.Cause(ctx)
+		}
+		chunk, err := sc.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := s.Accumulate(chunk); err != nil {
+			return err
+		}
+	}
 }
 
 // Merge adds another store's counts into this one. Both stores must be
@@ -210,7 +217,7 @@ func (s *Store) Merge(other *Store) error {
 	if len(other.groups) != len(s.groups) {
 		return fmt.Errorf("counts: merge of stores with %d vs %d parent sets", len(other.groups), len(s.groups))
 	}
-	type pair struct{ dst, src *Table }
+	type pair struct{ dst, src *marginal.Table }
 	var pairs []pair
 	for key, g := range s.byKey {
 		og := other.byKey[key]
@@ -231,16 +238,22 @@ func (s *Store) Merge(other *Store) error {
 	// All tables matched; apply only after full validation so a failed
 	// merge never leaves partial sums.
 	for _, p := range pairs {
-		for i, v := range p.src.Counts {
-			p.dst.Counts[i] += v
-		}
+		addCells(p.dst, p.src)
 	}
 	s.rows += other.rows
 	return nil
 }
 
-// Rows returns the number of accumulated rows.
-func (s *Store) Rows() int64 {
+// addCells adds src's counts into dst, a table of the same shape.
+// Integer-valued float64 cells add exactly.
+func addCells(dst, src *marginal.Table) {
+	for i, v := range src.P {
+		dst.P[i] += v
+	}
+}
+
+// Rows implements marginal.CountSource: the number of accumulated rows.
+func (s *Store) Rows() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rows
@@ -254,52 +267,30 @@ func (s *Store) Cells() (cells, tables int) {
 	defer s.mu.Unlock()
 	for _, g := range s.groups {
 		for _, t := range g.tables {
-			cells += len(t.Counts)
+			cells += len(t.P)
 			tables++
 		}
 	}
 	return cells, tables
 }
 
-// CountTable returns a copy of the registered table for (parents...,
-// child) as a float64 count table, or nil when not registered.
-func (s *Store) CountTable(parents []marginal.Var, child marginal.Var) *marginal.Table {
+// CountTables implements marginal.CountSource, serving copies of the
+// registered tables. It never reads rows: every requested table must
+// already be registered and accumulated.
+func (s *Store) CountTables(parents []marginal.Var, children []marginal.Var) ([]*marginal.Table, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	g := s.byKey[varsKey(parents)]
-	if g == nil {
-		return nil
-	}
-	t := g.childTable(child)
-	if t == nil {
-		return nil
-	}
-	return t.Marginal()
-}
-
-// StoreSource adapts a Store into the fit pipeline's count-source
-// seam. Every table the fit will request must already be registered
-// and fully accumulated: it serves purely from memory and never scans.
-type StoreSource struct {
-	s *Store
-}
-
-// Source returns a count source serving this store's tables.
-func (s *Store) Source() *StoreSource { return &StoreSource{s: s} }
-
-// Rows implements marginal.CountSource.
-func (ss *StoreSource) Rows() int { return int(ss.s.Rows()) }
-
-// CountTables implements marginal.CountSource, serving copies of the
-// registered tables.
-func (ss *StoreSource) CountTables(parents []marginal.Var, children []marginal.Var) ([]*marginal.Table, error) {
 	out := make([]*marginal.Table, len(children))
 	for j, child := range children {
-		t := ss.s.CountTable(parents, child)
+		var t *marginal.Table
+		if g != nil {
+			t = g.childTable(child)
+		}
 		if t == nil {
 			return nil, fmt.Errorf("counts: table (%v | %v) not registered in store", child, parents)
 		}
-		out[j] = t
+		out[j] = t.Clone()
 	}
 	return out, nil
 }

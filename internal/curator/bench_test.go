@@ -196,7 +196,7 @@ func BenchmarkRefitIncremental(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, err := core.RefitCountsContext(context.Background(), ds.Attrs(), st.Source(),
+			_, err := core.RefitCountsContext(context.Background(), ds.Attrs(), st,
 				m0.Network, m0.K, core.Options{
 					Epsilon:     1,
 					Mode:        core.ModeBinary,

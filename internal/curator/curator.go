@@ -14,7 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -305,23 +304,10 @@ func (c *Curator) buildStore(d *curated, net core.Network, maxRows int64) (*coun
 	if maxRows == 0 {
 		return st, nil
 	}
-	sc, err := rowLogSource(c.fs, d.path, d.attrs, c.cfg.ChunkRows, maxRows).Open()
-	if err != nil {
+	if err := st.Scan(context.Background(), rowLogSource(c.fs, d.path, d.attrs, c.cfg.ChunkRows, maxRows)); err != nil {
 		return nil, err
 	}
-	defer sc.Close()
-	for {
-		chunk, err := sc.Next()
-		if err == io.EOF {
-			return st, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := st.Accumulate(chunk); err != nil {
-			return nil, err
-		}
-	}
+	return st, nil
 }
 
 func registeredStore(attrs []dataset.Attribute, net core.Network) (*counts.Store, error) {
@@ -622,7 +608,7 @@ func (c *Curator) refit(d *curated) (outcome, kind string, err error) {
 	rowsAt := d.rows
 	prevFit := d.fit
 	var snap *counts.Store
-	if prevFit != nil && d.store != nil && d.store.Rows() == rowsAt {
+	if prevFit != nil && d.store != nil && int64(d.store.Rows()) == rowsAt {
 		if s, cerr := registeredStore(d.attrs, prevFit.Network); cerr == nil && s.Merge(d.store) == nil {
 			snap = s
 		}
@@ -690,7 +676,7 @@ func (c *Curator) refit(d *curated) (outcome, kind string, err error) {
 		if prevFit.K >= 0 {
 			mode = core.ModeBinary
 		}
-		m, err = core.RefitCountsContext(ctx, d.attrs, snap.Source(), prevFit.Network, prevFit.K, core.Options{
+		m, err = core.RefitCountsContext(ctx, d.attrs, snap, prevFit.Network, prevFit.K, core.Options{
 			Epsilon:     eps,
 			Mode:        mode,
 			Score:       score.Function(prevFit.Score),
@@ -763,7 +749,7 @@ func (c *Curator) recordFit(d *curated, m *privbayes.Model, modelID string, eps 
 	}
 	needSeed := false
 	var seedRows int64
-	if d.store == nil || !sameNetwork(d.store, fm.Network, d.attrs) {
+	if d.store == nil || !sameNetwork(d.store, fm.Network) {
 		st, serr := registeredStore(d.attrs, fm.Network)
 		if serr != nil {
 			d.store = nil
@@ -793,9 +779,9 @@ func (c *Curator) recordFit(d *curated, m *privbayes.Model, modelID string, eps 
 
 // sameNetwork reports whether the store's registered tables serve the
 // network (it was built by registeredStore for an equal network).
-func sameNetwork(st *counts.Store, net core.Network, attrs []dataset.Attribute) bool {
+func sameNetwork(st *counts.Store, net core.Network) bool {
 	for _, pair := range net.Pairs {
-		if st.CountTable(pair.Parents, pair.X) == nil {
+		if !st.Holds(pair.Parents, pair.X) {
 			return false
 		}
 	}

@@ -258,7 +258,7 @@ func TestRefitColdThenIncremental(t *testing.T) {
 	if err := refSt.Accumulate(ds); err != nil {
 		t.Fatal(err)
 	}
-	wantInc, err := core.RefitCountsContext(context.Background(), ds.Attrs(), refSt.Source(),
+	wantInc, err := core.RefitCountsContext(context.Background(), ds.Attrs(), refSt,
 		coldM.Network, coldM.K, core.Options{Epsilon: 0.9, Mode: core.ModeBinary,
 			Score: score.Function(coldM.Score), Parallelism: 2, Rand: rand.New(rand.NewSource(21))})
 	if err != nil {

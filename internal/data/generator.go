@@ -4,8 +4,7 @@
 // builds seeded synthetic equivalents with the same shape as Table 5 —
 // matching cardinality, dimensionality and per-attribute domain sizes —
 // sampled from fixed ground-truth Bayesian networks of degree 2 so the
-// attributes carry genuine low-dimensional correlation structure. See
-// DESIGN.md, "Substitutions".
+// attributes carry genuine low-dimensional correlation structure.
 package data
 
 import (

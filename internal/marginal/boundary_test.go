@@ -41,12 +41,9 @@ func TestParentConfigsExactlyAtCap(t *testing.T) {
 	}
 
 	// BuildParentIndex must accept the same set without panicking.
-	ix := BuildParentIndex(ds, parents, 1)
+	ix := BuildParentIndex(ds, parents)
 	if int64(ix.PiDim) != int64(MaxParentConfigs) {
 		t.Fatalf("PiDim = %d, want %d", ix.PiDim, int64(MaxParentConfigs))
-	}
-	if ix.RowCodes() != nil {
-		t.Fatalf("0-row index should have nil row codes")
 	}
 }
 
@@ -67,7 +64,7 @@ func TestParentConfigsOnePastCap(t *testing.T) {
 			t.Fatalf("BuildParentIndex accepted a parent set one past the cap")
 		}
 	}()
-	BuildParentIndex(ds, parents, 1)
+	BuildParentIndex(ds, parents)
 }
 
 // TestParentConfigsOverflowWrap pins the overflow-safety of the check

@@ -58,7 +58,7 @@ func benchCountChildren(b *testing.B, k, d int, rowMajor bool) {
 		// A fresh index per iteration, as a fresh parent set in the
 		// greedy search would be: the row-major path pays its code
 		// build, the columnar path its mask builds.
-		ix := BuildParentIndex(ds, parents, 1)
+		ix := BuildParentIndex(ds, parents)
 		ix.CountChildren(ds, children, 1)
 	}
 }

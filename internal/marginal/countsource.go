@@ -12,8 +12,8 @@ import (
 // data: everything PrivBayes learns reduces to the schema, the row
 // count, and [parents..., child] count tables, so the columnar dataset
 // in memory (MemorySource), chunked scans (counts.Provider) and an
-// incrementally maintained store (counts.StoreSource) all drive the
-// exact same greedy search and conditional materialization.
+// incrementally maintained store (counts.Store) all drive the exact
+// same greedy search and conditional materialization.
 //
 // CountTables must return, for each child, the table
 // ParentIndex.CountChildren would produce over the full dataset: laid
@@ -50,10 +50,10 @@ type BatchCountSource interface {
 }
 
 // MemorySource is the CountSource over a columnar dataset held in
-// memory. Each parent set gets one ParentIndex, kept in an IndexCache,
-// and all children of a request are counted against it in one call:
-// by bitmask intersection and popcount when the columns are bit-packed
-// and low-arity, else by the fused row walk.
+// memory. All children of a request are counted against the parent
+// set's ParentIndex in one call: by bitmask intersection and popcount
+// when the columns are bit-packed and low-arity, else by the fused row
+// walk. It keeps no per-row state between requests.
 type MemorySource struct {
 	ds  *dataset.Dataset
 	par int
@@ -77,7 +77,7 @@ func (s *MemorySource) CountTables(parents []Var, children []Var) ([]*Table, err
 	if _, ok := ParentConfigs(s.ds, parents); !ok {
 		return nil, fmt.Errorf("marginal: parent set %v overflows the code domain", parents)
 	}
-	return s.idx.Get(s.ds, parents, s.par).CountChildren(s.ds, children, s.par), nil
+	return s.idx.Get(s.ds, parents).CountChildren(s.ds, children, s.par), nil
 }
 
 // Indexes returns the source's parent-index cache; its Stats count how

@@ -67,10 +67,10 @@ func FuzzColumnarCounts(f *testing.F) {
 		}
 
 		parents, child := vars[:k-1], vars[k-1]
-		fastJ := BuildParentIndex(ds, parents, 1).CountChildren(ds, []Var{child}, 1)[0]
+		fastJ := BuildParentIndex(ds, parents).CountChildren(ds, []Var{child}, 1)[0]
 		var refJ *Table
 		withRowMajor(func() {
-			refJ = BuildParentIndex(ds, parents, 1).CountChildren(ds, []Var{child}, 1)[0]
+			refJ = BuildParentIndex(ds, parents).CountChildren(ds, []Var{child}, 1)[0]
 		})
 		for i := range refJ.P {
 			if fastJ.P[i] != refJ.P[i] {

@@ -1,5 +1,7 @@
 package marginal
 
+import "slices"
+
 // VarLRU is a bounded least-recently-used map from canonical variable
 // lists to values: entries are keyed by the compact uint64 hash of the
 // list (VarsKey) and verified against the stored vars on every lookup,
@@ -31,7 +33,7 @@ func NewVarLRU[V any](capacity int) *VarLRU[V] {
 // recently used.
 func (l *VarLRU[V]) Get(key uint64, vars []Var) (V, bool) {
 	for _, e := range l.m[key] {
-		if varsEqual(e.vars, vars) {
+		if slices.Equal(e.vars, vars) {
 			l.touch(e)
 			return e.val, true
 		}
@@ -46,7 +48,7 @@ func (l *VarLRU[V]) Get(key uint64, vars []Var) (V, bool) {
 // list the cache may retain. Insertion evicts beyond capacity.
 func (l *VarLRU[V]) PutIfAbsent(key uint64, vars []Var, v V) V {
 	for _, e := range l.m[key] {
-		if varsEqual(e.vars, vars) {
+		if slices.Equal(e.vars, vars) {
 			l.touch(e)
 			return e.val
 		}
@@ -118,14 +120,18 @@ func (l *VarLRU[V]) evict() {
 	l.size--
 }
 
-func varsEqual(a, b []Var) bool {
-	if len(a) != len(b) {
-		return false
+// VarsKey hashes an ordered variable list into the compact uint64 keys
+// the scoring memo and index cache use (FNV-1a over attr/level words).
+// Callers must verify equality on the stored vars — the cache structures
+// here do — since 64-bit hashes can in principle collide.
+func VarsKey(vars []Var) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for _, v := range vars {
+		h ^= uint64(uint32(v.Attr))
+		h *= prime
+		h ^= uint64(uint32(v.Level))
+		h *= prime
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return h
 }

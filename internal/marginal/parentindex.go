@@ -7,9 +7,8 @@ package marginal
 // joint with its own O(n·(k+1)) row scan would repeat almost all of the
 // work. A ParentIndex counts every child of one parent set together:
 // by the popcount kernel when the joints are small and bit-packed, else
-// by paying the O(n·k) parent-configuration scan once, after which
-// every child's joint costs a single fused O(n) pass. MemorySource
-// keeps the indexes in an IndexCache keyed by the parent set.
+// by one fused row walk that forms each row chunk's parent codes once
+// and counts every child against them before it moves on.
 
 import (
 	"fmt"
@@ -26,17 +25,13 @@ import (
 // per-candidate materialization.
 const MaxParentConfigs = math.MaxUint32
 
-// ParentIndex encodes each dataset row's parent-set configuration as a
-// flat code: RowCodes()[r] is the row-major index of row r's
-// (generalized) parent values, exactly the cell offset a [parents...]
-// count table would use. One index drives joint counting for any number
-// of child attributes via CountChildren, replacing per-candidate
-// O(n·(k+1)) scans with a single fused O(n) pass per child — and when
-// the parent set and child are raw-level bit-packed columns whose joint
-// has at most 64 cells, CountChildren skips the row codes entirely and
-// counts by bitmask intersection + popcount (see popcount.go), so the
-// O(n·k) code build is lazy: it is only ever paid by parent sets that
-// need the row path.
+// ParentIndex describes one ordered parent set — its variables, their
+// domain sizes and its number of configurations — and counts any
+// number of child attributes against it with CountChildren. It holds
+// no per-row state: a parent configuration's code is the row-major
+// index of the row's (generalized) parent values, exactly the cell
+// offset a [parents...] count table would use, and the row walk forms
+// those codes one chunk at a time in per-worker scratch.
 type ParentIndex struct {
 	// Vars are the parent variables in materialization order. The order
 	// is part of the index identity: joint tables are laid out
@@ -47,81 +42,21 @@ type ParentIndex struct {
 	Dims []int
 	// PiDim is the number of parent configurations (product of Dims).
 	PiDim int
-
-	ds  *dataset.Dataset
-	par int // parallelism for the lazy code build
-	n   int
-
-	codesOnce sync.Once
-	codes     []uint32
 }
 
-// BuildParentIndex validates the parent-configuration space and returns
-// the index. The O(n·k) row-code scan — taxonomy generalization applied
-// through the usual lookup tables — is deferred to the first RowCodes
-// call, so popcount-eligible parent sets never pay it. Panics if the
-// configuration space exceeds MaxParentConfigs; callers guard with
-// ParentConfigs first.
-func BuildParentIndex(ds *dataset.Dataset, parents []Var, parallelism int) *ParentIndex {
-	ix := &ParentIndex{
-		Vars: append([]Var(nil), parents...),
-		Dims: make([]int, len(parents)),
-		ds:   ds,
-		par:  parallelism,
-		n:    ds.N(),
+// BuildParentIndex returns the index of an ordered parent set. Panics
+// if the configuration space exceeds MaxParentConfigs; callers guard
+// with ParentConfigs first.
+func BuildParentIndex(ds *dataset.Dataset, parents []Var) *ParentIndex {
+	size, ok := ParentConfigs(ds, parents)
+	if !ok {
+		panic(fmt.Sprintf("marginal: parent set %v has more than %d configurations", parents, MaxParentConfigs))
 	}
-	size := 1
+	ix := &ParentIndex{Vars: append([]Var(nil), parents...), Dims: make([]int, len(parents)), PiDim: size}
 	for i, v := range parents {
 		ix.Dims[i] = v.Size(ds)
-		size *= ix.Dims[i]
-		if size <= 0 || int64(size) > MaxParentConfigs {
-			panic(fmt.Sprintf("marginal: parent set %v has more than %d configurations", parents, MaxParentConfigs))
-		}
 	}
-	ix.PiDim = size
 	return ix
-}
-
-// RowCodes returns the per-row parent-configuration codes, building
-// them on first use. It is nil when the parent set is empty (every row
-// is configuration 0) or the dataset has no rows. Row codes are written
-// by row position, so the result is identical at every parallelism
-// (<= 0 selects GOMAXPROCS).
-func (ix *ParentIndex) RowCodes() []uint32 {
-	if len(ix.Vars) == 0 || ix.n == 0 {
-		return nil
-	}
-	ix.codesOnce.Do(ix.buildCodes)
-	return ix.codes
-}
-
-func (ix *ParentIndex) buildCodes() {
-	t := &Table{Vars: ix.Vars, Dims: ix.Dims}
-	c := newCounter(t, ix.ds)
-	ix.codes = make([]uint32, ix.n)
-	workers := parallel.Workers(ix.par)
-	parallel.ForChunks(workers, ix.n, materializeChunk, func(_, lo, hi int) {
-		// Parent-outer accumulation: codes[r] = Σ stride_i·code_i(r).
-		// Each pass is a tight two-array loop (hoisted column, stride and
-		// lookup), and the chunk keeps the codes slice L1-resident.
-		codes := ix.codes[lo:hi]
-		buf := getU16(hi - lo)
-		for i := range c.strides {
-			col := c.cols[i].DecodeRange(lo, hi, buf)
-			stride := uint32(c.strides[i])
-			if g := c.gen[i]; g != nil {
-				for r, v := range col {
-					codes[r] += uint32(g[v]) * stride
-				}
-			} else {
-				for r, v := range col {
-					codes[r] += uint32(v) * stride
-				}
-			}
-		}
-		putU16(buf)
-	})
-	c.release()
 }
 
 // ParentConfigs returns the size of the flat configuration space for a
@@ -137,178 +72,140 @@ func ParentConfigs(ds *dataset.Dataset, parents []Var) (int, bool) {
 	return int(size), true
 }
 
-// N returns the number of indexed rows.
-func (ix *ParentIndex) N() int { return ix.n }
-
 // CountChildren materializes the exact joint count tables over
-// [ix.Vars..., child] for every child. Popcount-eligible children —
-// raw-level bit-packed parents and child, a joint of at most 64 cells —
-// are counted by bitmask intersection + popcount without ever building
-// row codes; the rest share a single fused pass over the rows, each row
-// contributing one increment per child at offset
-// RowCodes()[r]·|dom(child)| + code(child). Both paths produce integer
-// counts, so per-worker partials merge exactly and the result is
-// bit-identical to MaterializeCounts for each child, at every
-// parallelism.
+// [ix.Vars..., child] for every child of ds. Popcount-eligible children
+// — raw-level bit-packed parents and child, a joint of at most 64 cells
+// — are counted by bitmask intersection + popcount; the rest share one
+// fused row walk. Both produce integer counts, so per-worker partials
+// merge exactly and the result is bit-identical to MaterializeCounts
+// for each child, at every parallelism.
 func (ix *ParentIndex) CountChildren(ds *dataset.Dataset, children []Var, parallelism int) []*Table {
-	m := len(children)
-	out := make([]*Table, m)
-	vars := make([][]Var, m)
+	out := make([]*Table, len(children))
 	for j, ch := range children {
-		vars[j] = append(append([]Var(nil), ix.Vars...), ch)
-		out[j] = NewTable(ds, vars[j])
+		out[j] = NewTable(ds, append(append([]Var(nil), ix.Vars...), ch))
 	}
-	if m == 0 {
+	if ds.N() == 0 {
 		return out
 	}
-	xdim := make([]int, m)
+	pk, pop := newPopKernel(ds, ix.Vars)
+	var popVars, rowVars []Var
+	var popDsts, rowDsts [][]float64
 	for j, ch := range children {
-		xdim[j] = ch.Size(ds)
-	}
-	if ix.n == 0 {
-		return out
-	}
-
-	// Popcount fast path for eligible children; the rest fall through
-	// to the fused row walk.
-	rest := make([]int, 0, m)
-	if pk, ok := newPopKernel(ds, ix.Vars); ok {
-		popChildren := make([]Var, 0, m)
-		popDsts := make([][]float64, 0, m)
-		for j, ch := range children {
-			if pk.childOK(ch) {
-				popChildren = append(popChildren, ch)
-				popDsts = append(popDsts, out[j].P)
-			} else {
-				rest = append(rest, j)
-			}
-		}
-		pk.countChildren(popChildren, popDsts)
-	} else {
-		for j := range children {
-			rest = append(rest, j)
+		if pop && pk.childOK(ch) {
+			popVars, popDsts = append(popVars, ch), append(popDsts, out[j].P)
+		} else {
+			rowVars, rowDsts = append(rowVars, ch), append(rowDsts, out[j].P)
 		}
 	}
-
-	if len(rest) > 0 {
-		ix.countChildrenRows(ds, children, rest, xdim, out, parallelism)
+	if len(popVars) > 0 {
+		pk.countChildren(popVars, popDsts)
+	}
+	if len(rowVars) > 0 {
+		ix.countChildrenRows(ds, rowVars, rowDsts, parallelism)
 	}
 	return out
 }
 
-// countChildrenRows runs the fused row walk for the children out[j],
-// j ∈ rest, that the popcount kernel did not take.
-func (ix *ParentIndex) countChildrenRows(ds *dataset.Dataset, children []Var, rest []int, xdim []int, out []*Table, parallelism int) {
-	// Per-child column, generalization lookup and domain size for the
-	// fused inner loop.
-	mr := len(rest)
-	cols := make([]*dataset.Column, mr)
-	gens := make([][]int, mr)
-	rxd := make([]int, mr)
-	outP := make([][]float64, mr)
-	for i, j := range rest {
-		ch := children[j]
-		cols[i] = ds.Col(ch.Attr)
-		rxd[i] = xdim[j]
-		outP[i] = out[j].P
-		if ch.Level > 0 {
-			a := ds.Attr(ch.Attr)
-			g := getInts(a.Size())
-			for code := range g {
-				g[code] = a.Generalize(ch.Level, code)
+// countChildrenRows is the fused row walk: it adds into dsts[j] the
+// joint counts of the parents and children[j]. Each worker takes
+// materializeChunk-row chunks; for each it forms the chunk's parent
+// codes in its own buffer, then counts every child of the chunk while
+// those codes stay L1-resident, one increment per (row, child) at
+// code·|dom(child)| + code(child). Workers count into private tables
+// that merge by exact integer addition, so the counts are the same at
+// every parallelism.
+func (ix *ParentIndex) countChildrenRows(ds *dataset.Dataset, children []Var, dsts [][]float64, parallelism int) {
+	pcols, pgens := lookups(ds, ix.Vars)
+	ccols, cgens := lookups(ds, children)
+	strides := rowStrides(ix.Dims)
+	xdim := make([]int, len(children))
+	for j, ch := range children {
+		xdim[j] = ch.Size(ds)
+	}
+	n := ds.N()
+	workers := min(parallel.Workers(parallelism), parallel.Chunks(n, materializeChunk))
+	type scratch struct {
+		codes []uint32
+		buf   []uint16
+		dsts  [][]float64
+	}
+	per := make([]*scratch, workers)
+	parallel.ForChunks(workers, n, materializeChunk, func(worker, lo, hi int) {
+		s := per[worker]
+		if s == nil {
+			s = &scratch{codes: u32s.get(materializeChunk), buf: u16s.get(materializeChunk), dsts: dsts}
+			if workers > 1 {
+				s.dsts = make([][]float64, len(dsts))
+				for j := range s.dsts {
+					s.dsts[j] = floats.get(len(dsts[j]))
+					clear(s.dsts[j])
+				}
 			}
-			gens[i] = g
+			per[worker] = s
+		}
+		codes := s.codes[:hi-lo]
+		clear(codes)
+		for i, col := range pcols {
+			vals := col.DecodeRange(lo, hi, s.buf)
+			stride := uint32(strides[i])
+			if g := pgens[i]; g != nil {
+				for r, v := range vals {
+					codes[r] += uint32(g[v]) * stride
+				}
+			} else {
+				for r, v := range vals {
+					codes[r] += uint32(v) * stride
+				}
+			}
+		}
+		for j, col := range ccols {
+			vals := col.DecodeRange(lo, hi, s.buf)
+			d, xd, g := s.dsts[j], xdim[j], cgens[j]
+			switch {
+			case len(pcols) == 0 && g == nil:
+				for _, v := range vals {
+					d[v]++
+				}
+			case len(pcols) == 0:
+				for _, v := range vals {
+					d[g[v]]++
+				}
+			case g == nil:
+				for r, v := range vals {
+					d[int(codes[r])*xd+int(v)]++
+				}
+			default:
+				for r, v := range vals {
+					d[int(codes[r])*xd+g[v]]++
+				}
+			}
+		}
+	})
+	for _, s := range per {
+		if s == nil {
+			continue
+		}
+		u32s.put(s.codes)
+		u16s.put(s.buf)
+		if workers > 1 {
+			for j, d := range s.dsts {
+				for c, v := range d {
+					dsts[j][c] += v
+				}
+				floats.put(d)
+			}
 		}
 	}
-	defer func() {
-		for _, g := range gens {
-			if g != nil {
-				putInts(g)
-			}
-		}
-	}()
-
-	codes := ix.RowCodes()
-	workers := parallel.Workers(parallelism)
-	nc := parallel.Chunks(ix.n, materializeChunk)
-	if workers <= 1 || nc <= 1 {
-		// Chunked even when serial: each chunk's parent codes stay
-		// L1-resident across the per-child passes.
-		for lo := 0; lo < ix.n; lo += materializeChunk {
-			hi := min(lo+materializeChunk, ix.n)
-			countChildrenRange(lo, hi, codes, cols, gens, rxd, outP)
-		}
-	} else {
-		scratch := make([][][]float64, workers)
-		parallel.ForChunks(workers, ix.n, materializeChunk, func(worker, lo, hi int) {
-			if scratch[worker] == nil {
-				s := make([][]float64, mr)
-				for i := range s {
-					s[i] = getFloats(len(outP[i]))
-				}
-				scratch[worker] = s
-			}
-			countChildrenRange(lo, hi, codes, cols, gens, rxd, scratch[worker])
-		})
-		for _, s := range scratch {
-			if s == nil {
-				continue
-			}
-			for i := range s {
-				dst := outP[i]
-				for c, v := range s[i] {
-					dst[c] += v
-				}
-				putFloats(s[i])
-			}
-		}
-	}
+	putLookups(pgens)
+	putLookups(cgens)
 }
 
-// countChildrenRange is the fused counting kernel: within one row chunk
-// the parent codes stay L1-resident while each child is counted by a
-// tight two-array loop with hoisted column, lookup and destination — one
-// increment per (row, child), never re-reading the parent columns.
-// Decode scratch is per call, so concurrent chunk calls are race-free.
-func countChildrenRange(lo, hi int, allCodes []uint32, cols []*dataset.Column, gens [][]int, xdim []int, dst [][]float64) {
-	var codes []uint32
-	if allCodes != nil {
-		codes = allCodes[lo:hi]
-	}
-	buf := getU16(hi - lo)
-	for j := range cols {
-		col := cols[j].DecodeRange(lo, hi, buf)
-		d := dst[j]
-		xd := xdim[j]
-		switch {
-		case codes == nil && gens[j] == nil:
-			for _, v := range col {
-				d[v]++
-			}
-		case codes == nil:
-			g := gens[j]
-			for _, v := range col {
-				d[g[v]]++
-			}
-		case gens[j] == nil:
-			for r, v := range col {
-				d[int(codes[r])*xd+int(v)]++
-			}
-		default:
-			g := gens[j]
-			for r, v := range col {
-				d[int(codes[r])*xd+g[v]]++
-			}
-		}
-	}
-	putU16(buf)
-}
-
-// IndexCache is a bounded, concurrency-safe LRU of ParentIndex values
-// keyed by the ordered parent-variable list, so a parent set counted
-// again reuses its index. Entries are pure functions of the dataset,
-// so cache hits can never change results — eviction only costs a
-// rebuild.
+// IndexCache is a bounded, concurrency-safe LRU of ParentIndex
+// descriptors keyed by the ordered parent-variable list. A descriptor
+// holds no per-row state, so a hit saves only a few small allocations;
+// the cache stays for its hit and miss counters, which the benchmark's
+// traces report. Entries are pure functions of the schema, so hits can
+// never change results.
 type IndexCache struct {
 	mu     sync.Mutex
 	lru    *VarLRU[*ParentIndex]
@@ -317,7 +214,7 @@ type IndexCache struct {
 }
 
 // DefaultIndexCacheCap bounds an IndexCache when the caller does not
-// choose a capacity. Each cached index costs ~4 bytes per dataset row.
+// choose a capacity.
 const DefaultIndexCacheCap = 64
 
 // NewIndexCache creates a cache holding at most capacity indexes
@@ -329,27 +226,11 @@ func NewIndexCache(capacity int) *IndexCache {
 	return &IndexCache{lru: NewVarLRU[*ParentIndex](capacity)}
 }
 
-// VarsKey hashes an ordered variable list into the compact uint64 keys
-// the scoring memo and index cache use (FNV-1a over attr/level words).
-// Callers must verify equality on the stored vars — the cache structures
-// here do — since 64-bit hashes can in principle collide.
-func VarsKey(vars []Var) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, v := range vars {
-		h ^= uint64(uint32(v.Attr))
-		h *= prime
-		h ^= uint64(uint32(v.Level))
-		h *= prime
-	}
-	return h
-}
-
-// Get returns the index for the ordered parent list, building it with
-// the given parallelism on a miss. Concurrent misses for the same key
-// may build twice; the indexes are identical, and the first inserted
-// entry wins, so results are unaffected.
-func (c *IndexCache) Get(ds *dataset.Dataset, parents []Var, parallelism int) *ParentIndex {
+// Get returns the index for the ordered parent list, building it on a
+// miss. Concurrent misses for the same key may build twice; the indexes
+// are identical, and the first inserted entry wins, so results are
+// unaffected.
+func (c *IndexCache) Get(ds *dataset.Dataset, parents []Var) *ParentIndex {
 	key := VarsKey(parents)
 	c.mu.Lock()
 	if ix, ok := c.lru.Get(key, parents); ok {
@@ -360,7 +241,7 @@ func (c *IndexCache) Get(ds *dataset.Dataset, parents []Var, parallelism int) *P
 	c.misses++
 	c.mu.Unlock()
 
-	ix := BuildParentIndex(ds, parents, parallelism)
+	ix := BuildParentIndex(ds, parents)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -29,25 +29,24 @@ func hierData(n int, seed int64) *dataset.Dataset {
 	return ds
 }
 
-// TestParentIndexCodes checks each row's code is the flat cell index a
-// [parents...] table would assign, including at taxonomy levels > 0.
+// TestParentIndexCodes checks the row walk places each row at the cell
+// of its parent configuration, including a parent at a taxonomy level
+// above zero: child y counted against (city at level 1, x) must match
+// MaterializeCounts' own row walk.
 func TestParentIndexCodes(t *testing.T) {
 	ds := hierData(500, 1)
 	parents := []Var{{Attr: 0, Level: 1}, {Attr: 1}}
+	child := Var{Attr: 2}
+	want := MaterializeCounts(ds, append(append([]Var(nil), parents...), child))
 	for _, par := range []int{1, 4} {
-		ix := BuildParentIndex(ds, parents, par)
+		ix := BuildParentIndex(ds, parents)
 		if ix.PiDim != 2*3 {
 			t.Fatalf("PiDim = %d, want 6", ix.PiDim)
 		}
-		ref := NewTable(ds, parents)
-		codes := ix.RowCodes()
-		for r := 0; r < ds.N(); r++ {
-			want := ref.Index([]int{
-				ds.Attr(0).Generalize(1, ds.Value(r, 0)),
-				ds.Value(r, 1),
-			})
-			if int(codes[r]) != want {
-				t.Fatalf("parallelism %d row %d: code %d, want %d", par, r, codes[r], want)
+		got := ix.CountChildren(ds, []Var{child}, par)[0]
+		for i := range want.P {
+			if got.P[i] != want.P[i] {
+				t.Fatalf("parallelism %d cell %d: %g, want %g", par, i, got.P[i], want.P[i])
 			}
 		}
 	}
@@ -61,7 +60,7 @@ func TestCountChildrenMatchesMaterializeCounts(t *testing.T) {
 	parents := []Var{{Attr: 1}}
 	children := []Var{{Attr: 0}, {Attr: 2}, {Attr: 0, Level: 1}}
 	for _, par := range []int{1, 2, 8} {
-		ix := BuildParentIndex(ds, parents, par)
+		ix := BuildParentIndex(ds, parents)
 		got := ix.CountChildren(ds, children, par)
 		for j, ch := range children {
 			want := MaterializeCounts(ds, append(append([]Var(nil), parents...), ch))
@@ -81,9 +80,9 @@ func TestCountChildrenMatchesMaterializeCounts(t *testing.T) {
 // index counts children like a plain one-variable scan.
 func TestEmptyParentSetCounting(t *testing.T) {
 	ds := hierData(1500, 5)
-	ix := BuildParentIndex(ds, nil, 4)
-	if ix.PiDim != 1 || ix.RowCodes() != nil {
-		t.Fatalf("empty parent set: PiDim %d Codes %v", ix.PiDim, ix.RowCodes() != nil)
+	ix := BuildParentIndex(ds, nil)
+	if ix.PiDim != 1 {
+		t.Fatalf("empty parent set: PiDim %d", ix.PiDim)
 	}
 	got := ix.CountChildren(ds, []Var{{Attr: 2}}, 4)[0]
 	want := MaterializeCounts(ds, []Var{{Attr: 2}})
@@ -100,16 +99,16 @@ func TestEmptyParentSetCounting(t *testing.T) {
 func TestIndexCacheLRU(t *testing.T) {
 	ds := hierData(300, 7)
 	c := NewIndexCache(2)
-	a := c.Get(ds, []Var{{Attr: 0}}, 1)
-	if got := c.Get(ds, []Var{{Attr: 0}}, 1); got != a {
+	a := c.Get(ds, []Var{{Attr: 0}})
+	if got := c.Get(ds, []Var{{Attr: 0}}); got != a {
 		t.Error("second Get should hit the cached index")
 	}
-	c.Get(ds, []Var{{Attr: 1}}, 1)
-	c.Get(ds, []Var{{Attr: 2}}, 1) // evicts {0}, the least recently used
+	c.Get(ds, []Var{{Attr: 1}})
+	c.Get(ds, []Var{{Attr: 2}}) // evicts {0}, the least recently used
 	if c.Len() != 2 {
 		t.Fatalf("cache holds %d indexes, want 2", c.Len())
 	}
-	if got := c.Get(ds, []Var{{Attr: 0}}, 1); got == a {
+	if got := c.Get(ds, []Var{{Attr: 0}}); got == a {
 		t.Error("evicted index should have been rebuilt")
 	}
 	hits, misses := c.Stats()
@@ -118,8 +117,8 @@ func TestIndexCacheLRU(t *testing.T) {
 	}
 	// Ordered lists are distinct identities: layouts differ.
 	big := NewIndexCache(8)
-	x := big.Get(ds, []Var{{Attr: 0}, {Attr: 1}}, 1)
-	y := big.Get(ds, []Var{{Attr: 1}, {Attr: 0}}, 1)
+	x := big.Get(ds, []Var{{Attr: 0}, {Attr: 1}})
+	y := big.Get(ds, []Var{{Attr: 1}, {Attr: 0}})
 	if x == y {
 		t.Error("parent orderings must cache separately (different layouts)")
 	}
@@ -141,11 +140,11 @@ func TestIndexCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for trial := 0; trial < 20; trial++ {
 				parents := []Var{{Attr: (g + trial) % 3}}
-				ix := c.Get(ds, parents, 2)
+				ix := c.Get(ds, parents)
 				if ix.PiDim != parents[0].Size(ds) {
 					t.Errorf("PiDim %d for %v", ix.PiDim, parents)
 				}
-				full := c.Get(ds, []Var{{Attr: 0}, {Attr: 1}}, 2)
+				full := c.Get(ds, []Var{{Attr: 0}, {Attr: 1}})
 				joint := full.CountChildren(ds, []Var{{Attr: 2}}, 2)[0]
 				for i := range want.P {
 					if joint.P[i] != want.P[i] {

@@ -1,106 +1,37 @@
 package marginal
 
-// Scratch-buffer pools for the counting hot path. Every parallel
-// materialization used to allocate fresh per-worker count scratch and
-// per-variable lookup tables; within one Fit those allocations recur
-// thousands of times with identical shapes, so they are pooled here.
-// Buffers handed out by getFloats are zeroed, which is what counting
-// scratch needs; getInts buffers are overwritten fully by their users.
+// Scratch-buffer pools for the counting hot path. Within one Fit the
+// counting loops ask for decode buffers, code buffers, row masks and
+// per-worker count scratch thousands of times with identical shapes,
+// so they are pooled here. Pooled buffers are not zeroed: users
+// overwrite them fully or clear them first.
 
 import "sync"
 
-var floatPool = sync.Pool{New: func() any { s := make([]float64, 0, 1024); return &s }}
+// pool hands out scratch slices of one element type.
+type pool[T any] struct{ p sync.Pool }
 
-// getFloats returns a zeroed float64 scratch buffer of exactly n cells.
-// Too-small pooled buffers are dropped (not re-pooled), so the larger
-// replacement takes their slot when putFloats returns it.
-func getFloats(n int) []float64 {
-	p := floatPool.Get().(*[]float64)
-	s := *p
-	if cap(s) < n {
-		return make([]float64, n)
+// get returns a buffer of exactly n elements. A pooled buffer too small
+// for n is dropped, so the larger replacement takes its slot once put
+// returns it.
+func (p *pool[T]) get(n int) []T {
+	if s, ok := p.p.Get().(*[]T); ok && cap(*s) >= n {
+		return (*s)[:n]
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	*p = s
-	return s
+	return make([]T, n)
 }
 
-// putFloats returns a buffer obtained from getFloats to the pool.
-func putFloats(s []float64) {
-	if cap(s) == 0 {
-		return
+// put returns a buffer obtained from get to the pool.
+func (p *pool[T]) put(s []T) {
+	if cap(s) > 0 {
+		p.p.Put(&s)
 	}
-	floatPool.Put(&s)
 }
 
-var u16Pool = sync.Pool{New: func() any { s := make([]uint16, 0, 4096); return &s }}
-
-// getU16 returns a uint16 scratch buffer of exactly n cells (not
-// zeroed) — the per-chunk column-decode scratch of the counting loops.
-func getU16(n int) []uint16 {
-	p := u16Pool.Get().(*[]uint16)
-	s := *p
-	if cap(s) < n {
-		return make([]uint16, n)
-	}
-	s = s[:n]
-	*p = s
-	return s
-}
-
-// putU16 returns a buffer obtained from getU16 to the pool.
-func putU16(s []uint16) {
-	if cap(s) == 0 {
-		return
-	}
-	u16Pool.Put(&s)
-}
-
-var wordPool = sync.Pool{New: func() any { s := make([]uint64, 0, 1024); return &s }}
-
-// getWords returns a uint64 scratch buffer of exactly n words (not
-// zeroed) — row-bitmask scratch for the popcount counting kernel, whose
-// users overwrite every word.
-func getWords(n int) []uint64 {
-	p := wordPool.Get().(*[]uint64)
-	s := *p
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	s = s[:n]
-	*p = s
-	return s
-}
-
-// putWords returns a buffer obtained from getWords to the pool.
-func putWords(s []uint64) {
-	if cap(s) == 0 {
-		return
-	}
-	wordPool.Put(&s)
-}
-
-var intPool = sync.Pool{New: func() any { s := make([]int, 0, 256); return &s }}
-
-// getInts returns an int scratch buffer of exactly n cells (not zeroed).
-func getInts(n int) []int {
-	p := intPool.Get().(*[]int)
-	s := *p
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	*p = s
-	return s
-}
-
-// putInts returns a buffer obtained from getInts to the pool.
-func putInts(s []int) {
-	if cap(s) == 0 {
-		return
-	}
-	intPool.Put(&s)
-}
+var (
+	floats pool[float64] // per-worker count scratch
+	u16s   pool[uint16]  // per-chunk column-decode buffers
+	u32s   pool[uint32]  // per-chunk parent-configuration codes
+	words  pool[uint64]  // popcount row masks
+	ints   pool[int]     // generalization lookups, cell codes
+)

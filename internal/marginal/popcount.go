@@ -95,7 +95,7 @@ func (k *popKernel) countChildren(children []Var, dsts [][]float64) {
 	valueMasks := func(col *dataset.Column, vals int) [][]uint64 {
 		vm := make([][]uint64, vals)
 		for v := range vm {
-			vm[v] = getWords(nw)
+			vm[v] = words.get(nw)
 			col.FillValueMask(v, vm[v])
 			pooled = append(pooled, vm[v])
 		}
@@ -106,7 +106,7 @@ func (k *popKernel) countChildren(children []Var, dsts [][]float64) {
 	and := make([][]uint64, np)      // and[i]: rows matching parents 0..i of the configuration
 	for i, col := range k.cols {
 		pmasks[i] = valueMasks(col, col.Size())
-		and[i] = getWords(nw)
+		and[i] = words.get(nw)
 		pooled = append(pooled, and[i])
 	}
 	cmasks := make([][][]uint64, len(children))
@@ -156,7 +156,7 @@ func (k *popKernel) countChildren(children []Var, dsts [][]float64) {
 		}
 	}
 	for _, m := range pooled {
-		putWords(m)
+		words.put(m)
 	}
 }
 

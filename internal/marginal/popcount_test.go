@@ -131,8 +131,8 @@ func TestPopcountMaterializeBitIdentical(t *testing.T) {
 // CountChildren pass splits children between the popcount kernel and
 // the row walk without changing any table: mixed eligible / wide /
 // over-64-cell / generalized children against the same parent index.
-// When the kernel takes every child, the index must never build row
-// codes.
+// The kernel must accept the parents and every child exactly in the
+// cases marked popOnly.
 func TestCountChildrenPopcountMatchesRowWalk(t *testing.T) {
 	ds := hierData(700, 13)
 	mixed := mixedData(700, 14)
@@ -162,16 +162,20 @@ func TestCountChildrenPopcountMatchesRowWalk(t *testing.T) {
 		{mixed, binary5, []Var{{Attr: 8}, {Attr: 2}, {Attr: 3}, {Attr: 4}}, false},
 	}
 	for _, tc := range cases {
+		pk, all := newPopKernel(tc.ds, tc.parents)
+		for _, ch := range tc.children {
+			all = all && pk.childOK(ch)
+		}
+		if all != tc.popOnly {
+			t.Errorf("parents %v children %v: every child on the popcount kernel = %v, want %v",
+				tc.parents, tc.children, all, tc.popOnly)
+		}
 		for _, par := range []int{1, 4} {
-			ix := BuildParentIndex(tc.ds, tc.parents, par)
+			ix := BuildParentIndex(tc.ds, tc.parents)
 			fast := ix.CountChildren(tc.ds, tc.children, par)
-			if tc.popOnly && ix.codes != nil {
-				t.Errorf("parents %v children %v (par %d): row codes built, want every child on the popcount kernel",
-					tc.parents, tc.children, par)
-			}
 			var ref []*Table
 			withRowMajor(func() {
-				ref = BuildParentIndex(tc.ds, tc.parents, par).CountChildren(tc.ds, tc.children, par)
+				ref = ix.CountChildren(tc.ds, tc.children, par)
 			})
 			for j := range ref {
 				for i := range ref[j].P {

@@ -98,95 +98,84 @@ func Materialize(ds *dataset.Dataset, vars []Var) *Table {
 
 // MaterializeCounts computes raw integer counts (as float64 values). The
 // F score's dynamic program relies on every cell being a multiple of 1/n;
-// counts keep that exact.
+// counts keep that exact. Joints the popcount kernel refuses take a
+// plain row walk, one increment per row, decoding columns a chunk at a
+// time; it is also the reference the faster engines are tested against.
 func MaterializeCounts(ds *dataset.Dataset, vars []Var) *Table {
 	if t, ok := popcountCounts(ds, vars); ok {
 		return t
 	}
 	t := NewTable(ds, vars)
-	c := newCounter(t, ds)
-	c.countRange(0, ds.N(), t.P)
-	c.release()
+	cols, gens := lookups(ds, vars)
+	strides := rowStrides(t.Dims)
+	bufs := make([][]uint16, len(vars))
+	decoded := make([][]uint16, len(vars))
+	for i := range bufs {
+		bufs[i] = u16s.get(materializeChunk)
+	}
+	for lo := 0; lo < ds.N(); lo += materializeChunk {
+		hi := min(lo+materializeChunk, ds.N())
+		for i, col := range cols {
+			decoded[i] = col.DecodeRange(lo, hi, bufs[i])
+		}
+		for r := range hi - lo {
+			idx := 0
+			for i, d := range decoded {
+				code := int(d[r])
+				if gens[i] != nil {
+					code = gens[i][code]
+				}
+				idx += code * strides[i]
+			}
+			t.P[idx]++
+		}
+	}
+	for _, b := range bufs {
+		u16s.put(b)
+	}
+	putLookups(gens)
 	return t
 }
 
-// counter precomputes per-variable stride, column, and generalization
-// lookups so the row loop is a handful of array reads per variable.
-// countRange keeps its decode scratch per call, and the parallel
-// parent-index build shares one counter's lookups across its workers.
-type counter struct {
-	strides []int
-	cols    []*dataset.Column
-	gen     [][]int // nil when level == 0
+// rowStrides returns the row-major strides of a table's dimensions:
+// the last variable varies fastest.
+func rowStrides(dims []int) []int {
+	strides := make([]int, len(dims))
+	s := 1
+	for i := len(dims) - 1; i >= 0; i-- {
+		strides[i] = s
+		s *= dims[i]
+	}
+	return strides
 }
 
-func newCounter(t *Table, ds *dataset.Dataset) *counter {
-	k := len(t.Vars)
-	c := &counter{strides: make([]int, k), cols: make([]*dataset.Column, k), gen: make([][]int, k)}
-	s := 1
-	for i := k - 1; i >= 0; i-- {
-		c.strides[i] = s
-		s *= t.Dims[i]
-	}
-	for i, v := range t.Vars {
-		c.cols[i] = ds.Col(v.Attr)
+// lookups returns each variable's column and its generalization lookup
+// from raw codes to codes at the variable's level (nil at level 0), so
+// a row loop reads a handful of arrays per variable. The lookups are
+// pooled: return them with putLookups.
+func lookups(ds *dataset.Dataset, vars []Var) ([]*dataset.Column, [][]int) {
+	cols := make([]*dataset.Column, len(vars))
+	gens := make([][]int, len(vars))
+	for i, v := range vars {
+		cols[i] = ds.Col(v.Attr)
 		if v.Level > 0 {
 			a := ds.Attr(v.Attr)
-			m := getInts(a.Size())
-			for code := range m {
-				m[code] = a.Generalize(v.Level, code)
+			g := ints.get(a.Size())
+			for code := range g {
+				g[code] = a.Generalize(v.Level, code)
 			}
-			c.gen[i] = m
+			gens[i] = g
 		}
 	}
-	return c
+	return cols, gens
 }
 
-// release returns the counter's pooled generalization lookups. The
-// counter must not be used afterwards.
-func (c *counter) release() {
-	for i, g := range c.gen {
+// putLookups returns lookups' generalization tables to their pool.
+func putLookups(gens [][]int) {
+	for _, g := range gens {
 		if g != nil {
-			putInts(g)
-			c.gen[i] = nil
+			ints.put(g)
 		}
-	}
-}
-
-// countRange adds one per row of [lo, hi) to its cell of dst, decoding
-// columns a chunk at a time so bit-packed columns unpack word-at-a-time
-// instead of per row-read. Safe for concurrent calls on one counter:
-// decode scratch is per call.
-func (c *counter) countRange(lo, hi int, dst []float64) {
-	k := len(c.strides)
-	if k == 0 {
-		dst[0] += float64(hi - lo)
-		return
-	}
-	decoded := make([][]uint16, k)
-	scratch := make([][]uint16, k)
-	for i := range scratch {
-		scratch[i] = getU16(materializeChunk)
-	}
-	for a := lo; a < hi; a += materializeChunk {
-		b := min(a+materializeChunk, hi)
-		for i := range decoded {
-			decoded[i] = c.cols[i].DecodeRange(a, b, scratch[i])
-		}
-		for r := range b - a {
-			idx := 0
-			for i := 0; i < k; i++ {
-				code := int(decoded[i][r])
-				if c.gen[i] != nil {
-					code = c.gen[i][code]
-				}
-				idx += code * c.strides[i]
-			}
-			dst[idx]++
-		}
-	}
-	for i := range scratch {
-		putU16(scratch[i])
 	}
 }
 
@@ -276,7 +265,7 @@ func (t *Table) MarginalizeOnto(vars []Var) *Table {
 		size *= dims[i]
 	}
 	out := &Table{Vars: append([]Var(nil), vars...), Dims: dims, P: make([]float64, size)}
-	codes := getInts(len(t.Dims))
+	codes := ints.get(len(t.Dims))
 	for idx := range t.P {
 		codes = t.Codes(idx, codes)
 		o := 0
@@ -285,7 +274,7 @@ func (t *Table) MarginalizeOnto(vars []Var) *Table {
 		}
 		out.P[o] += t.P[idx]
 	}
-	putInts(codes)
+	ints.put(codes)
 	return out
 }
 

@@ -41,15 +41,3 @@ func varLess(a, b marginal.Var) bool {
 	}
 	return a.Level < b.Level
 }
-
-func varsEq(a, b []marginal.Var) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

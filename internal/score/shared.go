@@ -17,6 +17,7 @@ package score
 
 import (
 	"context"
+	"slices"
 
 	"privbayes/internal/marginal"
 	"privbayes/internal/parallel"
@@ -129,7 +130,7 @@ func (s *Scorer) planBatch(pairs []Pair, out []float64) ([]*batchGroup, []*batch
 		}
 		var w *batchWork
 		for _, cand := range workByKey[key] {
-			if varsEq(cand.canon, canon) {
+			if slices.Equal(cand.canon, canon) {
 				w = cand
 				break
 			}
@@ -146,7 +147,7 @@ func (s *Scorer) planBatch(pairs []Pair, out []float64) ([]*batchGroup, []*batch
 		pkey := marginal.VarsKey(pcanon)
 		var g *batchGroup
 		for _, cand := range groupByKey[pkey] {
-			if varsEq(cand.canon, pcanon) {
+			if slices.Equal(cand.canon, pcanon) {
 				g = cand
 				break
 			}
