@@ -27,15 +27,19 @@ const (
 	ModeGeneral
 )
 
-// Options configures a PrivBayes run. Zero values select the paper's
-// defaults where they exist (β = 0.3, θ = 4).
+// Options configures a PrivBayes run. Zero values do not select
+// defaults — validate rejects a zero β or θ — so start from
+// DefaultOptions, the paper's parameterization (β = 0.3, θ = 4,
+// automatic k), and override fields from there.
 type Options struct {
 	// Epsilon is the total privacy budget ε = ε₁ + ε₂ (Theorem 3.2).
 	Epsilon float64
 	// Beta splits the budget: ε₁ = βε for network learning, ε₂ = (1−β)ε
-	// for distribution learning (Section 3). Default 0.3 (Section 6.4).
+	// for distribution learning (Section 3); must be in (0,1).
+	// DefaultOptions uses 0.3 (Section 6.4).
 	Beta float64
-	// Theta is the usefulness threshold of Definition 4.7. Default 4.
+	// Theta is the usefulness threshold of Definition 4.7; must be
+	// positive. DefaultOptions uses 4.
 	Theta float64
 	// K forces the network degree in ModeBinary; K < 0 (the default,
 	// via DefaultOptions) selects k automatically by θ-usefulness.

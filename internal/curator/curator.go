@@ -148,7 +148,9 @@ func New(cfg Config) (*Curator, error) {
 			c.Close()
 			return nil, fmt.Errorf("curator: recover %s: %w", id, err)
 		}
-		c.datasets[id] = d
+		if d != nil {
+			c.datasets[id] = d
+		}
 	}
 	c.cfg.Metrics.observe(c)
 	if c.refitsEnabled() {
@@ -230,7 +232,10 @@ func (c *Curator) Create(id string, attrs []dataset.Attribute) error {
 // the type-0 record, row count and batch keys from type-1 headers
 // (values are not retained), the latest fit marker from type-2 — then
 // one streaming scan to rebuild the incremental count store when a fit
-// exists.
+// exists. A log that holds no record is a Create a crash cut short:
+// Create acknowledges only once the schema record is durable, so
+// nothing in it was acknowledged. recover removes it, so the id can be
+// created again, and returns a nil dataset.
 func (c *Curator) recover(id, path string) (*curated, error) {
 	d := &curated{c: c, id: id, path: path, keys: map[string]int64{}}
 	log, err := wal.Open(path, wal.Options{FS: c.cfg.FS}, func(_ int64, payload []byte) error {
@@ -272,6 +277,10 @@ func (c *Curator) recover(id, path string) (*curated, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	if log.Records() == 0 {
+		log.Close()
+		return nil, c.fs.Remove(path)
 	}
 	if d.attrs == nil {
 		log.Close()

@@ -557,6 +557,47 @@ func TestStalenessTrigger(t *testing.T) {
 	}
 }
 
+// TestRecoveryDropsInterruptedCreate: a crash inside Create can leave
+// a row log with no record — the header alone, or a torn schema record.
+// Create never acknowledged it, so a restart drops the log instead of
+// refusing to start, and the id can be created again.
+func TestRecoveryDropsInterruptedCreate(t *testing.T) {
+	for name, tail := range map[string][]byte{
+		"header only": nil,
+		"torn schema": {9, 0, 0, 0, 1, 2}, // a length prefix and half a CRC
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "d.rows")
+			log, err := wal.Open(path, wal.Options{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log.Close()
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(tail); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			c, err := New(Config{Dir: dir})
+			if err != nil {
+				t.Fatalf("restart after an interrupted create: %v", err)
+			}
+			defer c.Close()
+			if _, err := c.Status("d"); !errors.Is(err, ErrNotFound) {
+				t.Errorf("status of the interrupted dataset: %v, want ErrNotFound", err)
+			}
+			if err := c.Create("d", binData(10, 1).Attrs()); err != nil {
+				t.Errorf("create again: %v", err)
+			}
+		})
+	}
+}
+
 // TestCreateRejectsUnrecoverableSchema: Create refuses every schema the
 // schema record's decoder would refuse at recovery, and leaves no row
 // log behind.

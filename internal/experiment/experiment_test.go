@@ -129,23 +129,38 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 // The headline result in miniature: at a moderate ε on NLTCS, PrivBayes
-// must beat the Laplace and Uniform baselines on Q3 marginals.
+// must beat the Laplace and Uniform baselines on Q3 marginals. It runs
+// only the three asserted series of Figure 12's Q3 panel, through the
+// figure's own series and seeds, so the values equal the full figure's;
+// the other series and the Q4 panel run in TestAllFiguresSmoke.
 func TestPrivBayesBeatsBaselinesSmallScale(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.N = 4000
 	cfg.Eps = []float64{0.4}
 	cfg.Repeats = 2
 	cfg.MaxQuerySubsets = 120
-	res, err := Run("12", cfg)
+	all, err := marginalSeries(cfg, "NLTCS")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var asserted []series
+	for _, s := range all {
+		switch s.name {
+		case "PrivBayes", "Laplace", "Uniform":
+			asserted = append(asserted, s)
+		}
+	}
+	col := &collector{cfg: &cfg, figure: "12"}
+	if err := runMarginalSeries(cfg, col, "NLTCS", []int{3}, asserted); err != nil {
+		t.Fatal(err)
+	}
 	vals := map[string]float64{}
-	for _, p := range res.Points {
+	for _, p := range col.points {
 		if p.Panel == "a-Q3" {
 			vals[p.Series] = p.Value
 		}
 	}
+	t.Logf("a-Q3 AVD at ε=0.4: PrivBayes %v, Laplace %v, Uniform %v", vals["PrivBayes"], vals["Laplace"], vals["Uniform"])
 	if !(vals["PrivBayes"] < vals["Laplace"]) {
 		t.Errorf("PrivBayes %v should beat Laplace %v", vals["PrivBayes"], vals["Laplace"])
 	}

@@ -26,9 +26,8 @@ func runFigure4(cfg Config, col *collector) error {
 		if err != nil {
 			return err
 		}
-		binary := isBinary(ds)
 		fns := []score.Function{score.MI, score.R}
-		if binary {
+		if isBinary(ds) {
 			fns = append(fns, score.F)
 		}
 		for _, eps := range cfg.eps() {
@@ -36,17 +35,9 @@ func runFigure4(cfg Config, col *collector) error {
 			for _, fn := range fns {
 				var sum float64
 				for r := 0; r < cfg.Repeats; r++ {
-					rng := cfg.rng("fig4", p.ds, fn, eps, r)
-					opt := core.Options{
-						Epsilon: eps, Beta: 0.3, Theta: 4, K: -1, MaxK: cfg.MaxK,
-						Score: fn, Parallelism: cfg.Parallelism, Rand: rng,
-						Scorer: scorers.get(fn, p.ds, ds),
-					}
-					if binary {
-						opt.Mode = core.ModeBinary
-					} else {
-						opt.Mode = core.ModeGeneral // vanilla: no hierarchy
-					}
+					opt := cfg.defaultOptions(ds, eps, cfg.rng("fig4", p.ds, fn, eps, r))
+					opt.Score, opt.UseHierarchy = fn, false // vanilla: no hierarchy
+					opt.Scorer = scorers.get(fn, p.ds, ds)
 					m, err := core.Fit(ds, opt)
 					if err != nil {
 						return err
@@ -59,18 +50,10 @@ func runFigure4(cfg Config, col *collector) error {
 			// θ-derived capacity, found by maximizing I without noise.
 			var sum float64
 			for r := 0; r < cfg.Repeats; r++ {
-				rng := cfg.rng("fig4", p.ds, "np", eps, r)
-				opt := core.Options{
-					Epsilon: eps, Beta: 0.3, Theta: 4, K: -1, MaxK: cfg.MaxK,
-					Score: score.MI, Parallelism: cfg.Parallelism, Rand: rng,
-					Scorer:                scorers.get(score.MI, p.ds, ds),
-					InfiniteNetworkBudget: true,
-				}
-				if binary {
-					opt.Mode = core.ModeBinary
-				} else {
-					opt.Mode = core.ModeGeneral
-				}
+				opt := cfg.defaultOptions(ds, eps, cfg.rng("fig4", p.ds, "np", eps, r))
+				opt.Score, opt.UseHierarchy = score.MI, false
+				opt.Scorer = scorers.get(score.MI, p.ds, ds)
+				opt.InfiniteNetworkBudget = true
 				m, err := core.Fit(ds, opt)
 				if err != nil {
 					return err

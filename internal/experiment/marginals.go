@@ -10,22 +10,33 @@ import (
 
 // runMarginalBaselines reproduces Figures 12-15: average variation
 // distance over Qα for PrivBayes against the count-query baselines.
+func runMarginalBaselines(cfg Config, col *collector, dsName string, alphas []int) error {
+	all, err := marginalSeries(cfg, dsName)
+	if err != nil {
+		return err
+	}
+	return runMarginalSeries(cfg, col, dsName, alphas, all)
+}
+
+// series is one curve of Figures 12-15: it releases a marginal source
+// for a (α, ε) point from that repeat's generator.
+type series struct {
+	name string
+	run  func(alpha int, eps float64, rng *rand.Rand) (baseline.MarginalSource, error)
+}
+
+// marginalSeries lists the series of Figures 12-15 on a dataset.
 // Contingency and MWEM require materializing the full attribute domain,
 // so — as in the paper — they run only on the binary datasets; MWEM on
 // ACS (2^23 cells per improvement round) additionally hides behind
 // Config.Heavy.
-func runMarginalBaselines(cfg Config, col *collector, dsName string, alphas []int) error {
+func marginalSeries(cfg Config, dsName string) ([]series, error) {
 	ds, err := sourceData(dsName, cfg.N)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	binary := isBinary(ds)
 	scorers := newScorerCache()
-
-	type series struct {
-		name string
-		run  func(alpha int, eps float64, rng *rand.Rand) (baseline.MarginalSource, error)
-	}
 	all := []series{
 		{"PrivBayes", func(alpha int, eps float64, rng *rand.Rand) (baseline.MarginalSource, error) {
 			opt := cfg.defaultOptions(ds, eps, rng)
@@ -59,7 +70,14 @@ func runMarginalBaselines(cfg Config, col *collector, dsName string, alphas []in
 			}})
 		}
 	}
+	return all, nil
+}
 
+// runMarginalSeries adds one point per (α, ε, series) to col: the
+// series' average variation distance over Qα across cfg.Repeats runs,
+// each seeded by its (dataset, α, series, ε, repeat) alone, so a point
+// does not depend on which other series run.
+func runMarginalSeries(cfg Config, col *collector, dsName string, alphas []int, all []series) error {
 	for ai, alpha := range alphas {
 		panel := fmt.Sprintf("%c-Q%d", 'a'+ai, alpha)
 		eval, err := cfg.evaluator(dsName, alpha)

@@ -46,27 +46,21 @@ func encodedData(kind encoding.Kind, dsKey string, ds *dataset.Dataset) encodedV
 func synthesizeEncoded(kind encoding.Kind, dsKey string, ds *dataset.Dataset, eps float64, cfg Config, scorers *scorerCache, rng *rand.Rand) (*dataset.Dataset, error) {
 	switch kind {
 	case encoding.Binary, encoding.Gray:
+		// The encoded view is all-binary, so its defaults are Binary-F.
 		view := encodedData(kind, dsKey, ds)
-		encKey := fmt.Sprintf("%v|%s", kind, dsKey)
-		opt := core.Options{
-			Epsilon: eps, Beta: 0.3, Theta: 4, K: -1, MaxK: cfg.MaxK,
-			Mode: core.ModeBinary, Score: score.F,
-			Parallelism: cfg.Parallelism, Rand: rng,
-			Scorer: scorers.get(score.F, encKey, view.ds),
-		}
+		opt := cfg.defaultOptions(view.ds, eps, rng)
+		opt.Scorer = scorers.get(score.F, fmt.Sprintf("%v|%s", kind, dsKey), view.ds)
 		m, err := core.Fit(view.ds, opt)
 		if err != nil {
 			return nil, err
 		}
 		return view.codec.Decode(m.SampleP(ds.N(), rng, cfg.Parallelism)), nil
 	case encoding.Vanilla, encoding.Hierarchical:
-		opt := core.Options{
-			Epsilon: eps, Beta: 0.3, Theta: 4, MaxK: cfg.MaxK,
-			Mode: core.ModeGeneral, Score: score.R,
-			Parallelism: cfg.Parallelism, Rand: rng,
-			UseHierarchy: kind == encoding.Hierarchical,
-			Scorer:       scorers.get(score.R, dsKey, ds),
-		}
+		// On the non-binary data encoded here (Adult, BR2000) the
+		// defaults are Hierarchical-R; Vanilla drops the hierarchy.
+		opt := cfg.defaultOptions(ds, eps, rng)
+		opt.UseHierarchy = kind == encoding.Hierarchical
+		opt.Scorer = scorers.get(score.R, dsKey, ds)
 		m, err := core.Fit(ds, opt)
 		if err != nil {
 			return nil, err

@@ -10,8 +10,10 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"privbayes/internal/accountant"
 	"privbayes/internal/curator"
@@ -95,18 +97,176 @@ func apiError(resp *http.Response) error {
 	return e
 }
 
-func (c *Client) getJSON(ctx context.Context, path string, out any) error {
-	resp, err := c.do(ctx, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
+// call is one API request, as send builds, sends and reads it.
+type call struct {
+	method, path string
+	// in, when set, is the request body, marshaled as JSON.
+	in any
+	// body, when set, is the caller's request body: replayed on retry
+	// from the offset it had when the call began if it seeks, sent
+	// once if it does not.
+	body        io.Reader
+	contentType string
+	// head and tail, when set, frame each attempt's body: Fit's
+	// multipart form around the data.
+	head, tail []byte
+	// key is the Idempotency-Key header; empty sends none.
+	key string
+	// accept lists the statuses the call succeeds on; nil means 200.
+	accept []int
+	// out receives the decoded JSON reply; nil hands the reply back
+	// unconsumed.
+	out any
+}
+
+// send is the one request path behind every Client method: it builds
+// each attempt's request, retries through do, and returns any status
+// the call does not accept as an *APIError. When it returns, the
+// transport reads no more of a caller's body that seeks.
+func (c *Client) send(ctx context.Context, k call) (*http.Response, error) {
+	var raw []byte
+	contentType := k.contentType
+	if k.in != nil {
+		var err error
+		if raw, err = json.Marshal(k.in); err != nil {
+			return nil, err
+		}
+		contentType = "application/json"
+	}
+	attempts := c.Retry.MaxAttempts
+	var rb *replayBody
+	if k.body != nil {
+		var err error
+		if rb, err = newReplayBody(k); err != nil {
+			return nil, err
+		}
+		if rb.seeker == nil {
+			attempts = 1 // a replay would send the body truncated
+		} else {
+			// Only a seekable body is waited for: a read of a pipe may
+			// never return.
+			defer rb.retire()
+		}
+	}
+	resp, err := c.do(ctx, attempts, func() (*http.Request, error) {
+		// A JSON body is a fresh bytes.Reader per attempt: net/http sets
+		// its Content-Length and GetBody itself.
+		var body io.Reader
+		if raw != nil {
+			body = bytes.NewReader(raw)
+		}
+		req, err := http.NewRequestWithContext(ctx, k.method, c.BaseURL+k.path, body)
+		if err != nil {
+			return nil, err
+		}
+		if rb != nil {
+			if req.Body, err = rb.next(); err != nil {
+				return nil, err
+			}
+			if rb.seeker != nil {
+				req.ContentLength, req.GetBody = rb.size, rb.next
+			}
+		}
+		if contentType != "" {
+			req.Header.Set("Content-Type", contentType)
+		}
+		if k.key != "" {
+			req.Header.Set("Idempotency-Key", k.key)
+		}
+		return req, nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
+	accept := k.accept
+	if accept == nil {
+		accept = []int{http.StatusOK}
+	}
+	if !slices.Contains(accept, resp.StatusCode) {
+		return nil, apiError(resp)
+	}
+	if k.out == nil {
+		return resp, nil
 	}
 	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(out)
+	return resp, json.NewDecoder(resp.Body).Decode(k.out)
+}
+
+// replayBody hands out the caller's request body one attempt at a
+// time, framed by head and tail. A body that seeks starts every attempt
+// at the offset it had when the call began; one that does not (seeker
+// nil) has a single attempt.
+type replayBody struct {
+	mu         sync.Mutex // held across each read of r
+	attempt    int        // the attempt whose reads may proceed
+	r          io.Reader
+	head, tail []byte
+	seeker     io.Seeker
+	start      int64
+	size       int64 // an attempt's framed length, when r seeks
+}
+
+func newReplayBody(k call) (*replayBody, error) {
+	rb := &replayBody{r: k.body, head: k.head, tail: k.tail}
+	s, ok := k.body.(io.Seeker)
+	if !ok {
+		return rb, nil
+	}
+	start, err := s.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return rb, nil // an *os.File on a pipe, say
+	}
+	end, err := s.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, err
+	}
+	rb.seeker, rb.start, rb.size = s, start, int64(len(k.head)+len(k.tail))+end-start
+	return rb, nil
+}
+
+// next retires the previous attempt and returns a fresh body. It is
+// also the request's GetBody, so net/http can replay a seekable body on
+// a new connection or through a 307/308 redirect. The body's Close is a
+// no-op: net/http closes a request body that is an io.Closer, and the
+// caller's reader (an *os.File, say) is the caller's to close.
+func (rb *replayBody) next() (io.ReadCloser, error) {
+	rb.retire()
+	if rb.seeker != nil {
+		if _, err := rb.seeker.Seek(rb.start, io.SeekStart); err != nil {
+			return nil, err
+		}
+	}
+	r := attemptReader{rb, rb.attempt}
+	return io.NopCloser(io.MultiReader(bytes.NewReader(rb.head), r, bytes.NewReader(rb.tail))), nil
+}
+
+// retire ends the current attempt's reads of the caller's body, once a
+// read still running returns: net/http may read a request body after
+// Do returns, and the body must not move under it.
+func (rb *replayBody) retire() {
+	rb.mu.Lock()
+	rb.attempt++
+	rb.mu.Unlock()
+}
+
+// attemptReader reads the caller's body for attempt n only.
+type attemptReader struct {
+	rb *replayBody
+	n  int
+}
+
+func (a attemptReader) Read(p []byte) (int, error) {
+	a.rb.mu.Lock()
+	defer a.rb.mu.Unlock()
+	if a.n != a.rb.attempt {
+		return 0, http.ErrBodyReadAfterClose
+	}
+	return a.rb.r.Read(p)
+}
+
+func (c *Client) getJSON(ctx context.Context, path string, out any) error {
+	_, err := c.send(ctx, call{method: http.MethodGet, path: path, out: out})
+	return err
 }
 
 // Health checks liveness.
@@ -141,40 +301,16 @@ func (c *Client) Budget(ctx context.Context) (map[string]accountant.Entry, error
 }
 
 // Upload registers a SaveModel artifact read from r. Empty id lets the
-// server assign one.
+// server assign one. Uploads retry only when the artifact seeks; a
+// one-shot stream gets a single attempt.
 func (c *Client) Upload(ctx context.Context, id string, artifact io.Reader) (ModelMeta, error) {
-	u := c.BaseURL + "/models"
+	path := "/models"
 	if id != "" {
-		u += "?id=" + url.QueryEscape(id)
+		path += "?id=" + url.QueryEscape(id)
 	}
-	// Uploads retry only when the artifact can be replayed from the
-	// start; a one-shot stream gets a single attempt.
-	seeker, rewindable := artifact.(io.Seeker)
-	sender := c.forBody(rewindable)
-	first := true
-	resp, err := sender.do(ctx, func() (*http.Request, error) {
-		if !first {
-			if _, err := seeker.Seek(0, io.SeekStart); err != nil {
-				return nil, err
-			}
-		}
-		first = false
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, artifact)
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		return req, nil
-	})
-	if err != nil {
-		return ModelMeta{}, err
-	}
-	if resp.StatusCode != http.StatusCreated {
-		return ModelMeta{}, apiError(resp)
-	}
-	defer resp.Body.Close()
 	var meta ModelMeta
-	err = json.NewDecoder(resp.Body).Decode(&meta)
+	_, err := c.send(ctx, call{method: http.MethodPost, path: path, body: artifact,
+		contentType: "application/json", accept: []int{http.StatusCreated}, out: &meta})
 	return meta, err
 }
 
@@ -218,15 +354,10 @@ func (c *Client) Synthesize(ctx context.Context, id string, sr SynthesizeRequest
 	if sr.Parallelism > 0 {
 		q.Set("parallelism", strconv.Itoa(sr.Parallelism))
 	}
-	u := c.BaseURL + "/models/" + url.PathEscape(id) + "/synthesize?" + q.Encode()
-	resp, err := c.do(ctx, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	})
+	resp, err := c.send(ctx, call{method: http.MethodGet,
+		path: "/models/" + url.PathEscape(id) + "/synthesize?" + q.Encode()})
 	if err != nil {
 		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
 	}
 	seed, _ := strconv.ParseInt(resp.Header.Get("X-Privbayes-Seed"), 10, 64)
 	return &SynthesisStream{Body: resp.Body, Seed: seed}, nil
@@ -236,28 +367,9 @@ func (c *Client) Synthesize(ctx context.Context, id string, sr SynthesizeRequest
 // attributes, answered by Model.Query on the server. maxCells 0
 // accepts the server default bound.
 func (c *Client) Marginal(ctx context.Context, id string, attrs []string, maxCells int) (MarginalResult, error) {
-	body, err := json.Marshal(marginalRequest{Attrs: attrs, MaxCells: maxCells})
-	if err != nil {
-		return MarginalResult{}, err
-	}
-	u := c.BaseURL + "/models/" + url.PathEscape(id) + "/marginal"
-	resp, err := c.do(ctx, func() (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, strings.NewReader(string(body)))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		return req, nil
-	})
-	if err != nil {
-		return MarginalResult{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return MarginalResult{}, apiError(resp)
-	}
-	defer resp.Body.Close()
 	var out MarginalResult
-	err = json.NewDecoder(resp.Body).Decode(&out)
+	_, err := c.send(ctx, call{method: http.MethodPost, path: "/models/" + url.PathEscape(id) + "/marginal",
+		in: marginalRequest{Attrs: attrs, MaxCells: maxCells}, out: &out})
 	return out, err
 }
 
@@ -285,8 +397,10 @@ type FitRequest struct {
 	// Schema describes the CSV columns.
 	Schema []AttrSpec
 	// Data streams the CSV (header row first). When it also implements
-	// io.Seeker (bytes.Reader, *os.File), the upload can be replayed
-	// and the fit becomes retryable under the client's RetryPolicy.
+	// io.Seeker (bytes.Reader, *os.File), the upload can be replayed —
+	// from the offset Data had when Fit was called — and the fit
+	// becomes retryable under the client's RetryPolicy. The Client
+	// never closes Data.
 	Data io.Reader
 	// IdempotencyKey makes the fit safe to retry: the server charges ε
 	// exactly once per key, even across its own restarts. Empty with
@@ -299,127 +413,69 @@ type FitRequest struct {
 // budget. The upload is streamed — schema and parameters first, then
 // the CSV — so large datasets never buffer client-side.
 func (c *Client) Fit(ctx context.Context, fr FitRequest) (ModelMeta, error) {
-	seeker, rewindable := fr.Data.(io.Seeker)
-	sender := c.forBody(rewindable)
-	key := fr.IdempotencyKey
-	if key == "" && sender.Retry.enabled() {
-		key = newIdempotencyKey()
-	}
-	first := true
-	resp, err := sender.do(ctx, func() (*http.Request, error) {
-		if !first {
-			if _, err := seeker.Seek(0, io.SeekStart); err != nil {
-				return nil, err
-			}
-		}
-		first = false
-		pr, pw := io.Pipe()
-		mw := multipart.NewWriter(pw)
-		go func() {
-			err := writeFitBody(mw, fr)
-			if cerr := mw.Close(); err == nil {
-				err = cerr
-			}
-			pw.CloseWithError(err)
-		}()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/fit", pr)
-		if err != nil {
-			pr.Close()
-			return nil, err
-		}
-		req.Header.Set("Content-Type", mw.FormDataContentType())
-		if key != "" {
-			req.Header.Set("Idempotency-Key", key)
-		}
-		return req, nil
-	})
+	head, tail, contentType, err := fitFraming(fr)
 	if err != nil {
 		return ModelMeta{}, err
 	}
+	key := fr.IdempotencyKey
+	if key == "" && c.Retry.enabled() {
+		key = newIdempotencyKey()
+	}
 	// 201: the fit ran here. 200: an idempotent replay of a fit a
 	// previous attempt already completed.
-	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
-		return ModelMeta{}, apiError(resp)
-	}
-	defer resp.Body.Close()
 	var meta ModelMeta
-	err = json.NewDecoder(resp.Body).Decode(&meta)
+	_, err = c.send(ctx, call{method: http.MethodPost, path: "/fit", body: fr.Data, head: head, tail: tail,
+		contentType: contentType, key: key, accept: []int{http.StatusCreated, http.StatusOK}, out: &meta})
 	return meta, err
 }
 
-// writeFitBody emits the multipart fields in the order the server
-// requires: every scalar and the schema before the streamed data part.
-func writeFitBody(mw *multipart.Writer, fr FitRequest) error {
-	if err := mw.WriteField("dataset_id", fr.DatasetID); err != nil {
-		return err
-	}
-	if err := mw.WriteField("epsilon", strconv.FormatFloat(fr.Epsilon, 'g', -1, 64)); err != nil {
-		return err
-	}
-	if fr.ModelID != "" {
-		if err := mw.WriteField("model_id", fr.ModelID); err != nil {
-			return err
-		}
-	}
-	if fr.Seed != nil {
-		if err := mw.WriteField("seed", strconv.FormatInt(*fr.Seed, 10)); err != nil {
-			return err
-		}
-	}
-	if fr.Parallelism > 0 {
-		if err := mw.WriteField("parallelism", strconv.Itoa(fr.Parallelism)); err != nil {
-			return err
-		}
-	}
+// fitFraming lays out the multipart form POST /fit reads — every scalar
+// and the schema, then the data part, which must come last — and
+// returns the form's bytes before and after the data, and its content
+// type.
+func fitFraming(fr FitRequest) (head, tail []byte, contentType string, err error) {
 	schema, err := json.Marshal(fr.Schema)
 	if err != nil {
-		return err
+		return nil, nil, "", err
 	}
-	if err := mw.WriteField("schema", string(schema)); err != nil {
-		return err
+	// Writes to a bytes.Buffer cannot fail.
+	var form bytes.Buffer
+	mw := multipart.NewWriter(&form)
+	mw.WriteField("dataset_id", fr.DatasetID)
+	mw.WriteField("epsilon", strconv.FormatFloat(fr.Epsilon, 'g', -1, 64))
+	if fr.ModelID != "" {
+		mw.WriteField("model_id", fr.ModelID)
 	}
-	part, err := mw.CreateFormFile("data", "data.csv")
-	if err != nil {
-		return err
+	if fr.Seed != nil {
+		mw.WriteField("seed", strconv.FormatInt(*fr.Seed, 10))
 	}
-	_, err = io.Copy(part, fr.Data)
-	return err
+	if fr.Parallelism > 0 {
+		mw.WriteField("parallelism", strconv.Itoa(fr.Parallelism))
+	}
+	mw.WriteField("schema", string(schema))
+	mw.CreateFormFile("data", "data.csv")
+	n := form.Len()
+	mw.Close()
+	raw := form.Bytes()
+	return raw[:n], raw[n:], mw.FormDataContentType(), nil
 }
 
 // CreateDataset registers a curated dataset for continuous ingest. The
 // schema is fixed at creation; every appended batch must match it.
 func (c *Client) CreateDataset(ctx context.Context, id string, schema []AttrSpec) (curator.Status, error) {
-	body, err := json.Marshal(schema)
-	if err != nil {
-		return curator.Status{}, err
-	}
-	resp, err := c.do(ctx, func() (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			c.BaseURL+"/datasets/"+url.PathEscape(id), bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		return req, nil
-	})
-	if err != nil {
-		return curator.Status{}, err
-	}
-	if resp.StatusCode != http.StatusCreated {
-		return curator.Status{}, apiError(resp)
-	}
-	defer resp.Body.Close()
 	var st curator.Status
-	err = json.NewDecoder(resp.Body).Decode(&st)
+	_, err := c.send(ctx, call{method: http.MethodPost, path: "/datasets/" + url.PathEscape(id),
+		in: schema, accept: []int{http.StatusCreated}, out: &st})
 	return st, err
 }
 
-// AppendResult reports an acknowledged row append.
+// AppendResult reports an acknowledged row append: the response of
+// POST /datasets/{id}/rows.
 type AppendResult struct {
 	// Rows is the number of rows the server decoded from this batch.
 	Rows int `json:"rows"`
 	// Duplicate reports an idempotent replay: the key was already
-	// acknowledged and nothing was appended again.
+	// acknowledged, nothing was appended again, nothing double-counts.
 	Duplicate bool `json:"duplicate"`
 	// TotalRows is the dataset's row count after the append.
 	TotalRows int64 `json:"total_rows"`
@@ -430,41 +486,16 @@ type AppendResult struct {
 // append idempotent; empty with retries enabled, the Client generates
 // one so an automatic retry after an ambiguous network failure can
 // never double-ingest the batch. A success return means the batch is
-// fsynced into the dataset's crash-safe row log.
+// fsynced into the dataset's crash-safe row log. Rows that seek are
+// replayed on retry from the offset they had at the call; the Client
+// never closes them.
 func (c *Client) AppendRows(ctx context.Context, id, key string, rows io.Reader) (AppendResult, error) {
-	seeker, rewindable := rows.(io.Seeker)
-	sender := c.forBody(rewindable)
-	if key == "" && sender.Retry.enabled() {
+	if key == "" && c.Retry.enabled() {
 		key = newIdempotencyKey()
 	}
-	first := true
-	resp, err := sender.do(ctx, func() (*http.Request, error) {
-		if !first {
-			if _, err := seeker.Seek(0, io.SeekStart); err != nil {
-				return nil, err
-			}
-		}
-		first = false
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			c.BaseURL+"/datasets/"+url.PathEscape(id)+"/rows", rows)
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/jsonl")
-		if key != "" {
-			req.Header.Set("Idempotency-Key", key)
-		}
-		return req, nil
-	})
-	if err != nil {
-		return AppendResult{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return AppendResult{}, apiError(resp)
-	}
-	defer resp.Body.Close()
 	var out AppendResult
-	err = json.NewDecoder(resp.Body).Decode(&out)
+	_, err := c.send(ctx, call{method: http.MethodPost, path: "/datasets/" + url.PathEscape(id) + "/rows",
+		body: rows, contentType: "application/jsonl", key: key, out: &out})
 	return out, err
 }
 

@@ -12,7 +12,6 @@ package server
 // without any further client involvement.
 
 import (
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -99,9 +98,7 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var specs []AttrSpec
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&specs); err != nil {
-		writeError(w, http.StatusBadRequest, "schema body: %v", err)
+	if !decodeBody(w, r, &specs) {
 		return
 	}
 	attrs, err := dataset.SchemaFromSpecs(specs)
@@ -128,17 +125,6 @@ func (s *Server) handleDatasetStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
-}
-
-// appendResult is the response of POST /datasets/{id}/rows.
-type appendResult struct {
-	// Rows is the batch size the server decoded from the request.
-	Rows int `json:"rows"`
-	// Duplicate reports an idempotent replay: the batch's key was
-	// already acknowledged, nothing was appended, nothing double-counts.
-	Duplicate bool `json:"duplicate"`
-	// TotalRows is the dataset's row count after the append.
-	TotalRows int64 `json:"total_rows"`
 }
 
 // handleDatasetRows ingests one JSONL batch into a curated dataset. An
@@ -182,5 +168,5 @@ func (s *Server) handleDatasetRows(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st, _ := s.curator.Status(id)
-	writeJSON(w, http.StatusOK, appendResult{Rows: batch.N(), Duplicate: dup, TotalRows: st.Rows})
+	writeJSON(w, http.StatusOK, AppendResult{Rows: batch.N(), Duplicate: dup, TotalRows: st.Rows})
 }

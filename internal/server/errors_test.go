@@ -70,7 +70,7 @@ func multipartBody(t *testing.T, fields [][2]string) (io.Reader, string) {
 // bad JSON bodies and garbage uploads must map to the documented 4xx
 // statuses with a JSON error body — never a 500, never a hang.
 func TestErrorPaths(t *testing.T) {
-	_, c, _ := newTestServer(t, Config{MaxSynthesisRows: 1000})
+	_, c, _ := newTestServer(t, Config{MaxSynthesisRows: 1000, CuratorDir: t.TempDir()})
 	base := c.BaseURL
 
 	cases := []struct {
@@ -112,6 +112,8 @@ func TestErrorPaths(t *testing.T) {
 		{"query prob no predicates", "POST", "/models/fixture/query", "application/json", `{"kind":"prob"}`, 400, "at least one predicate"},
 		{"query unknown value", "POST", "/models/fixture/query", "application/json", `{"kind":"prob","where":[{"attr":"color","values":["mauve"]}]}`, 400, `no value "mauve"`},
 		{"query target is evidence", "POST", "/models/fixture/query", "application/json", `{"kind":"conditional","attrs":[{"name":"color"}],"where":[{"attr":"color","values":["red"]}]}`, 400, "both a query target and a predicate"},
+
+		{"dataset create bad json", "POST", "/datasets/survey", "application/json", `[{"name":`, 400, "decode request body"},
 
 		{"upload garbage", "POST", "/models", "application/json", `{"version":1,"model":{"Attrs":[]}}`, 422, "invalid model artifact"},
 		{"upload empty", "POST", "/models", "application/json", ``, 422, "invalid model artifact"},

@@ -2,12 +2,9 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
-	"strings"
 
 	"privbayes/internal/core"
 	"privbayes/internal/infer"
@@ -60,17 +57,59 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
+	if res := s.answerQuery(w, r, model, req); res != nil {
+		w.Header().Set("X-Privbayes-Model", meta.ID)
+		writeJSON(w, http.StatusOK, res)
+	}
+}
+
+// marginalRequest is the body of POST /models/{id}/marginal.
+type marginalRequest struct {
+	// Attrs names the queried attributes, in result order.
+	Attrs []string `json:"attrs"`
+	// MaxCells bounds the intermediate inference factor, as
+	// QueryRequest.MaxCells does.
+	MaxCells int `json:"max_cells"`
+}
+
+// handleMarginal is /query's marginal case in the v1 wire form: the
+// request becomes a "marginal" QueryRequest and answers through
+// answerQuery — admission and shedding included — so its answers are
+// bit-identical to POST /models/{id}/query's at any granted worker
+// count.
+func (s *Server) handleMarginal(w http.ResponseWriter, r *http.Request) {
+	model, _, err := s.registry.Get(r.PathValue("id"))
+	if err != nil {
+		writeError(w, statusFor(err), "%v", err)
+		return
+	}
+	var req marginalRequest
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	if len(req.Attrs) == 0 {
+		writeError(w, http.StatusBadRequest, "attrs must name at least one attribute")
+		return
+	}
+	q := QueryRequest{Kind: "marginal", Attrs: core.Marginal(req.Attrs...).Attrs, MaxCells: req.MaxCells}
+	if res := s.answerQuery(w, r, model, q); res != nil {
+		writeJSON(w, http.StatusOK, MarginalResult{Attrs: req.Attrs, Dims: res.Dims, P: res.P})
+	}
+}
+
+// answerQuery runs req against model: the wire kind, the cell-cap
+// clamp, admission on the shared worker budget, Model.Query at the
+// granted worker count, and the query metrics. A nil result means it
+// has written the error response.
+func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request, model *core.Model, req QueryRequest) *core.QueryResult {
 	kind, err := queryKindFromWire(req.Kind)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil
 	}
-	q := core.Query{Kind: kind, Attrs: req.Attrs, Where: req.Where, N: req.N}
 	// The cells bound is a memory guard: honor a client's tighter bound,
 	// never a looser one.
 	if req.MaxCells <= 0 || req.MaxCells > core.DefaultInferenceCells {
@@ -79,52 +118,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Inference runs on workers from the shared budget, like synthesis,
 	// and sheds under overload — a queued query only grows the client's
 	// latency past its deadline anyway.
-	got, release, err := s.workers.acquire(r.Context(), s.requestWorkers(req.Parallelism), true)
-	if err != nil {
-		if errors.Is(err, errOverloaded) {
-			writeRetryAfter(w, http.StatusServiceUnavailable, s.retryAfterSeconds(),
-				"server overloaded: worker queue full, retry later")
-		}
-		return // otherwise: client gone while waiting for workers
+	got, release, ok := s.admit(w, r, req.Parallelism)
+	if !ok {
+		return nil
 	}
 	var stats infer.Stats
-	res, err := model.Query(r.Context(), q,
-		core.QueryMaxCells(req.MaxCells), core.QueryParallelism(got),
-		core.QueryStats(&stats))
+	res, err := model.Query(r.Context(), core.Query{Kind: kind, Attrs: req.Attrs, Where: req.Where, N: req.N},
+		core.QueryMaxCells(req.MaxCells), core.QueryParallelism(got), core.QueryStats(&stats))
 	release()
 	s.metrics.noteQuery(req.Kind, stats, err)
 	if err != nil {
 		writeError(w, statusFor(err), "%v", err)
-		return
+		return nil
 	}
-	w.Header().Set("X-Privbayes-Model", meta.ID)
-	writeJSON(w, http.StatusOK, res)
+	return res
 }
 
 // Query answers an exact query against a registered model (see
 // core.Model.Query and POST /models/{id}/query).
 func (c *Client) Query(ctx context.Context, id string, qr QueryRequest) (core.QueryResult, error) {
-	body, err := json.Marshal(qr)
-	if err != nil {
-		return core.QueryResult{}, err
-	}
-	u := c.BaseURL + "/models/" + url.PathEscape(id) + "/query"
-	resp, err := c.do(ctx, func() (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, strings.NewReader(string(body)))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		return req, nil
-	})
-	if err != nil {
-		return core.QueryResult{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return core.QueryResult{}, apiError(resp)
-	}
-	defer resp.Body.Close()
 	var out core.QueryResult
-	err = json.NewDecoder(resp.Body).Decode(&out)
+	_, err := c.send(ctx, call{method: http.MethodPost, path: "/models/" + url.PathEscape(id) + "/query", in: qr, out: &out})
 	return out, err
 }

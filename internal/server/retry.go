@@ -43,19 +43,6 @@ func DefaultRetryPolicy() RetryPolicy {
 
 func (p RetryPolicy) enabled() bool { return p.MaxAttempts > 1 }
 
-// forBody returns the client to send a body-carrying request through:
-// itself when the body can be rewound for replay, a retry-disabled copy
-// when it cannot — a retried attempt would otherwise send an empty or
-// truncated body.
-func (c *Client) forBody(rewindable bool) *Client {
-	if rewindable {
-		return c
-	}
-	cc := *c
-	cc.Retry = RetryPolicy{}
-	return &cc
-}
-
 // retryableStatus reports whether a response status invites a retry.
 func retryableStatus(code int) bool {
 	switch code {
@@ -95,12 +82,12 @@ func (p RetryPolicy) backoff(attempt int, retryAfter string) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
-// do runs one logical request through the retry policy. build must
-// return a fresh request (with a fresh body) on every call; a build
-// error aborts immediately. Responses with non-retryable statuses are
-// returned to the caller unconsumed, including the final attempt's.
-func (c *Client) do(ctx context.Context, build func() (*http.Request, error)) (*http.Response, error) {
-	attempts := c.Retry.MaxAttempts
+// do runs one logical request through the retry policy, in at most
+// attempts tries. build must return a fresh request (with a fresh body)
+// on every call; a build error aborts immediately. Responses with
+// non-retryable statuses are returned to the caller unconsumed,
+// including the final attempt's.
+func (c *Client) do(ctx context.Context, attempts int, build func() (*http.Request, error)) (*http.Response, error) {
 	if attempts < 1 {
 		attempts = 1
 	}

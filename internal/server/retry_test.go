@@ -7,7 +7,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -155,6 +159,255 @@ func TestFitNonRewindableBodyIsNotRetried(t *testing.T) {
 	}
 	if n := calls.Load(); n != 1 {
 		t.Errorf("server saw %d attempts, want 1", n)
+	}
+}
+
+// flakyAppendServer answers its first request 503 with Retry-After 0
+// and every later one 200, recording each request body it reads.
+func flakyAppendServer(t *testing.T) (*Client, func() []string) {
+	t.Helper()
+	var mu sync.Mutex
+	var bodies []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		raw, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		bodies = append(bodies, string(raw))
+		first := len(bodies) == 1
+		mu.Unlock()
+		if first {
+			w.Header().Set("Retry-After", "0")
+			writeError(w, http.StatusServiceUnavailable, "overloaded")
+			return
+		}
+		writeJSON(w, http.StatusOK, AppendResult{Rows: 1, TotalRows: 1})
+	}))
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL)
+	c.Retry = testPolicy(3)
+	return c, func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), bodies...)
+	}
+}
+
+// headedRows is a rows body behind a 7-byte header line the caller
+// consumes before handing the reader to AppendRows.
+const headedRows = "HEADER\n{\"a\":1}\n"
+
+// wantSameBodies asserts the server saw two attempts, both carrying
+// the rows after the header.
+func wantSameBodies(t *testing.T, bodies []string) {
+	t.Helper()
+	want := headedRows[7:]
+	if len(bodies) != 2 || bodies[0] != want || bodies[1] != want {
+		t.Errorf("attempt bodies = %q, want two of %q", bodies, want)
+	}
+}
+
+// TestAppendRowsRetryReplaysFromCallOffset: a retried append resends
+// the body from the offset the reader had when AppendRows was called,
+// not from its start, so both attempts carry the same bytes.
+func TestAppendRowsRetryReplaysFromCallOffset(t *testing.T) {
+	c, bodies := flakyAppendServer(t)
+	rows := bytes.NewReader([]byte(headedRows))
+	if _, err := rows.Seek(7, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AppendRows(context.Background(), "d", "k1", rows); err != nil {
+		t.Fatal(err)
+	}
+	wantSameBodies(t, bodies())
+}
+
+// TestAppendRowsRetryKeepsCallerFileOpen: an *os.File body — which
+// net/http would close after the first attempt — is replayed on retry
+// and left open for the caller who owns it.
+func TestAppendRowsRetryKeepsCallerFileOpen(t *testing.T) {
+	c, bodies := flakyAppendServer(t)
+	path := filepath.Join(t.TempDir(), "rows.jsonl")
+	if err := os.WriteFile(path, []byte(headedRows), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Seek(7, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AppendRows(context.Background(), "d", "k1", f); err != nil {
+		t.Fatalf("append from a file through one 503: %v", err)
+	}
+	wantSameBodies(t, bodies())
+	if err := f.Close(); err != nil {
+		t.Errorf("the caller's file was closed by the client: %v", err)
+	}
+}
+
+// TestRetryRewindsAfterTheTransportStopsReading: the server sheds the
+// first attempt without reading its body and holds that connection
+// open until the retry is read, so the transport is still sending the
+// first attempt's body when the client rewinds it for the retry. The
+// rewind must not race that read (run with -race), and the retry must
+// carry the body whole.
+func TestRetryRewindsAfterTheTransportStopsReading(t *testing.T) {
+	data := bytes.Repeat([]byte("{\"a\":1}\n"), 1<<21) // 16 MiB: more than the socket buffers hold
+	var calls atomic.Int64
+	retried := make(chan []byte, 1)
+	read := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			// Full duplex: answer without first draining the body.
+			rc := http.NewResponseController(w)
+			rc.EnableFullDuplex()
+			const shed = `{"error":"overloaded"}`
+			w.Header().Set("Retry-After", "0")
+			w.Header().Set("Content-Length", strconv.Itoa(len(shed)))
+			w.WriteHeader(http.StatusServiceUnavailable)
+			io.WriteString(w, shed)
+			rc.Flush()
+			select {
+			case <-read:
+			case <-time.After(5 * time.Second):
+			}
+			return
+		}
+		raw, _ := io.ReadAll(r.Body)
+		retried <- raw
+		close(read)
+		writeJSON(w, http.StatusOK, AppendResult{})
+	}))
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	c.Retry = testPolicy(2)
+	if _, err := c.AppendRows(context.Background(), "d", "k1", bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-retried; !bytes.Equal(got, data) {
+		t.Errorf("the retry sent %d bytes, want the %d-byte body whole", len(got), len(data))
+	}
+}
+
+// TestClientBodiesCarryLength: a JSON body and a seekable caller body
+// go out with a Content-Length equal to the bytes sent — the seekable
+// one's counted from its offset at the call and, for Fit, framed — and
+// only a body that cannot seek goes out chunked.
+func TestClientBodiesCarryLength(t *testing.T) {
+	type seen struct {
+		length int64
+		n      int
+		te     []string
+	}
+	var mu sync.Mutex
+	got := map[string]seen{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		raw, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		got[r.URL.Path] = seen{r.ContentLength, len(raw), r.TransferEncoding}
+		mu.Unlock()
+		status := http.StatusOK
+		if r.URL.Path == "/fit" {
+			status = http.StatusCreated
+		}
+		writeJSON(w, status, map[string]any{})
+	}))
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	ctx := context.Background()
+
+	if _, err := c.Marginal(ctx, "m", []string{"a"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	rows := bytes.NewReader([]byte(headedRows))
+	rows.Seek(7, io.SeekStart)
+	if _, err := c.AppendRows(ctx, "seek", "", rows); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Fit(ctx, FitRequest{DatasetID: "d", Epsilon: 1, Data: bytes.NewReader([]byte("a\nx\n"))}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AppendRows(ctx, "pipe", "", io.MultiReader(strings.NewReader(headedRows))); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/models/m/marginal", "/datasets/seek/rows", "/fit"} {
+		if s := got[path]; s.length != int64(s.n) || s.n == 0 || len(s.te) != 0 {
+			t.Errorf("%s: Content-Length %d, %d bytes, Transfer-Encoding %v; want the length, unchunked", path, s.length, s.n, s.te)
+		}
+	}
+	if s := got["/datasets/seek/rows"]; s.n != len(headedRows)-7 {
+		t.Errorf("seekable rows sent %d bytes, want %d", s.n, len(headedRows)-7)
+	}
+	if s := got["/datasets/pipe/rows"]; s.length != -1 || s.n != len(headedRows) {
+		t.Errorf("non-seekable rows: Content-Length %d, %d bytes; want -1 (chunked), %d", s.length, s.n, len(headedRows))
+	}
+}
+
+// TestClientBodiesFollowRedirects: with retries off, net/http itself
+// resends a JSON body and a seekable caller body through a 307, so
+// both calls land on the redirect target with the bytes they sent.
+func TestClientBodiesFollowRedirects(t *testing.T) {
+	var mu sync.Mutex
+	bodies := map[string]string{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if moved, ok := strings.CutPrefix(r.URL.Path, "/models/old/"); ok {
+			http.Redirect(w, r, "/models/new/"+moved, http.StatusTemporaryRedirect)
+			return
+		}
+		if r.URL.Path == "/datasets/old/rows" {
+			http.Redirect(w, r, "/datasets/new/rows", http.StatusTemporaryRedirect)
+			return
+		}
+		raw, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		bodies[r.URL.Path] = string(raw)
+		mu.Unlock()
+		writeJSON(w, http.StatusOK, map[string]any{})
+	}))
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	ctx := context.Background()
+
+	if _, err := c.Marginal(ctx, "old", []string{"a"}, 0); err != nil {
+		t.Fatalf("marginal through a 307: %v", err)
+	}
+	rows := bytes.NewReader([]byte(headedRows))
+	rows.Seek(7, io.SeekStart)
+	if _, err := c.AppendRows(ctx, "old", "", rows); err != nil {
+		t.Fatalf("append through a 307: %v", err)
+	}
+	if b := bodies["/models/new/marginal"]; !strings.Contains(b, `"attrs":["a"]`) {
+		t.Errorf("redirected marginal body = %q", b)
+	}
+	if b := bodies["/datasets/new/rows"]; b != headedRows[7:] {
+		t.Errorf("redirected rows body = %q, want %q", b, headedRows[7:])
+	}
+}
+
+// TestClientDoesNotWaitOnAPipeBody: when the server answers without
+// reading a body that cannot seek, the call returns at once; it does
+// not wait on a read of the caller's pipe that may never return.
+func TestClientDoesNotWaitOnAPipeBody(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Full duplex: answer without first draining the body.
+		http.NewResponseController(w).EnableFullDuplex()
+		writeError(w, http.StatusNotFound, "no such dataset")
+	}))
+	defer ts.Close()
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := NewClient(ts.URL).AppendRows(context.Background(), "d", "", pr)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "404") {
+			t.Errorf("append with an idle pipe body: %v, want the 404", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("AppendRows still waiting on a pipe body the server never read")
 	}
 }
 

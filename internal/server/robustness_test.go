@@ -188,8 +188,9 @@ func TestFitPerDatasetCap(t *testing.T) {
 }
 
 // TestOverloadSheds: with the worker budget drained and the wait queue
-// at its cap, synthesize and query requests are shed with 503 +
-// Retry-After instead of queueing, and admitted work is unaffected.
+// at its cap, synthesize, query and marginal requests are shed with
+// 503 + Retry-After instead of queueing, and admitted work is
+// unaffected.
 func TestOverloadSheds(t *testing.T) {
 	s, c, _ := newTestServer(t, Config{MaxWorkers: 2, MaxQueueDepth: 1})
 	ctx := context.Background()
@@ -238,6 +239,21 @@ func TestOverloadSheds(t *testing.T) {
 	qresp.Body.Close()
 	if qresp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("query under overload: %d, want 503", qresp.StatusCode)
+	}
+
+	// So do marginals: /marginal is /query's marginal case, admission
+	// included.
+	mresp, err := http.Post(c.BaseURL+"/models/fixture/marginal", "application/json",
+		strings.NewReader(`{"attrs":["color"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mresp.Body.Close()
+	if mresp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("marginal under overload: %d, want 503", mresp.StatusCode)
+	}
+	if mresp.Header.Get("Retry-After") == "" {
+		t.Error("marginal 503 without Retry-After")
 	}
 
 	// Releasing the budget lets the parked request finish normally.

@@ -9,6 +9,12 @@
 // requests cost no additional privacy budget. Only POST /fit — which
 // reads raw data — is metered.
 //
+// Every compute request — synthesize, query, marginal, fit — is
+// admitted by one step on the shared worker budget (admit), which sheds
+// with 503 + Retry-After under overload. POST /models/{id}/marginal is
+// /query's marginal case: it answers through the same function,
+// admission included.
+//
 // Endpoints:
 //
 //	GET  /healthz                  liveness + worker budget
@@ -16,7 +22,7 @@
 //	POST /models[?id=...]          upload a SaveModel artifact
 //	GET  /models/{id}              model metadata (network, ε, schema)
 //	GET  /models/{id}/synthesize   stream synthetic rows (also POST)
-//	POST /models/{id}/marginal     exact marginal inference (v1 wire form)
+//	POST /models/{id}/marginal     exact marginal: /query's v1 wire form
 //	POST /models/{id}/query        exact query: marginal/conditional/prob/count
 //	POST /fit                      curator mode: CSV + schema + ε -> model
 //	GET  /budget                   per-dataset privacy-budget ledger
@@ -32,6 +38,7 @@ import (
 	"math/rand"
 	"mime"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -131,7 +138,7 @@ type Server struct {
 	workers    *workerBudget
 	fs         faultfs.FS
 	fits       *inflightGauge // per-dataset concurrent-fit cap
-	fitKeys    *inflightKeys  // Idempotency-Key single-flight guard
+	fitKeys    *inflightGauge // Idempotency-Key single flight (cap 1)
 	maxRows    int
 	maxBytes   int64
 	maxPar     int
@@ -163,7 +170,7 @@ func New(cfg Config) (*Server, error) {
 		workers:  newWorkerBudget(parallel.Workers(cfg.MaxWorkers), queueDepth),
 		fs:       faultfs.Or(cfg.FS),
 		fits:     newInflightGauge(fitCap),
-		fitKeys:  newInflightKeys(),
+		fitKeys:  newInflightGauge(1),
 		maxRows:  cfg.MaxSynthesisRows,
 		maxBytes: cfg.MaxUploadBytes,
 		maxPar:   cfg.MaxRequestParallelism,
@@ -347,6 +354,17 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// decodeBody is every handler's JSON request-body decoder: it decodes
+// at most 1 MiB into v, answering 400 when the body is malformed or
+// larger. ok=false means that answer was written.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, "decode request body: %v", err)
+		return false
+	}
+	return true
+}
+
 // statusFor maps a domain error to an HTTP status.
 func statusFor(err error) int {
 	var tooBig *http.MaxBytesError
@@ -522,7 +540,8 @@ func (s *Server) atomicWriteModel(path string, m *core.Model, epsilon float64) e
 }
 
 // synthesizeParams are the knobs of a synthesize request, from query
-// parameters (GET/POST) or a JSON body (POST).
+// parameters (GET/POST) or a JSON body (POST); a query parameter
+// overrides the body.
 type synthesizeParams struct {
 	N           int    `json:"n"`
 	Seed        *int64 `json:"seed"`
@@ -530,27 +549,20 @@ type synthesizeParams struct {
 	Parallelism int    `json:"parallelism"`
 }
 
-func parseSynthesizeParams(r *http.Request) (synthesizeParams, error) {
-	var p synthesizeParams
-	q := r.URL.Query()
-	mediaType, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if r.Method == http.MethodPost && mediaType == "application/json" {
-		body := http.MaxBytesReader(nil, r.Body, 1<<20)
-		if err := json.NewDecoder(body).Decode(&p); err != nil {
-			return p, fmt.Errorf("decode request body: %v", err)
-		}
-	}
+// applyQuery overlays the query parameters q on p and validates the
+// format.
+func (p *synthesizeParams) applyQuery(q url.Values) error {
 	if v := q.Get("n"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			return p, fmt.Errorf("parameter n: %v", err)
+			return fmt.Errorf("parameter n: %v", err)
 		}
 		p.N = n
 	}
 	if v := q.Get("seed"); v != "" {
 		seed, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			return p, fmt.Errorf("parameter seed: %v", err)
+			return fmt.Errorf("parameter seed: %v", err)
 		}
 		p.Seed = &seed
 	}
@@ -560,7 +572,7 @@ func parseSynthesizeParams(r *http.Request) (synthesizeParams, error) {
 	if v := q.Get("parallelism"); v != "" {
 		par, err := strconv.Atoi(v)
 		if err != nil {
-			return p, fmt.Errorf("parameter parallelism: %v", err)
+			return fmt.Errorf("parameter parallelism: %v", err)
 		}
 		p.Parallelism = par
 	}
@@ -568,9 +580,9 @@ func parseSynthesizeParams(r *http.Request) (synthesizeParams, error) {
 		p.Format = "csv"
 	}
 	if p.Format != "csv" && p.Format != "jsonl" {
-		return p, fmt.Errorf("unknown format %q (want csv or jsonl)", p.Format)
+		return fmt.Errorf("unknown format %q (want csv or jsonl)", p.Format)
 	}
-	return p, nil
+	return nil
 }
 
 // handleSynthesize streams n synthetic rows from a registered model.
@@ -596,8 +608,12 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), "%v", err)
 		return
 	}
-	p, err := parseSynthesizeParams(r)
-	if err != nil {
+	var p synthesizeParams
+	mediaType, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
+	if r.Method == http.MethodPost && mediaType == "application/json" && !decodeBody(w, r, &p) {
+		return
+	}
+	if err := p.applyQuery(r.URL.Query()); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -610,22 +626,15 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		seed = *p.Seed
 	}
 
-	// Admission control happens before the first byte of the response:
-	// a 503 is only expressible while headers are unsent, so the first
-	// chunk's workers are acquired shed-capably here, and overload turns
-	// the request away with a retry hint instead of parking it in an
-	// unbounded queue. Once admitted the stream is committed — later
-	// chunk acquires pass shed=false and may wait.
+	// Admission claims the first chunk's workers. Once admitted the
+	// stream is committed — later chunk acquires pass shed=false and may
+	// wait.
+	got0, release0, ok := s.admit(w, r, p.Parallelism)
+	if !ok {
+		return
+	}
 	ctx := r.Context()
 	want := s.requestWorkers(p.Parallelism)
-	got0, release0, err := s.workers.acquire(ctx, want, true)
-	if err != nil {
-		if errors.Is(err, errOverloaded) {
-			writeRetryAfter(w, http.StatusServiceUnavailable, s.retryAfterSeconds(),
-				"server overloaded: synthesis queue full, retry later")
-		}
-		return // otherwise: client gone while waiting for workers
-	}
 	defer func() {
 		if release0 != nil {
 			release0()
@@ -692,54 +701,6 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// marginalRequest is the body of POST /models/{id}/marginal.
-type marginalRequest struct {
-	// Attrs names the queried attributes, in result order.
-	Attrs []string `json:"attrs"`
-	// MaxCells bounds the intermediate inference joint; it is clamped
-	// to the server's ceiling (core.DefaultInferenceCells), so clients
-	// can only tighten the bound, never lift it.
-	MaxCells int `json:"max_cells"`
-}
-
-// handleMarginal answers a raw-level marginal by exact inference on the
-// model — no sampling error, no privacy cost. It is the v1 wire form of
-// the query engine: the request compiles to core.Marginal(attrs...) and
-// runs through Model.Query, so its answers are byte-identical to the
-// richer POST /models/{id}/query endpoint.
-func (s *Server) handleMarginal(w http.ResponseWriter, r *http.Request) {
-	model, _, err := s.registry.Get(r.PathValue("id"))
-	if err != nil {
-		writeError(w, statusFor(err), "%v", err)
-		return
-	}
-	var req marginalRequest
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request body: %v", err)
-		return
-	}
-	if len(req.Attrs) == 0 {
-		writeError(w, http.StatusBadRequest, "attrs must name at least one attribute")
-		return
-	}
-	// The cells bound is a memory guard: honor a client's tighter
-	// bound, never a looser one.
-	if req.MaxCells <= 0 || req.MaxCells > core.DefaultInferenceCells {
-		req.MaxCells = core.DefaultInferenceCells
-	}
-	var stats infer.Stats
-	res, err := model.Query(r.Context(), core.Marginal(req.Attrs...),
-		core.QueryMaxCells(req.MaxCells), core.QueryParallelism(1),
-		core.QueryStats(&stats))
-	s.metrics.noteQuery("marginal", stats, err)
-	if err != nil {
-		writeError(w, statusFor(err), "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, MarginalResult{Attrs: req.Attrs, Dims: res.Dims, P: res.P})
-}
-
 // handleFit is curator mode: a multipart upload of schema + CSV + ε
 // runs privbayes.Fit and registers (and persists) the resulting model.
 // Every fit is metered against the dataset's ε budget in the ledger
@@ -768,15 +729,18 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// Single flight per key: a concurrent retry while the first
-		// attempt is still fitting would race it to the registry. Turn
-		// the latecomer away; by its retry the first attempt has
-		// finished (replay) or failed (rerun).
-		if !s.fitKeys.begin(idemKey) {
+		// attempt is still fitting would race it to the registry — the
+		// in-process window between the ledger's durable charge and
+		// registry.Put, which the ledger cannot see. Turn the latecomer
+		// away; by its retry the first attempt has finished (replay) or
+		// failed (rerun).
+		leave, ok := s.fitKeys.enter(idemKey)
+		if !ok {
 			writeRetryAfter(w, http.StatusConflict, 2,
 				"a fit with Idempotency-Key %q is already in flight", idemKey)
 			return
 		}
-		defer s.fitKeys.end(idemKey)
+		defer leave()
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBytes)
 	mr, err := r.MultipartReader()
@@ -999,15 +963,11 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The fit itself runs on workers from the shared budget, like any
-	// synthesis chunk. Overload sheds with 503 — the refund (which for
-	// keyed fits also forgets the key) makes the retry a clean slate.
-	got, release, err := s.workers.acquire(r.Context(), s.requestWorkers(par), true)
-	if err != nil {
+	// synthesis chunk. A shed fit is refunded — which for keyed fits also
+	// forgets the key — so the retry is a clean slate.
+	got, release, ok := s.admit(w, r, par)
+	if !ok {
 		refund()
-		if errors.Is(err, errOverloaded) {
-			writeRetryAfter(w, http.StatusServiceUnavailable, s.retryAfterSeconds(),
-				"server overloaded: worker queue full, retry later")
-		}
 		return
 	}
 	// The request context cancels the fit: when the client disconnects

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 	"strconv"
 	"sync"
@@ -26,6 +27,25 @@ func writeRetryAfter(w http.ResponseWriter, status, seconds int, format string, 
 	writeError(w, status, format, args...)
 }
 
+// admit is every request's admission step: it claims workers for the
+// request's first compute burst through the shed-capable acquire. Under
+// overload it answers 503 + Retry-After instead of parking the request
+// in an unbounded queue — a 503 is only expressible before the first
+// response byte, so handlers admit before writing anything. ok=false
+// means the request is over: shed, or its client gone while waiting.
+// On ok=true the returned release must be called exactly once.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, asked int) (got int, release func(), ok bool) {
+	got, release, err := s.workers.acquire(r.Context(), s.requestWorkers(asked), true)
+	if err != nil {
+		if errors.Is(err, errOverloaded) {
+			writeRetryAfter(w, http.StatusServiceUnavailable, s.retryAfterSeconds(),
+				"server overloaded: worker queue full, retry later")
+		}
+		return 0, nil, false
+	}
+	return got, release, true
+}
+
 // retryAfterSeconds estimates how long a shed client should wait before
 // retrying: one second plus a second per queued request ahead of it,
 // capped so clients never park for minutes on a stale hint.
@@ -38,8 +58,9 @@ func (s *Server) retryAfterSeconds() int {
 	return sec
 }
 
-// inflightGauge counts concurrent operations per key (dataset id) and
-// rejects new ones past a cap. It is a load-shedding guard, not a
+// inflightGauge counts concurrent operations per key and rejects new
+// ones past a cap: the per-dataset fit cap, and at cap 1 the
+// Idempotency-Key single flight. It is a load-shedding guard, not a
 // queue: callers that cannot enter are told to retry later.
 type inflightGauge struct {
 	mu  sync.Mutex

@@ -9,11 +9,9 @@ import (
 	"privbayes/internal/score"
 )
 
-// Default parameterization of the v2 API, from the paper's
-// recommendations (Section 6.4). Unlike the v1 Options struct — which
-// inferred "unset" from zero values — the v2 option set starts from
-// these explicit defaults and every With* option overrides exactly one
-// of them.
+// Default parameterization, from the paper's recommendations (Section
+// 6.4): a run starts from these explicit defaults and every With*
+// option overrides exactly one of them.
 const (
 	// DefaultBeta splits the budget between network learning (βε) and
 	// distribution learning ((1−β)ε).
