@@ -118,9 +118,10 @@ quality:
 # row decoder (FuzzReadCSV drives ReadCSV and ScanCSV, the decoder of
 # POST /fit uploads and the CLI; FuzzScanJSONL drives ScanJSONL, the
 # decoder of row appends), the WAL framing every daemon start recovers
-# (FuzzWALOpen: ledger and row logs), the curator's on-disk row record
-# codec — plus the differential counting fuzz pinning the popcount
-# kernel to the legacy row-major counts.
+# (FuzzWALOpen: ledger and row logs), the ledger's record decoder behind
+# it (FuzzLedgerReplay), the curator's on-disk row record codec — plus
+# the differential counting fuzz pinning the popcount kernel to the
+# legacy row-major counts.
 # FUZZTIME bounds each target; the nightly workflow runs with a larger
 # budget.
 fuzz:
@@ -128,6 +129,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz 'FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run NONE -fuzz 'FuzzScanJSONL$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run NONE -fuzz 'FuzzWALOpen$$' -fuzztime $(FUZZTIME) ./internal/wal
+	$(GO) test -run NONE -fuzz 'FuzzLedgerReplay$$' -fuzztime $(FUZZTIME) ./internal/accountant
 	$(GO) test -run NONE -fuzz 'FuzzAppendRows$$' -fuzztime $(FUZZTIME) ./internal/curator
 	$(GO) test -run NONE -fuzz 'FuzzColumnarCounts$$' -fuzztime $(FUZZTIME) ./internal/marginal
 
@@ -145,11 +147,12 @@ crashsafety:
 		$(GO) test -run 'TestCrashLoop' -v -timeout 20m ./cmd/privbayesd
 
 # Run the synthesis-serving daemon locally: loads models from ./models,
-# meters curator fits in ./models/ledger.json.
+# meters curator fits in the WAL ledger ./models/ledger.wal (not a
+# *.json name, so it is never mistaken for a model artifact).
 serve:
 	@mkdir -p models
 	$(GO) run ./cmd/privbayesd -addr :8131 -models-dir models \
-		-ledger models/ledger.json
+		-ledger models/ledger.wal
 
 # API-compatibility gate: the exported surface of the privbayes facade
 # must match the checked-in golden file. Any API change — addition or

@@ -1,9 +1,14 @@
 // Package accountant tracks cumulative differential-privacy spending
-// per dataset across fits. Where internal/dp's Accountant budgets one
-// PrivBayes run (ε = ε₁ + ε₂ inside a single Fit), this ledger budgets
-// a *dataset* across its lifetime: every model the curator fits against
-// dataset D composes sequentially, so the serving daemon must refuse a
-// fit whose ε would push D's cumulative spend past its budget.
+// per dataset across fits. One PrivBayes run splits its ε into ε₁ + ε₂
+// inside a single Fit; this ledger budgets a *dataset* across its
+// lifetime: every model the curator fits against dataset D composes
+// sequentially, so the serving daemon must refuse a fit whose ε would
+// push D's cumulative spend past its budget.
+//
+// Every fit spends through one call, Charge, whose record names the
+// model it pays for. The returned Spend owns the one refund rule: a fit
+// that ends before its model is released refunds, unless its charge
+// replays an earlier run's, which may already have released the model.
 //
 // A file-backed ledger (OpenWAL) commits every mutation through an
 // append-only, checksummed, fsync'd write-ahead log (internal/wal)
@@ -86,6 +91,12 @@ type Entry struct {
 	Budget float64 `json:"budget"`
 }
 
+// valid reports whether a recovered entry can be trusted: a finite
+// spend of at least zero against a finite positive budget.
+func (e Entry) valid() bool {
+	return e.Spent >= 0 && !math.IsInf(e.Spent, 1) && e.Budget > 0 && !math.IsInf(e.Budget, 1)
+}
+
 // Remaining returns the unused budget, never negative.
 func (e Entry) Remaining() float64 {
 	if r := e.Budget - e.Spent; r > 0 {
@@ -123,15 +134,15 @@ type Ledger struct {
 	// keys maps idempotency keys to their recorded charge, surviving
 	// compaction (checkpointed) and restarts (replayed). keyOrder is
 	// FIFO so the map stays bounded at maxIdemKeys.
-	keys     map[string]KeyInfo
+	keys     map[string]keyInfo
 	keyOrder []string
 
 	// m instruments mutations; nil means uninstrumented (see Instrument).
 	m *Metrics
 }
 
-// KeyInfo records the charge an idempotency key committed.
-type KeyInfo struct {
+// keyInfo records the charge an idempotency key committed.
+type keyInfo struct {
 	Dataset string  `json:"dataset"`
 	Eps     float64 `json:"eps"`
 	// ModelID is the model the charged fit was going to register, so a
@@ -150,7 +161,7 @@ func New(defaultBudget float64) *Ledger {
 		panic(fmt.Sprintf("accountant: default budget must be positive, got %g", defaultBudget))
 	}
 	return &Ledger{defaultBudget: defaultBudget,
-		datasets: map[string]Entry{}, keys: map[string]KeyInfo{}}
+		datasets: map[string]Entry{}, keys: map[string]keyInfo{}}
 }
 
 // parseLegacy decodes and validates the rewrite-everything JSON format.
@@ -171,7 +182,7 @@ func parseLegacy(path string, raw []byte) (map[string]Entry, error) {
 	}
 	out := make(map[string]Entry, len(doc.Datasets))
 	for id, e := range doc.Datasets {
-		if e.Spent < 0 || !(e.Budget > 0) || math.IsNaN(e.Spent) {
+		if !e.valid() {
 			return nil, fmt.Errorf("accountant: ledger %s: dataset %q has invalid entry (spent %g, budget %g)", path, id, e.Spent, e.Budget)
 		}
 		out[id] = e
@@ -189,7 +200,7 @@ func (l *Ledger) entryLocked(dataset string) Entry {
 }
 
 // chargeTol absorbs floating-point dust when a budget is consumed in
-// many equal shares (matches internal/dp's Accountant tolerance).
+// many equal shares.
 const chargeTol = 1e-9
 
 // Charge atomically spends eps from the dataset's budget: the check,
@@ -197,53 +208,45 @@ const chargeTol = 1e-9
 // so concurrent fits racing on one dataset can never jointly overspend.
 // A rejected charge leaves the ledger untouched and returns a
 // *BudgetError matching ErrBudgetExceeded.
-func (l *Ledger) Charge(dataset string, eps float64) error {
-	_, _, err := l.charge(dataset, eps, "", "")
-	return err
-}
-
-// ChargeIdempotent is Charge with exactly-once semantics under retries:
-// the first charge under key commits durably along with key and
-// modelID; any later charge under the same key (same dataset and ε) is
-// a no-op returning duplicate=true and the originally recorded model
-// id — across process restarts too, because the key rides in the WAL
-// record and every checkpoint. Reusing a key with different parameters
-// fails with ErrIdempotencyMismatch.
-func (l *Ledger) ChargeIdempotent(dataset string, eps float64, key, modelID string) (duplicate bool, prevModelID string, err error) {
-	if key == "" {
-		return false, "", errors.New("accountant: empty idempotency key")
-	}
-	return l.charge(dataset, eps, key, modelID)
-}
-
-func (l *Ledger) charge(dataset string, eps float64, key, modelID string) (duplicate bool, prevModelID string, err error) {
+//
+// modelID names the model the charge pays for and rides in the charge's
+// WAL record. A non-empty key makes the charge exactly-once under
+// retries: the first charge under key commits durably along with key
+// and modelID; any later charge under the same key (same dataset and ε)
+// spends nothing and returns a replayed Spend naming the originally
+// recorded model — across process restarts too, because the key rides
+// in the WAL record and every checkpoint. Reusing a key with different
+// parameters fails with ErrIdempotencyMismatch.
+func (l *Ledger) Charge(dataset string, eps float64, key, modelID string) (*Spend, error) {
 	if dataset == "" {
-		return false, "", errors.New("accountant: empty dataset id")
+		return nil, errors.New("accountant: empty dataset id")
 	}
 	if !(eps > 0) || math.IsInf(eps, 1) {
-		return false, "", fmt.Errorf("accountant: charge must be positive and finite, got %g", eps)
+		return nil, fmt.Errorf("accountant: charge must be positive and finite, got %g", eps)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	spend := &Spend{l: l, dataset: dataset, eps: eps, key: key, modelID: modelID}
 	if key != "" {
 		if info, ok := l.keys[key]; ok {
 			if info.Dataset != dataset || math.Abs(info.Eps-eps) > chargeTol {
-				return false, "", fmt.Errorf("%w: key %q charged dataset %q ε=%g, retried with dataset %q ε=%g",
+				return nil, fmt.Errorf("%w: key %q charged dataset %q ε=%g, retried with dataset %q ε=%g",
 					ErrIdempotencyMismatch, key, info.Dataset, info.Eps, dataset, eps)
 			}
 			l.m.replayHit()
-			return true, info.ModelID, nil
+			spend.modelID, spend.replay = info.ModelID, true
+			return spend, nil
 		}
 	}
 	e := l.entryLocked(dataset)
 	if e.Spent+eps > e.Budget*(1+chargeTol) {
 		l.m.chargeRejected()
-		return false, "", &BudgetError{Dataset: dataset, Requested: eps, Spent: e.Spent, Budget: e.Budget}
+		return nil, &BudgetError{Dataset: dataset, Requested: eps, Spent: e.Spent, Budget: e.Budget}
 	}
 	e.Spent += eps
 	l.datasets[dataset] = e
 	if key != "" {
-		l.addKeyLocked(key, KeyInfo{Dataset: dataset, Eps: eps, ModelID: modelID})
+		l.addKeyLocked(key, keyInfo{Dataset: dataset, Eps: eps, ModelID: modelID})
 	}
 	rec := walRecord{Op: opCharge, Dataset: dataset, Eps: eps, Key: key, ModelID: modelID,
 		Spent: e.Spent, Budget: e.Budget}
@@ -255,57 +258,75 @@ func (l *Ledger) charge(dataset string, eps float64, key, modelID string) (dupli
 		if key != "" {
 			l.dropKeyLocked(key)
 		}
-		return false, "", err
+		return nil, err
 	}
 	l.m.chargeCommitted(dataset, eps, e)
-	return false, modelID, nil
+	return spend, nil
 }
 
-// Refund returns eps to the dataset after a fit that failed before
-// releasing anything observable (sequential composition only charges
-// for released outputs). Refunding more than was spent clamps to zero.
-func (l *Ledger) Refund(dataset string, eps float64) error {
-	return l.refund(dataset, eps, "")
+// Spend is one acknowledged charge, and it owns the charge's refund
+// rule. A caller charges, defers Refund, and calls Keep once the model
+// the charge pays for is released; every path that ends before then
+// returns the ε, unless the charge is a replay (see Refund). A Spend is
+// not safe for concurrent use.
+type Spend struct {
+	l       *Ledger
+	dataset string
+	eps     float64
+	key     string
+	modelID string
+	replay  bool
+	settled bool // kept or refunded
 }
 
-// RefundIdempotent is Refund for a charge made under an idempotency
-// key: alongside the refund it forgets the key, so a later retry with
-// the same key charges afresh instead of riding a refunded charge.
-func (l *Ledger) RefundIdempotent(dataset string, eps float64, key string) error {
-	return l.refund(dataset, eps, key)
-}
+// ModelID returns the model the charge names: the one recorded under
+// the key when the charge replays.
+func (s *Spend) ModelID() string { return s.modelID }
 
-func (l *Ledger) refund(dataset string, eps float64, key string) error {
-	if !(eps > 0) || math.IsInf(eps, 1) {
-		return fmt.Errorf("accountant: refund must be positive and finite, got %g", eps)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	e, ok := l.datasets[dataset]
-	if !ok {
+// Replayed reports whether the charge replays one recorded earlier
+// under the same key; a replay spent nothing.
+func (s *Spend) Replayed() bool { return s.replay }
+
+// Keep marks the charge as released: its model may be served, so a
+// later Refund does nothing.
+func (s *Spend) Keep() { s.settled = true }
+
+// Refund returns the ε after a fit that released nothing (sequential
+// composition only charges for released outputs) and forgets the key,
+// so a retry under it charges and runs afresh. It does nothing on a nil
+// Spend, after Keep or a successful Refund, and when the charge replays
+// an earlier one: the run that made that charge may already have
+// released its model. Refunding more than was spent clamps to zero.
+func (s *Spend) Refund() error {
+	if s == nil || s.settled || s.replay {
 		return nil
 	}
+	l := s.l
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	e := l.entryLocked(s.dataset)
 	prev := e.Spent
-	prevKey, hadKey := l.keys[key]
-	e.Spent -= eps
+	prevKey, hadKey := l.keys[s.key]
+	e.Spent -= s.eps
 	if e.Spent < 0 {
 		e.Spent = 0
 	}
-	l.datasets[dataset] = e
-	if key != "" {
-		l.dropKeyLocked(key)
+	l.datasets[s.dataset] = e
+	if s.key != "" {
+		l.dropKeyLocked(s.key)
 	}
-	rec := walRecord{Op: opRefund, Dataset: dataset, Eps: eps, Key: key,
+	rec := walRecord{Op: opRefund, Dataset: s.dataset, Eps: s.eps, Key: s.key,
 		Spent: e.Spent, Budget: e.Budget}
 	if err := l.commitLocked(rec); err != nil {
 		e.Spent = prev
-		l.datasets[dataset] = e
-		if key != "" && hadKey {
-			l.addKeyLocked(key, prevKey)
+		l.datasets[s.dataset] = e
+		if s.key != "" && hadKey {
+			l.addKeyLocked(s.key, prevKey)
 		}
 		return err
 	}
-	l.m.refundCommitted(dataset, eps, e)
+	l.m.refundCommitted(s.dataset, s.eps, e)
+	s.settled = true
 	return nil
 }
 
@@ -338,18 +359,8 @@ func (l *Ledger) SetBudget(dataset string, budget float64) error {
 	return nil
 }
 
-// ChargedKey reports the charge recorded under an idempotency key, if
-// any — the post-crash path for deciding whether a retried fit already
-// paid.
-func (l *Ledger) ChargedKey(key string) (KeyInfo, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	info, ok := l.keys[key]
-	return info, ok
-}
-
 // addKeyLocked records key, evicting the oldest when over cap.
-func (l *Ledger) addKeyLocked(key string, info KeyInfo) {
+func (l *Ledger) addKeyLocked(key string, info keyInfo) {
 	if _, ok := l.keys[key]; !ok {
 		l.keyOrder = append(l.keyOrder, key)
 	}

@@ -11,10 +11,10 @@ import (
 
 func TestChargeAndExhaustion(t *testing.T) {
 	l := New(1.0)
-	if err := l.Charge("adult", 0.6); err != nil {
+	if _, err := l.Charge("adult", 0.6, "", ""); err != nil {
 		t.Fatal(err)
 	}
-	err := l.Charge("adult", 0.6)
+	_, err := l.Charge("adult", 0.6, "", "")
 	if err == nil {
 		t.Fatal("overdraw must fail")
 	}
@@ -33,14 +33,14 @@ func TestChargeAndExhaustion(t *testing.T) {
 		t.Errorf("spent after rejection = %g, want 0.6", got)
 	}
 	// The remaining 0.4 is still spendable.
-	if err := l.Charge("adult", 0.4); err != nil {
+	if _, err := l.Charge("adult", 0.4, "", ""); err != nil {
 		t.Errorf("charging exactly the remainder: %v", err)
 	}
 	if rem := l.Get("adult").Remaining(); rem != 0 {
 		t.Errorf("remaining = %g, want 0", rem)
 	}
 	// Other datasets are independent.
-	if err := l.Charge("acs", 1.0); err != nil {
+	if _, err := l.Charge("acs", 1.0, "", ""); err != nil {
 		t.Errorf("independent dataset: %v", err)
 	}
 }
@@ -48,11 +48,11 @@ func TestChargeAndExhaustion(t *testing.T) {
 func TestChargeRejectsInvalidInput(t *testing.T) {
 	l := New(1)
 	for _, eps := range []float64{0, -1, math.Inf(1), math.NaN()} {
-		if err := l.Charge("d", eps); err == nil {
+		if _, err := l.Charge("d", eps, "", ""); err == nil {
 			t.Errorf("Charge(%g) must fail", eps)
 		}
 	}
-	if err := l.Charge("", 0.1); err == nil {
+	if _, err := l.Charge("", 0.1, "", ""); err == nil {
 		t.Error("empty dataset id must fail")
 	}
 	if got := l.Get("d").Spent; got != 0 {
@@ -64,35 +64,54 @@ func TestManyEqualSharesTolerance(t *testing.T) {
 	// 10 × 0.1 must fit in a budget of 1.0 despite float dust.
 	l := New(1.0)
 	for i := 0; i < 10; i++ {
-		if err := l.Charge("d", 0.1); err != nil {
+		if _, err := l.Charge("d", 0.1, "", ""); err != nil {
 			t.Fatalf("share %d: %v", i, err)
 		}
 	}
-	if err := l.Charge("d", 0.1); err == nil {
+	if _, err := l.Charge("d", 0.1, "", ""); err == nil {
 		t.Error("11th share must fail")
 	}
 }
 
 func TestRefund(t *testing.T) {
 	l := New(1.0)
-	if err := l.Charge("d", 0.8); err != nil {
+	spend, err := l.Charge("d", 0.8, "", "d-m1")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Refund("d", 0.8); err != nil {
+	if spend.ModelID() != "d-m1" || spend.Replayed() {
+		t.Fatalf("fresh charge: model %q, replayed %v", spend.ModelID(), spend.Replayed())
+	}
+	if err := spend.Refund(); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.Get("d").Spent; got != 0 {
 		t.Errorf("spent after refund = %g", got)
 	}
-	// Over-refund clamps at zero.
-	if err := l.Charge("d", 0.2); err != nil {
+	// A spend refunds once.
+	if _, err := l.Charge("d", 0.2, "", ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Refund("d", 5); err != nil {
+	if err := spend.Refund(); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Get("d").Spent; got != 0 {
-		t.Errorf("spent after over-refund = %g", got)
+	if got := l.Get("d").Spent; got != 0.2 {
+		t.Errorf("spent after a second refund of one spend = %g, want 0.2", got)
+	}
+	// A kept spend never refunds, and a nil one is a no-op.
+	kept, err := l.Charge("d", 0.3, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept.Keep()
+	if err := kept.Refund(); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Get("d").Spent; math.Abs(got-0.5) > 1e-12 {
+		t.Errorf("spent after refunding a kept spend = %g, want 0.5", got)
+	}
+	if err := (*Spend)(nil).Refund(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -101,14 +120,14 @@ func TestSetBudget(t *testing.T) {
 	if err := l.SetBudget("d", 3.0); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Charge("d", 2.5); err != nil {
+	if _, err := l.Charge("d", 2.5, "", ""); err != nil {
 		t.Errorf("raised budget: %v", err)
 	}
 	// Lowering below spend is allowed; further charges fail.
 	if err := l.SetBudget("d", 2.0); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Charge("d", 0.1); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := l.Charge("d", 0.1, "", ""); !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("charge past lowered budget: %v", err)
 	}
 	if err := l.SetBudget("d", 0); err == nil {
@@ -128,7 +147,7 @@ func TestConcurrentCharges(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = l.Charge("shared", 0.1)
+			_, results[i] = l.Charge("shared", 0.1, "", "")
 		}(i)
 	}
 	wg.Wait()
@@ -163,11 +182,11 @@ func TestConcurrentMixedOps(t *testing.T) {
 			defer wg.Done()
 			id := []string{"a", "b"}[i%2]
 			for j := 0; j < 20; j++ {
-				_ = l.Charge(id, 0.05)
+				spend, _ := l.Charge(id, 0.05, "", "")
 				_ = l.Get(id)
 				_ = l.Snapshot()
 				if j%5 == 0 {
-					_ = l.Refund(id, 0.01)
+					_ = spend.Refund()
 				}
 			}
 		}(i)
@@ -185,13 +204,13 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Charge("adult", 0.7); err != nil {
+	if _, err := l.Charge("adult", 0.7, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.SetBudget("acs", 5.0); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Charge("acs", 4.0); err != nil {
+	if _, err := l.Charge("acs", 4.0, "", ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -208,7 +227,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if e := back.Get("acs"); e.Spent != 4.0 || e.Budget != 5.0 {
 		t.Errorf("acs entry = %+v", e)
 	}
-	if err := back.Charge("adult", 1.4); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := back.Charge("adult", 1.4, "", ""); !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("reloaded ledger must still enforce the budget, got %v", err)
 	}
 }

@@ -23,21 +23,22 @@ func TestLedgerMetrics(t *testing.T) {
 	defer l.Close()
 	l.Instrument(m)
 
-	if err := l.Charge("ds", 0.25); err != nil {
+	first, err := l.Charge("ds", 0.25, "", "")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.ChargeIdempotent("ds", 0.25, "k1", "model-a"); err != nil {
+	if _, err := l.Charge("ds", 0.25, "k1", "model-a"); err != nil {
 		t.Fatal(err)
 	}
 	// Replay: same key, no new spend.
-	if dup, _, err := l.ChargeIdempotent("ds", 0.25, "k1", "model-a"); err != nil || !dup {
-		t.Fatalf("replay = (%v, %v), want duplicate", dup, err)
+	if replay, err := l.Charge("ds", 0.25, "k1", "model-a"); err != nil || !replay.Replayed() {
+		t.Fatalf("replay = (%+v, %v), want a replayed spend", replay, err)
 	}
 	// Rejection: over budget.
-	if err := l.Charge("ds", 0.9); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := l.Charge("ds", 0.9, "", ""); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("overcharge err = %v, want ErrBudgetExceeded", err)
 	}
-	if err := l.Refund("ds", 0.25); err != nil {
+	if err := first.Refund(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,7 +92,7 @@ func TestInstrumentSeedsRecoveredState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Charge("ds", 0.75); err != nil {
+	if _, err := l.Charge("ds", 0.75, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -120,13 +121,14 @@ func TestInstrumentSeedsRecoveredState(t *testing.T) {
 func TestNilMetricsSafe(t *testing.T) {
 	l := New(1.0)
 	l.Instrument(nil)
-	if err := l.Charge("ds", 0.5); err != nil {
+	spend, err := l.Charge("ds", 0.5, "", "")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Charge("ds", 0.9); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := l.Charge("ds", 0.9, "", ""); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := l.Refund("ds", 0.5); err != nil {
+	if err := spend.Refund(); err != nil {
 		t.Fatal(err)
 	}
 	if NewMetrics(nil) != nil {

@@ -4,9 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"privbayes/internal/faultfs"
 	"privbayes/internal/wal"
@@ -26,10 +27,13 @@ type walRecord struct {
 	Spent   float64 `json:"spent,omitempty"`
 	Budget  float64 `json:"budget,omitempty"`
 
-	// Checkpoint payload: the whole ledger state.
+	// Checkpoint payload: the whole ledger state. KeyOrder lists Keys
+	// oldest first, so eviction stays FIFO across a restart; a
+	// checkpoint without it replays its keys in sorted order.
 	Version  int                `json:"version,omitempty"`
 	Datasets map[string]Entry   `json:"datasets,omitempty"`
-	Keys     map[string]KeyInfo `json:"keys,omitempty"`
+	Keys     map[string]keyInfo `json:"keys,omitempty"`
+	KeyOrder []string           `json:"key_order,omitempty"`
 }
 
 const (
@@ -75,7 +79,7 @@ func OpenWAL(path string, defaultBudget float64, opts Options) (*Ledger, error) 
 		path:          path,
 		defaultBudget: defaultBudget,
 		datasets:      map[string]Entry{},
-		keys:          map[string]KeyInfo{},
+		keys:          map[string]keyInfo{},
 		compactEvery:  opts.CompactEvery,
 		logf:          opts.Logf,
 	}
@@ -150,7 +154,7 @@ func migrateLegacy(fs faultfs.FS, path string, raw []byte, defaultBudget float64
 		return fmt.Errorf("accountant: migrate ledger: %w", err)
 	}
 	payload, err := json.Marshal(walRecord{Op: opCheckpoint, Version: walVersion,
-		Datasets: entries, Keys: map[string]KeyInfo{}})
+		Datasets: entries, Keys: map[string]keyInfo{}})
 	if err != nil {
 		log.Close()
 		return fmt.Errorf("accountant: migrate ledger: %w", err)
@@ -190,14 +194,15 @@ func (l *Ledger) applyRecord(offset int64, payload []byte) error {
 		if rec.Dataset == "" {
 			return bad(rec.Op + " record without dataset")
 		}
-		if rec.Spent < 0 || math.IsNaN(rec.Spent) || !(rec.Budget > 0) || math.IsInf(rec.Budget, 1) {
+		e := Entry{Spent: rec.Spent, Budget: rec.Budget}
+		if !e.valid() {
 			return bad(fmt.Sprintf("%s record with invalid state (spent %g, budget %g)", rec.Op, rec.Spent, rec.Budget))
 		}
-		l.datasets[rec.Dataset] = Entry{Spent: rec.Spent, Budget: rec.Budget}
+		l.datasets[rec.Dataset] = e
 		if rec.Key != "" {
 			switch rec.Op {
 			case opCharge:
-				l.addKeyLocked(rec.Key, KeyInfo{Dataset: rec.Dataset, Eps: rec.Eps, ModelID: rec.ModelID})
+				l.addKeyLocked(rec.Key, keyInfo{Dataset: rec.Dataset, Eps: rec.Eps, ModelID: rec.ModelID})
 			case opRefund:
 				l.dropKeyLocked(rec.Key)
 			}
@@ -207,15 +212,26 @@ func (l *Ledger) applyRecord(offset int64, payload []byte) error {
 			return bad(fmt.Sprintf("checkpoint version %d (want %d)", rec.Version, walVersion))
 		}
 		l.datasets = map[string]Entry{}
-		l.keys = map[string]KeyInfo{}
+		l.keys = map[string]keyInfo{}
 		l.keyOrder = l.keyOrder[:0]
 		for id, e := range rec.Datasets {
-			if e.Spent < 0 || !(e.Budget > 0) || math.IsNaN(e.Spent) {
+			if !e.valid() {
 				return bad(fmt.Sprintf("checkpoint dataset %q has invalid entry (spent %g, budget %g)", id, e.Spent, e.Budget))
 			}
 			l.datasets[id] = e
 		}
-		for k, info := range rec.Keys {
+		order := rec.KeyOrder
+		if order == nil {
+			order = slices.Sorted(maps.Keys(rec.Keys))
+		}
+		if len(order) != len(rec.Keys) {
+			return bad(fmt.Sprintf("checkpoint orders %d of its %d keys", len(order), len(rec.Keys)))
+		}
+		for _, k := range order {
+			info, ok := rec.Keys[k]
+			if !ok {
+				return bad(fmt.Sprintf("checkpoint key order names unknown key %q", k))
+			}
 			l.addKeyLocked(k, info)
 		}
 	default:
@@ -234,7 +250,7 @@ func (l *Ledger) maybeCompactLocked() {
 		return
 	}
 	payload, err := json.Marshal(walRecord{Op: opCheckpoint, Version: walVersion,
-		Datasets: l.datasets, Keys: l.keys})
+		Datasets: l.datasets, Keys: l.keys, KeyOrder: l.keyOrder})
 	if err != nil {
 		l.notef("ledger compaction: encode checkpoint: %v", err)
 		return

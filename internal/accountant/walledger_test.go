@@ -1,7 +1,9 @@
 package accountant
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -18,16 +20,20 @@ func TestOpenWALRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Charge("a", 0.5); err != nil {
+	if _, err := l.Charge("a", 0.3, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	refunded, err := l.Charge("a", 0.2, "", "")
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := l.SetBudget("b", 5.0); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Charge("b", 3.0); err != nil {
+	if _, err := l.Charge("b", 3.0, "", ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Refund("a", 0.2); err != nil {
+	if err := refunded.Refund(); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -44,7 +50,7 @@ func TestOpenWALRoundTrip(t *testing.T) {
 		t.Errorf("b = %+v", e)
 	}
 	// The recovered ledger still enforces the budget.
-	if err := l2.Charge("b", 2.5); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := l2.Charge("b", 2.5, "", ""); !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("overdraw after recovery: %v", err)
 	}
 }
@@ -80,11 +86,11 @@ func TestClosedLedgerRefusesMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Charge("d", 0.5); err != nil {
+	if _, err := l.Charge("d", 0.5, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
-	if err := l.Charge("d", 0.5); !errors.Is(err, ErrPersist) {
+	if _, err := l.Charge("d", 0.5, "", ""); !errors.Is(err, ErrPersist) {
 		t.Fatalf("charge after Close: err = %v, want ErrPersist", err)
 	}
 	if e := l.Get("d"); e.Spent != 0.5 {
@@ -112,7 +118,7 @@ func TestOpenWALMigratesLegacyJSON(t *testing.T) {
 	if e := l.Get("other"); e.Budget != 9.0 {
 		t.Errorf("other after migration = %+v", e)
 	}
-	if err := l.Charge("survey", 1.0); err != nil {
+	if _, err := l.Charge("survey", 1.0, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -138,31 +144,31 @@ func TestOpenWALMigratesLegacyJSON(t *testing.T) {
 	}
 }
 
-func TestChargeIdempotent(t *testing.T) {
+func TestKeyedChargeIsIdempotent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ledger")
 	l, err := OpenWAL(path, 2.0, Options{CompactEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dup, modelID, err := l.ChargeIdempotent("d", 0.5, "key-1", "d-v1")
-	if err != nil || dup || modelID != "d-v1" {
-		t.Fatalf("first keyed charge: dup=%v model=%q err=%v", dup, modelID, err)
+	spend, err := l.Charge("d", 0.5, "key-1", "d-v1")
+	if err != nil || spend.Replayed() || spend.ModelID() != "d-v1" {
+		t.Fatalf("first keyed charge: %+v, err=%v", spend, err)
 	}
 	// Same key, same parameters: no second spend, original model id.
-	dup, modelID, err = l.ChargeIdempotent("d", 0.5, "key-1", "d-v2")
-	if err != nil || !dup || modelID != "d-v1" {
-		t.Fatalf("duplicate keyed charge: dup=%v model=%q err=%v", dup, modelID, err)
+	spend, err = l.Charge("d", 0.5, "key-1", "d-v2")
+	if err != nil || !spend.Replayed() || spend.ModelID() != "d-v1" {
+		t.Fatalf("duplicate keyed charge: %+v, err=%v", spend, err)
 	}
 	if e := l.Get("d"); e.Spent != 0.5 {
 		t.Fatalf("spent after duplicate = %g, want 0.5", e.Spent)
 	}
 	// Same key, different parameters: typed rejection.
-	if _, _, err := l.ChargeIdempotent("d", 0.9, "key-1", ""); !errors.Is(err, ErrIdempotencyMismatch) {
+	if _, err := l.Charge("d", 0.9, "key-1", ""); !errors.Is(err, ErrIdempotencyMismatch) {
 		t.Fatalf("mismatched key reuse: %v", err)
 	}
 	// Force several compactions; the key must survive checkpoints.
 	for i := 0; i < 6; i++ {
-		if err := l.Charge("filler", 0.1); err != nil {
+		if _, err := l.Charge("filler", 0.1, "", ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,27 +179,104 @@ func TestChargeIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	dup, modelID, err = l2.ChargeIdempotent("d", 0.5, "key-1", "d-v3")
-	if err != nil || !dup || modelID != "d-v1" {
-		t.Fatalf("keyed charge after restart: dup=%v model=%q err=%v", dup, modelID, err)
+	spend, err = l2.Charge("d", 0.5, "key-1", "d-v3")
+	if err != nil || !spend.Replayed() || spend.ModelID() != "d-v1" {
+		t.Fatalf("keyed charge after restart: %+v, err=%v", spend, err)
 	}
 	if e := l2.Get("d"); e.Spent != 0.5 {
 		t.Fatalf("spent after restart retry = %g, want 0.5", e.Spent)
 	}
-	info, ok := l2.ChargedKey("key-1")
-	if !ok || info.ModelID != "d-v1" || info.Eps != 0.5 {
-		t.Fatalf("ChargedKey = %+v, %v", info, ok)
-	}
-	// Refunding under the key forgets it: the next keyed charge pays.
-	if err := l2.RefundIdempotent("d", 0.5, "key-1"); err != nil {
+	// A replay never refunds: the run that charged may have released
+	// its model.
+	if err := spend.Refund(); err != nil {
 		t.Fatal(err)
 	}
-	dup, _, err = l2.ChargeIdempotent("d", 0.5, "key-1", "d-v4")
-	if err != nil || dup {
-		t.Fatalf("keyed charge after refund: dup=%v err=%v", dup, err)
-	}
 	if e := l2.Get("d"); e.Spent != 0.5 {
-		t.Fatalf("spent after refund+recharge = %g, want 0.5", e.Spent)
+		t.Fatalf("spent after refunding a replay = %g, want 0.5", e.Spent)
+	}
+	if again, err := l2.Charge("d", 0.5, "key-1", "d-v4"); err != nil || !again.Replayed() {
+		t.Fatalf("key after refunding a replay: %+v, err=%v, want a replay", again, err)
+	}
+	// Refunding a fresh keyed charge forgets the key: the next keyed
+	// charge pays, under its own model id.
+	spend, err = l2.Charge("d", 0.25, "key-2", "d-v5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := spend.Refund(); err != nil {
+		t.Fatal(err)
+	}
+	spend, err = l2.Charge("d", 0.25, "key-2", "d-v6")
+	if err != nil || spend.Replayed() || spend.ModelID() != "d-v6" {
+		t.Fatalf("keyed charge after refund: %+v, err=%v", spend, err)
+	}
+	if e := l2.Get("d"); e.Spent != 0.75 {
+		t.Fatalf("spent after refund+recharge = %g, want 0.75", e.Spent)
+	}
+}
+
+// TestKeyEvictionFIFOAcrossCheckpoint: the idempotency-key history
+// evicts its oldest key first, also after the keys were folded into a
+// checkpoint and replayed by a restart. The keys are named in reverse,
+// so sorted order is not charge order.
+func TestKeyEvictionFIFOAcrossCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger")
+	l, err := OpenWAL(path, 1e9, Options{CompactEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) string { return fmt.Sprintf("k%05d", maxIdemKeys-1-i) }
+	for i := 0; i < maxIdemKeys; i++ {
+		if _, err := l.Charge("d", 0.001, key(i), "m-"+key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+
+	l2, err := OpenWAL(path, 1e9, Options{CompactEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if _, err := l2.Charge("d", 0.001, "k-new", "m-new"); err != nil {
+		t.Fatal(err)
+	}
+	if spend, err := l2.Charge("d", 0.001, key(1), "other"); err != nil || !spend.Replayed() {
+		t.Fatalf("second-oldest key %s: %+v, err=%v, want a replay", key(1), spend, err)
+	}
+	if spend, err := l2.Charge("d", 0.001, key(0), "other"); err != nil || spend.Replayed() {
+		t.Fatalf("oldest key %s: %+v, err=%v, want it evicted and charged afresh", key(0), spend, err)
+	}
+}
+
+// TestCheckpointWithoutKeyOrderReplaysSorted: a checkpoint that
+// records no key order replays its keys in sorted order, so which key a
+// restart evicts first does not depend on map iteration.
+func TestCheckpointWithoutKeyOrderReplaysSorted(t *testing.T) {
+	keys := map[string]keyInfo{}
+	for i := 0; i < maxIdemKeys; i++ {
+		keys[fmt.Sprintf("k%05d", i)] = keyInfo{Dataset: "d", Eps: 0.001}
+	}
+	payload, err := json.Marshal(walRecord{Op: opCheckpoint, Version: walVersion,
+		Datasets: map[string]Entry{"d": {Spent: 4.096, Budget: 1e9}}, Keys: keys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ledger")
+	writeRecords(t, path, payload)
+	l, err := OpenWAL(path, 1e9, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if _, err := l.Charge("d", 0.001, "k-new", ""); err != nil {
+		t.Fatal(err)
+	}
+	if spend, err := l.Charge("d", 0.001, "k00001", ""); err != nil || !spend.Replayed() {
+		t.Fatalf("k00001: %+v, err=%v, want a replay", spend, err)
+	}
+	if spend, err := l.Charge("d", 0.001, "k00000", ""); err != nil || spend.Replayed() {
+		t.Fatalf("k00000: %+v, err=%v, want it evicted and charged afresh", spend, err)
 	}
 }
 
@@ -204,7 +287,7 @@ func TestWALCompactionBoundsFileSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		if err := l.Charge("hot", 0.001); err != nil {
+		if _, err := l.Charge("hot", 0.001, "", ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -235,7 +318,7 @@ func TestCorruptLedgerRefusedThenFsck(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ds := range []string{"a", "b", "c"} {
-		if err := l.Charge(ds, 0.25); err != nil {
+		if _, err := l.Charge(ds, 0.25, "", ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -296,6 +379,7 @@ type op struct {
 	dataset string
 	eps     float64
 	key     string
+	of      int // refund: the script index of the charge it returns
 }
 
 func (m *ledgerModel) apply(o op) {
@@ -304,9 +388,6 @@ func (m *ledgerModel) apply(o op) {
 	case "charge", "idem":
 		e.Spent += o.eps
 	case "refund":
-		if _, ok := m.datasets[o.dataset]; !ok {
-			return
-		}
 		e.Spent -= o.eps
 		if e.Spent < 0 {
 			e.Spent = 0
@@ -331,17 +412,19 @@ func (m *ledgerModel) equal(snap map[string]Entry) bool {
 }
 
 // crashScript is the workload the sweep replays: enough mutations to
-// cross the compaction threshold twice, plus an idempotent charge on
-// its own dataset.
+// cross the compaction threshold twice, an idempotent charge on its own
+// dataset, and refunds of a keyed and a keyless charge. A refund op
+// repeats the dataset and ε of the charge it returns.
 var crashScript = []op{
 	{kind: "charge", dataset: "a", eps: 0.3},
 	{kind: "budget", dataset: "b", eps: 4.0},
 	{kind: "charge", dataset: "b", eps: 1.5},
 	{kind: "idem", dataset: "idem-ds", eps: 0.7, key: "fit-key-1"},
-	{kind: "refund", dataset: "a", eps: 0.1},
+	{kind: "idem", dataset: "a", eps: 0.1, key: "fit-key-2"},
+	{kind: "refund", dataset: "a", eps: 0.1, of: 4},
 	{kind: "charge", dataset: "a", eps: 0.4},
 	{kind: "charge", dataset: "b", eps: 0.5},
-	{kind: "refund", dataset: "b", eps: 0.25},
+	{kind: "refund", dataset: "b", eps: 0.5, of: 7},
 	{kind: "charge", dataset: "c", eps: 1.0},
 	{kind: "budget", dataset: "c", eps: 3.0},
 }
@@ -356,15 +439,14 @@ func runScript(fs faultfs.FS, path string) (committed int, inflight int) {
 		return 0, -1 // crash during open/recovery: nothing committed this run
 	}
 	defer l.Close()
+	spends := make([]*Spend, len(crashScript))
 	for i, o := range crashScript {
 		var err error
 		switch o.kind {
-		case "charge":
-			err = l.Charge(o.dataset, o.eps)
-		case "idem":
-			_, _, err = l.ChargeIdempotent(o.dataset, o.eps, o.key, "m-"+o.dataset)
+		case "charge", "idem":
+			spends[i], err = l.Charge(o.dataset, o.eps, o.key, "m-"+o.dataset)
 		case "refund":
-			err = l.Refund(o.dataset, o.eps)
+			err = spends[o.of].Refund()
 		case "budget":
 			err = l.SetBudget(o.dataset, o.eps)
 		}
@@ -435,7 +517,7 @@ func TestCrashSweepLedger(t *testing.T) {
 			// Exactly-once under retry: re-issue the idempotent charge.
 			// Whether or not the original survived, idem-ds ends at
 			// exactly one charge's worth of spend.
-			if _, _, err := rec.ChargeIdempotent("idem-ds", 0.7, "fit-key-1", "m-idem-ds"); err != nil {
+			if _, err := rec.Charge("idem-ds", 0.7, "fit-key-1", "m-idem-ds"); err != nil {
 				t.Fatalf("torn=%v crash at op %d: idempotent retry: %v", torn, n, err)
 			}
 			if e := rec.Get("idem-ds"); math.Abs(e.Spent-0.7) > 1e-12 {
@@ -499,7 +581,7 @@ func TestConcurrentChargesDuringCompaction(t *testing.T) {
 			defer wg.Done()
 			ds := []string{"alpha", "beta", "gamma"}[w%3]
 			for i := 0; i < perWorker; i++ {
-				if err := l.Charge(ds, 0.01); err != nil {
+				if _, err := l.Charge(ds, 0.01, "", ""); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 
 	"privbayes/internal/dataset"
-	"privbayes/internal/dp"
 	"privbayes/internal/marginal"
 	"privbayes/internal/score"
 )
@@ -116,6 +115,12 @@ func (o *Options) validate(ds *dataset.Dataset) error {
 	if !(o.Beta > 0 && o.Beta < 1) {
 		return fmt.Errorf("core: beta must be in (0,1), got %g", o.Beta)
 	}
+	// Every mechanism call needs a positive share: a subnormal ε can round
+	// a greedy iteration's βε/(d−1), or (1−β)ε, to zero.
+	if !o.InfiniteNetworkBudget && !(o.Beta*o.Epsilon/float64(max(ds.D()-1, 1)) > 0) ||
+		!o.InfiniteMarginalBudget && !((1-o.Beta)*o.Epsilon > 0) {
+		return fmt.Errorf("core: epsilon %g leaves a mechanism no budget at beta %g", o.Epsilon, o.Beta)
+	}
 	if !positiveFinite(o.Theta) {
 		return fmt.Errorf("core: theta must be positive and finite, got %g", o.Theta)
 	}
@@ -175,25 +180,15 @@ func fitModel(ctx context.Context, attrs []dataset.Attribute, cs marginal.CountS
 	if ds.N() == 0 {
 		return nil, errors.New("core: empty dataset")
 	}
+	// Sequential composition (Theorem 3.2): network learning spends
+	// ε₁ = βε and distribution learning ε₂ = (1−β)ε, so the fit is ε-DP.
 	// The paper resets β when network learning has no choice to make
 	// (footnote 6); the split is kept, which changes behaviour only
 	// immaterially.
 	eps1 := opt.Beta * opt.Epsilon
 	eps2 := (1 - opt.Beta) * opt.Epsilon
-
-	var acct *dp.Accountant
-	if !opt.InfiniteNetworkBudget || !opt.InfiniteMarginalBudget {
-		acct = dp.NewAccountant(opt.Epsilon)
-	}
 	if opt.InfiniteNetworkBudget {
 		eps1 = math.Inf(1)
-	} else if err := acct.Spend(opt.Beta * opt.Epsilon); err != nil {
-		return nil, err
-	}
-	if !opt.InfiniteMarginalBudget && acct != nil {
-		if err := acct.Spend((1 - opt.Beta) * opt.Epsilon); err != nil {
-			return nil, err
-		}
 	}
 
 	sc := opt.Scorer

@@ -21,6 +21,8 @@ func TestFitValidation(t *testing.T) {
 		{"bad epsilon", Options{Epsilon: -1, Beta: 0.3, Theta: 4, Mode: ModeBinary, Score: score.F, Rand: rng}},
 		{"NaN epsilon", Options{Epsilon: math.NaN(), Beta: 0.3, Theta: 4, Mode: ModeBinary, Score: score.F, Rand: rng}},
 		{"+Inf epsilon", Options{Epsilon: math.Inf(1), Beta: 0.3, Theta: 4, Mode: ModeBinary, Score: score.F, Rand: rng}},
+		{"epsilon too small to split", Options{Epsilon: 5e-324, Beta: 0.3, Theta: 4, Mode: ModeBinary, Score: score.F, Rand: rng}},
+		{"epsilon too small per greedy iteration", Options{Epsilon: 2e-323, Beta: 0.3, Theta: 4, Mode: ModeBinary, Score: score.F, Rand: rng}},
 		{"bad beta", Options{Epsilon: 1, Beta: 1.5, Theta: 4, Mode: ModeBinary, Score: score.F, Rand: rng}},
 		{"NaN beta", Options{Epsilon: 1, Beta: math.NaN(), Theta: 4, Mode: ModeBinary, Score: score.F, Rand: rng}},
 		{"bad theta", Options{Epsilon: 1, Beta: 0.3, Theta: -2, Mode: ModeBinary, Score: score.F, Rand: rng}},

@@ -631,49 +631,50 @@ func (c *Curator) refit(d *curated) (outcome, kind string, err error) {
 		kind = "incremental"
 	}
 
-	chargeKey := fmt.Sprintf("curator-%s-%d", d.id, rowsAt)
-	modelID := fmt.Sprintf("%s-refit-%d", d.id, rowsAt)
-	dup, prevID, err := c.cfg.Ledger.ChargeIdempotent(d.id, eps, chargeKey, modelID)
-	if err != nil {
+	// A refit that ends before its model is published released nothing:
+	// its ε is returned (Spend.Refund keeps a replayed charge, whose
+	// earlier run may have published) and it re-arms only once new rows
+	// arrive. A failed fit marker does neither: the model is published
+	// and paid for, and the retry that recovery or the next trigger runs
+	// rewrites the marker.
+	var spend *accountant.Spend
+	published := false
+	defer func() {
+		if err == nil || published {
+			return
+		}
+		if rerr := spend.Refund(); rerr != nil {
+			c.logf("curator %s: refund failed: %v", d.id, rerr)
+		}
 		d.mu.Lock()
 		d.failedRows = rowsAt
 		d.mu.Unlock()
+	}()
+	spend, err = c.cfg.Ledger.Charge(d.id, eps, fmt.Sprintf("curator-%s-%d", d.id, rowsAt),
+		fmt.Sprintf("%s-refit-%d", d.id, rowsAt))
+	if err != nil {
 		return "skipped", kind, err
 	}
-	if dup {
-		modelID = prevID
-		if c.cfg.Lookup != nil {
-			if m, ok := c.cfg.Lookup(prevID); ok {
-				// A previous run charged, published, and died before its
-				// fit marker landed: adopt the published model.
-				if err := c.recordFit(d, m, prevID, eps, "recovered", rowsAt); err != nil {
-					return "failed", kind, err
-				}
-				return "recovered", kind, nil
+	modelID := spend.ModelID()
+	if spend.Replayed() && c.cfg.Lookup != nil {
+		if m, ok := c.cfg.Lookup(modelID); ok {
+			// A previous run charged, published, and died before its fit
+			// marker landed: adopt the published model.
+			published = true
+			if err := c.recordFit(d, m, modelID, eps, "recovered", rowsAt); err != nil {
+				return "failed", kind, err
 			}
+			return "recovered", kind, nil
 		}
 		// Charged but never published: finish the fit without paying again.
-	}
-
-	refund := func() {
-		if dup {
-			return // never refund a charge a previous run made
-		}
-		if rerr := c.cfg.Ledger.RefundIdempotent(d.id, eps, chargeKey); rerr != nil {
-			c.logf("curator %s: refund failed: %v", d.id, rerr)
-		}
 	}
 
 	ctx := context.Background()
 	par := 2
 	if c.cfg.Acquire != nil {
-		got, release, aerr := c.cfg.Acquire(ctx, 2)
-		if aerr != nil {
-			refund()
-			d.mu.Lock()
-			d.failedRows = rowsAt
-			d.mu.Unlock()
-			return "skipped", kind, aerr
+		got, release, err := c.cfg.Acquire(ctx, 2)
+		if err != nil {
+			return "skipped", kind, err
 		}
 		par = got
 		defer release()
@@ -699,25 +700,15 @@ func (c *Curator) refit(d *curated) (outcome, kind string, err error) {
 		m, err = privbayes.FitScanner(ctx, src, opts...)
 	}
 	if err != nil {
-		refund()
-		d.mu.Lock()
-		d.failedRows = rowsAt
-		d.mu.Unlock()
 		return "failed", kind, err
 	}
-
 	if c.cfg.Publish != nil {
-		if perr := c.cfg.Publish(modelID, m, eps); perr != nil {
-			refund()
-			d.mu.Lock()
-			d.failedRows = rowsAt
-			d.mu.Unlock()
-			return "failed", kind, perr
+		if err := c.cfg.Publish(modelID, m, eps); err != nil {
+			return "failed", kind, err
 		}
 	}
+	published = true
 	if err := c.recordFit(d, m, modelID, eps, kind, rowsAt); err != nil {
-		// The model is published and paid for; the marker will be
-		// rewritten by recovery (idempotent charge + Lookup).
 		return "failed", kind, err
 	}
 	return "published", kind, nil

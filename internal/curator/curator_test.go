@@ -320,7 +320,7 @@ func TestRefitChargeIdempotency(t *testing.T) {
 		pub := newPublisher()
 		// A previous incarnation charged for the refit at 1200 rows and
 		// died before publishing.
-		if _, _, err := led.ChargeIdempotent("adult", 0.9, "curator-adult-1200", "adult-refit-1200"); err != nil {
+		if _, err := led.Charge("adult", 0.9, "curator-adult-1200", "adult-refit-1200"); err != nil {
 			t.Fatal(err)
 		}
 		c, err := New(Config{Dir: t.TempDir(), Ledger: led, RefitEpsilon: 0.9, RefitRows: 1000,
@@ -353,7 +353,7 @@ func TestRefitChargeIdempotency(t *testing.T) {
 			t.Fatal(err)
 		}
 		pub.models["adult-refit-1200"] = prior
-		if _, _, err := led.ChargeIdempotent("adult", 0.9, "curator-adult-1200", "adult-refit-1200"); err != nil {
+		if _, err := led.Charge("adult", 0.9, "curator-adult-1200", "adult-refit-1200"); err != nil {
 			t.Fatal(err)
 		}
 		dir := t.TempDir()
@@ -438,6 +438,62 @@ func TestRefitChargeIdempotency(t *testing.T) {
 			t.Fatalf("ε spent %g, want 1.8", got)
 		}
 	})
+}
+
+// TestRefitReplayedChargeKeptOnFailure: a refit that replays an
+// earlier run's charge and then fails to publish keeps the charge, as
+// the earlier run may have published; the next refit at the same row
+// watermark replays the key again and publishes with no second charge.
+func TestRefitReplayedChargeKeptOnFailure(t *testing.T) {
+	led := accountant.New(100)
+	if _, err := led.Charge("adult", 0.9, "curator-adult-1200", "adult-refit-1200"); err != nil {
+		t.Fatal(err)
+	}
+	pub := newPublisher()
+	var failPublish atomic.Bool
+	failPublish.Store(true)
+	// A row trigger no test reaches: the refits below run on demand.
+	c, err := New(Config{Dir: t.TempDir(), Ledger: led, RefitEpsilon: 0.9, RefitRows: 1 << 40,
+		Publish: func(id string, m *privbayes.Model, eps float64) error {
+			if failPublish.Load() {
+				return errors.New("registry unavailable")
+			}
+			return pub.publish(id, m, eps)
+		},
+		Lookup: pub.lookup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ds := binData(1200, 5)
+	if err := c.Create("adult", ds.Attrs()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Append("adult", "", ds); err != nil {
+		t.Fatal(err)
+	}
+	d, err := c.lookup("adult")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if outcome, _, err := c.refit(d); outcome != "failed" || err == nil {
+		t.Fatalf("refit with a failing publish: outcome %q, err %v", outcome, err)
+	}
+	if got := led.Get("adult").Spent; got != 0.9 {
+		t.Fatalf("ε spent %g after the failed completion, want the replayed 0.9 kept", got)
+	}
+
+	failPublish.Store(false)
+	if outcome, _, err := c.refit(d); outcome != "published" || err != nil {
+		t.Fatalf("retried refit: outcome %q, err %v", outcome, err)
+	}
+	if id := pub.wait(t); id != "adult-refit-1200" {
+		t.Fatalf("published %q, want adult-refit-1200", id)
+	}
+	if got := led.Get("adult").Spent; got != 0.9 {
+		t.Fatalf("ε spent %g after the retry, want 0.9 — no second charge", got)
+	}
 }
 
 // TestRefitBudgetExhausted: a refit whose charge is refused spends

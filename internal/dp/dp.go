@@ -1,11 +1,11 @@
 // Package dp implements the two differential-privacy primitives PrivBayes
-// relies on — the Laplace mechanism and the exponential mechanism — plus
-// a simple sequential-composition budget accountant.
+// relies on: the Laplace mechanism and the exponential mechanism. A fit
+// splits its ε between them by sequential composition (ε₁ + ε₂ = ε,
+// Theorem 3.2) in internal/core; the ε each dataset spends across fits
+// is metered by internal/accountant.
 package dp
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -65,52 +65,3 @@ func Exponential(rng *rand.Rand, scores []float64, sensitivity, epsilon float64)
 	}
 	return len(scores) - 1
 }
-
-// ErrBudgetExhausted is returned by Accountant.Spend when a request
-// exceeds the remaining budget.
-var ErrBudgetExhausted = errors.New("dp: privacy budget exhausted")
-
-// Accountant tracks sequential composition of an epsilon budget
-// (Theorem 3.2: PrivBayes spends ε1 + ε2 = ε overall).
-type Accountant struct {
-	total float64
-	spent float64
-}
-
-// NewAccountant creates an accountant with the given total budget.
-func NewAccountant(total float64) *Accountant {
-	if total <= 0 {
-		panic("dp: accountant requires a positive budget")
-	}
-	return &Accountant{total: total}
-}
-
-// Spend consumes eps from the budget, failing when it would overdraw.
-// A tiny relative tolerance absorbs floating-point dust from splitting a
-// budget into many equal shares.
-func (a *Accountant) Spend(eps float64) error {
-	if eps <= 0 {
-		return fmt.Errorf("dp: cannot spend non-positive budget %g", eps)
-	}
-	const tol = 1e-9
-	if a.spent+eps > a.total*(1+tol) {
-		return fmt.Errorf("%w: spent %g + %g > total %g", ErrBudgetExhausted, a.spent, eps, a.total)
-	}
-	a.spent += eps
-	return nil
-}
-
-// Spent returns the budget consumed so far.
-func (a *Accountant) Spent() float64 { return a.spent }
-
-// Remaining returns the unused budget (never negative).
-func (a *Accountant) Remaining() float64 {
-	r := a.total - a.spent
-	if r < 0 {
-		return 0
-	}
-	return r
-}
-
-// Total returns the overall budget.
-func (a *Accountant) Total() float64 { return a.total }

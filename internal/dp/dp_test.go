@@ -1,7 +1,6 @@
 package dp
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -90,43 +89,6 @@ func TestExponentialEmptyPanics(t *testing.T) {
 		}
 	}()
 	Exponential(rand.New(rand.NewSource(1)), nil, 1, 1)
-}
-
-func TestAccountant(t *testing.T) {
-	a := NewAccountant(1.0)
-	if err := a.Spend(0.3); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Spend(0.7); err != nil {
-		t.Fatalf("exact exhaustion should succeed: %v", err)
-	}
-	if got := a.Remaining(); got > 1e-12 {
-		t.Errorf("remaining = %v, want 0", got)
-	}
-	err := a.Spend(0.01)
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Errorf("overdraw error = %v, want ErrBudgetExhausted", err)
-	}
-}
-
-func TestAccountantSplitIntoManyShares(t *testing.T) {
-	a := NewAccountant(1.0)
-	// 30 equal shares must not trip on floating-point dust.
-	for i := 0; i < 30; i++ {
-		if err := a.Spend(1.0 / 30); err != nil {
-			t.Fatalf("share %d: %v", i, err)
-		}
-	}
-}
-
-func TestAccountantRejectsNonPositive(t *testing.T) {
-	a := NewAccountant(1)
-	if err := a.Spend(0); err == nil {
-		t.Error("spending 0 should error")
-	}
-	if err := a.Spend(-0.1); err == nil {
-		t.Error("spending negative should error")
-	}
 }
 
 func TestGammaMoments(t *testing.T) {

@@ -108,23 +108,34 @@ func TestResultWriteCSV(t *testing.T) {
 	}
 }
 
-// Determinism: the same config must reproduce identical points.
+// Determinism: the same config must reproduce identical points. At
+// tinyConfig every Figure 4 point is 0 (θ-usefulness leaves each
+// network empty), which no learner could get wrong, so this runs at a
+// size and ε where networks form and checks that some point is not 0.
 func TestRunDeterministic(t *testing.T) {
-	a, err := Run("4", tinyConfig())
+	cfg := tinyConfig()
+	cfg.N = 3000
+	cfg.Eps = []float64{1.6}
+	a, err := Run("4", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run("4", tinyConfig())
+	b, err := Run("4", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(a.Points) != len(b.Points) {
 		t.Fatal("point counts differ")
 	}
+	nonzero := false
 	for i := range a.Points {
 		if a.Points[i] != b.Points[i] {
 			t.Fatalf("point %d differs: %v vs %v", i, a.Points[i], b.Points[i])
 		}
+		nonzero = nonzero || a.Points[i].Value != 0
+	}
+	if !nonzero {
+		t.Fatal("every point is 0: the comparison cannot see a nondeterministic learner")
 	}
 }
 

@@ -9,12 +9,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"privbayes/internal/accountant"
 	"privbayes/internal/faultfs"
+	"privbayes/internal/wal"
 )
 
 // fitForm builds the standard fit form for the robustness tests.
@@ -116,7 +118,7 @@ func TestFitIdempotentCompletionAfterCharge(t *testing.T) {
 	_, c, _ := newTestServer(t, Config{Ledger: ledger})
 
 	// Simulate the interrupted first attempt: charge recorded, no model.
-	if _, _, err := ledger.ChargeIdempotent("survey", 0.5, "crash-key", "survey-m1"); err != nil {
+	if _, err := ledger.Charge("survey", 0.5, "crash-key", "survey-m1"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -141,6 +143,114 @@ func TestFitIdempotentCompletionAfterCharge(t *testing.T) {
 	resp = postFit(t, c.BaseURL, "crash-key", body, ct)
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("replay after completion: %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestFitReplayedChargeKeptOnFailure: a retry that replays an earlier
+// attempt's charge and then fails keeps that charge, because the
+// earlier attempt may have served its model before a restart lost it.
+// The key stays recorded, so the next retry under it completes the fit
+// under the recorded model id with no second charge.
+func TestFitReplayedChargeKeptOnFailure(t *testing.T) {
+	ledger := accountant.New(1.0)
+	_, c, _ := newTestServer(t, Config{Ledger: ledger})
+	if _, err := ledger.Charge("survey", 0.5, "crash-key", "survey-m1"); err != nil {
+		t.Fatal(err)
+	}
+
+	schema, err := json.Marshal(SpecsFromAttrs(testSchema()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ct := multipartBody(t, [][2]string{{"dataset_id", "survey"}, {"epsilon", "0.5"},
+		{"schema", string(schema)}, {"data", "a,b,c\nred,10,no\n"}})
+	resp := postFit(t, c.BaseURL, "crash-key", body, ct)
+	if resp.StatusCode != http.StatusBadRequest {
+		raw, _ := io.ReadAll(resp.Body)
+		t.Fatalf("completion with a bad header: %d %s, want 400", resp.StatusCode, raw)
+	}
+	if spent := ledger.Get("survey").Spent; math.Abs(spent-0.5) > 1e-12 {
+		t.Fatalf("failed completion changed the spend: %g, want 0.5", spent)
+	}
+
+	body, ct = fitForm(t, "survey", 0.5)
+	resp = postFit(t, c.BaseURL, "crash-key", body, ct)
+	if resp.StatusCode != http.StatusCreated {
+		raw, _ := io.ReadAll(resp.Body)
+		t.Fatalf("retry after the failed completion: %d %s", resp.StatusCode, raw)
+	}
+	var meta ModelMeta
+	if err := json.NewDecoder(resp.Body).Decode(&meta); err != nil {
+		t.Fatal(err)
+	}
+	if meta.ID != "survey-m1" {
+		t.Errorf("retry fitted %q, want the recorded survey-m1", meta.ID)
+	}
+	if spent := ledger.Get("survey").Spent; math.Abs(spent-0.5) > 1e-12 {
+		t.Errorf("retry charged again: spent %g, want 0.5", spent)
+	}
+}
+
+// TestFitChargeRecordsNameTheModel: a keyed and a keyless POST /fit
+// each leave a charge record naming the model they registered, read
+// back from the WAL after the ledger closes, and the reopened ledger
+// still maps the key to its model.
+func TestFitChargeRecordsNameTheModel(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.wal")
+	ledger := openLedger(t, path)
+	_, c, _ := newTestServer(t, Config{Ledger: ledger})
+
+	var registered []string
+	for _, key := range []string{"named-key", ""} {
+		body, ct := fitForm(t, "survey", 0.25)
+		resp := postFit(t, c.BaseURL, key, body, ct)
+		if resp.StatusCode != http.StatusCreated {
+			raw, _ := io.ReadAll(resp.Body)
+			t.Fatalf("fit with key %q: %d %s", key, resp.StatusCode, raw)
+		}
+		var meta ModelMeta
+		if err := json.NewDecoder(resp.Body).Decode(&meta); err != nil {
+			t.Fatal(err)
+		}
+		registered = append(registered, meta.ID)
+	}
+	if err := ledger.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := wal.OpenReader(nil, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var charged []string
+	for {
+		_, payload, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec struct {
+			Op      string `json:"op"`
+			ModelID string `json:"model_id"`
+		}
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Op == "charge" {
+			charged = append(charged, rec.ModelID)
+		}
+	}
+	if !slices.Equal(charged, registered) {
+		t.Fatalf("charge records name models %q, registered %q", charged, registered)
+	}
+
+	back := openLedger(t, path)
+	spend, err := back.Charge("survey", 0.25, "named-key", "other")
+	if err != nil || !spend.Replayed() || spend.ModelID() != registered[0] {
+		t.Fatalf("keyed charge after reopening: %+v, err=%v, want a replay of %q", spend, err, registered[0])
 	}
 }
 

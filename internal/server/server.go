@@ -203,7 +203,7 @@ func New(cfg Config) (*Server, error) {
 		if err := os.MkdirAll(cfg.ModelsDir, 0o755); err != nil {
 			return nil, fmt.Errorf("server: models dir: %w", err)
 		}
-		// A crash between CreateTemp and Rename in persist leaves a
+		// A crash between CreateTemp and Rename in publish leaves a
 		// *.tmp-* file behind; sweep them so they cannot accumulate
 		// across crash/restart cycles.
 		if stale, _ := filepath.Glob(filepath.Join(cfg.ModelsDir, "*.tmp-*")); stale != nil {
@@ -234,14 +234,10 @@ func New(cfg Config) (*Server, error) {
 				return s.workers.acquire(ctx, s.requestWorkers(want), false)
 			},
 			Publish: func(id string, m *privbayes.Model, epsilon float64) error {
-				if err := s.registry.Put(id, "curator", m, epsilon); err != nil {
-					// A republish after a crash-recovered charge may find
-					// the model already registered; that is success.
-					if !errors.Is(err, ErrExists) {
-						return err
-					}
-				} else {
-					s.persist(id, m, epsilon)
+				// A republish after a crash-recovered charge may find the
+				// model already registered; that is success.
+				if err := s.publish(id, "curator", m, epsilon); !errors.Is(err, ErrExists) {
+					return err
 				}
 				return nil
 			},
@@ -462,13 +458,19 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "model id %q collides with the ledger file", id)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.maxBytes)
-	if err := s.registry.Add(id, "upload", body); err != nil {
+	if !ValidID(id) {
+		writeError(w, http.StatusBadRequest, "server: invalid model id %q", id)
+		return
+	}
+	model, epsilon, err := core.ReadModelJSON(http.MaxBytesReader(w, r.Body, s.maxBytes))
+	if err == nil {
+		err = s.publish(id, "upload", model, epsilon)
+	}
+	if err != nil {
 		writeError(w, statusFor(err), "%v", err)
 		return
 	}
-	model, meta, _ := s.registry.Get(id)
-	s.persist(id, model, meta.Epsilon)
+	_, meta, _ := s.registry.Get(id)
 	writeJSON(w, http.StatusCreated, meta)
 }
 
@@ -485,26 +487,31 @@ func (s *Server) idCollidesWithLedger(id string) bool {
 	return err == nil && abs == s.ledgerPath
 }
 
-// persist writes a registered model to the models directory so it
-// survives restarts. Best-effort: serving continues from memory if the
-// write fails, and the failure is logged. The write is crash-atomic —
-// temp file, fsync, rename, directory fsync — so a crash at any point
-// leaves either no artifact or the complete one, never a torn JSON
-// document that would be skipped (with the model silently lost) at the
-// next startup.
-func (s *Server) persist(id string, m *core.Model, epsilon float64) {
+// publish is the one way a model enters the registry at runtime —
+// upload, POST /fit and curator refits: it registers the model, then
+// writes it to the models directory so it survives restarts. Writing
+// is best-effort: serving continues from memory if it fails, and the
+// failure is logged. The write is crash-atomic — temp file, fsync,
+// rename, directory fsync — so a crash at any point leaves either no
+// artifact or the complete one, never a torn JSON document that would
+// be skipped (with the model silently lost) at the next startup.
+func (s *Server) publish(id, source string, m *core.Model, epsilon float64) error {
+	if err := s.registry.Put(id, source, m, epsilon); err != nil {
+		return err
+	}
 	if s.cfg.ModelsDir == "" {
-		return
+		return nil
 	}
 	path := filepath.Join(s.cfg.ModelsDir, id+".json")
 	if abs, err := filepath.Abs(path); err != nil || abs == s.ledgerPath {
 		// Defense in depth behind idCollidesWithLedger.
 		s.logf("persist %s: refusing to overwrite the ledger file", id)
-		return
+		return nil
 	}
 	if err := s.atomicWriteModel(path, m, epsilon); err != nil {
 		s.logf("persist %s: %v", id, err)
 	}
+	return nil
 }
 
 // atomicWriteModel writes the artifact durably: the temp name does not
@@ -716,7 +723,10 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 // retried fit — even against a restarted daemon — finds the charge,
 // spends nothing, and either replays the finished model (200) or
 // completes the interrupted fit under the already-recorded model id.
-// Reusing a key with a different dataset or ε is rejected with 409.
+// A failed completion keeps that charge: the attempt that made it may
+// have served its model before a restart lost it, so only the next
+// retry under the key, which finishes the fit, settles it. Reusing a
+// key with a different dataset or ε is rejected with 409.
 func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	if s.ledger == nil {
 		writeError(w, http.StatusServiceUnavailable, "curator mode disabled: no privacy ledger configured")
@@ -759,29 +769,21 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		specs              []AttrSpec
 		attrs              []dataset.Attribute
 		spool              string // temp file holding the spooled CSV
+		spend              *accountant.Spend
 	)
 	defer func() {
 		if spool != "" {
 			os.Remove(spool)
 		}
-	}()
-	charged := false
-	refund := func() {
-		if !charged {
-			return
-		}
-		// The idempotent refund also forgets the key, so a later retry
-		// of the same request charges (and runs) afresh.
-		var err error
-		if idemKey != "" {
-			err = s.ledger.RefundIdempotent(datasetID, epsilon, idemKey)
-		} else {
-			err = s.ledger.Refund(datasetID, epsilon)
-		}
-		if err != nil {
+		// Every return before the model is registered released nothing
+		// observable, so the charge is returned (sequential composition
+		// meters releases); a keyed refund also forgets the key, so a
+		// retry charges and runs afresh. Spend.Refund does nothing once
+		// the charge is kept, or when it replays an earlier attempt's.
+		if err := spend.Refund(); err != nil {
 			s.logf("refund %s ε=%g: %v", datasetID, epsilon, err)
 		}
-	}
+	}()
 
 	for {
 		part, err := mr.NextPart()
@@ -792,7 +794,6 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 			// Only a clean end-of-form may end the loop: a malformed
 			// part after the charge must reject (and refund), not be
 			// silently dropped from an accepted fit.
-			refund()
 			writeError(w, http.StatusBadRequest, "read multipart body: %v", err)
 			return
 		}
@@ -802,7 +803,6 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		// could change ε (or the dataset id) after metering — a
 		// privacy-accounting bypass. Reject instead.
 		if spool != "" {
-			refund()
 			writeError(w, http.StatusBadRequest, "field %q after the data part; data must come last", name)
 			return
 		}
@@ -829,54 +829,44 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			defer leave()
+			// The model id is pinned before charging so it rides in the
+			// WAL charge record: every charge names its model, and after
+			// a crash a keyed retry finds the recorded charge and
+			// finishes the fit under the same id without spending ε
+			// again.
+			if modelID == "" {
+				modelID = s.freshID(datasetID + "-fit")
+			}
+			if s.idCollidesWithLedger(modelID) {
+				writeError(w, http.StatusBadRequest, "model id %q collides with the ledger file", modelID)
+				return
+			}
 			// Meter before reading a single row: the budget guards data
 			// access, and a rejected fit must not consume the upload.
-			if idemKey == "" {
-				if err := s.ledger.Charge(datasetID, epsilon); err != nil {
-					writeError(w, statusFor(err), "%v", err)
+			if spend, err = s.ledger.Charge(datasetID, epsilon, idemKey, modelID); err != nil {
+				writeError(w, statusFor(err), "%v", err)
+				return
+			}
+			if spend.Replayed() {
+				// The ledger has verified the retry matches the recorded
+				// charge. If the fit also completed, replay its result
+				// without reading the data; otherwise the first attempt
+				// ended after the durable charge (crash, failure) — finish
+				// the work now, charging nothing.
+				modelID = spend.ModelID()
+				if _, meta, err := s.registry.Get(modelID); err == nil {
+					s.metrics.fits.With("replayed").Inc()
+					w.Header().Set("X-Privbayes-Idempotency-Replay", "true")
+					writeJSON(w, http.StatusOK, meta)
 					return
-				}
-			} else {
-				// The model id is pinned before charging so it rides in
-				// the WAL charge record: after a crash, the retried
-				// request finds the recorded charge (duplicate) and
-				// finishes the fit under the same id without spending ε
-				// again.
-				if modelID == "" {
-					modelID = s.freshID(datasetID + "-fit")
-				}
-				if s.idCollidesWithLedger(modelID) {
-					writeError(w, http.StatusBadRequest, "model id %q collides with the ledger file", modelID)
-					return
-				}
-				dup, prevID, err := s.ledger.ChargeIdempotent(datasetID, epsilon, idemKey, modelID)
-				if err != nil {
-					writeError(w, statusFor(err), "%v", err)
-					return
-				}
-				if dup {
-					modelID = prevID
-					// ChargeIdempotent has verified the retry matches the
-					// recorded charge. If the fit also completed, replay
-					// its result without reading the data; otherwise the
-					// first attempt died after the durable charge (crash,
-					// failure) — finish the work now, charging nothing.
-					if _, meta, err := s.registry.Get(modelID); err == nil {
-						s.metrics.fits.With("replayed").Inc()
-						w.Header().Set("X-Privbayes-Idempotency-Replay", "true")
-						writeJSON(w, http.StatusOK, meta)
-						return
-					}
 				}
 			}
-			charged = true
 			// Spool the CSV to disk instead of materializing it: the fit
 			// below scans the spool file in bounded chunks, so request
 			// memory stays flat no matter how many rows arrive. The 413
 			// cap still applies — MaxBytesReader fails the copy.
 			spool, err = s.spoolCSV(part)
 			if err != nil {
-				refund()
 				// statusFor distinguishes an upload that blew the size
 				// cap (413) from an unreadable body (400).
 				writeError(w, statusFor(err), "%v", err)
@@ -933,7 +923,6 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if spool == "" {
-		refund()
 		writeError(w, http.StatusBadRequest, "missing data part")
 		return
 	}
@@ -941,20 +930,10 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	// header, an undecodable first row, or an empty body reject here with
 	// the same diagnostics the in-memory decode used to produce.
 	if err := probeCSV(spool, attrs); err != nil {
-		refund()
 		writeError(w, statusFor(err), "%v", err)
 		return
 	}
-	if modelID == "" {
-		modelID = s.freshID(datasetID + "-fit")
-	}
-	if s.idCollidesWithLedger(modelID) {
-		refund()
-		writeError(w, http.StatusBadRequest, "model id %q collides with the ledger file", modelID)
-		return
-	}
 	if _, _, err := s.registry.Get(modelID); err == nil {
-		refund()
 		writeError(w, http.StatusConflict, "model id %q already registered", modelID)
 		return
 	}
@@ -963,18 +942,15 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The fit itself runs on workers from the shared budget, like any
-	// synthesis chunk. A shed fit is refunded — which for keyed fits also
-	// forgets the key — so the retry is a clean slate.
+	// synthesis chunk; a shed fit is refunded like every early return.
 	got, release, ok := s.admit(w, r, par)
 	if !ok {
-		refund()
 		return
 	}
 	// The request context cancels the fit: when the client disconnects
 	// mid-fit, the greedy loop stops within one scoring batch instead
-	// of running to completion server-side, and the error path below
-	// refunds the ledger — an abandoned fit releases nothing, so it
-	// must cost nothing.
+	// of running to completion server-side, and the charge is refunded —
+	// an abandoned fit releases nothing, so it must cost nothing.
 	fitOpts := []privbayes.Option{
 		privbayes.WithEpsilon(epsilon),
 		privbayes.WithSeed(seed),
@@ -995,21 +971,16 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	model, err := privbayes.FitScanner(r.Context(), privbayes.CSVSource(spool, attrs, s.cfg.FitChunkRows), fitOpts...)
 	release()
 	if err != nil {
-		// The failed (or cancelled) fit released nothing observable, so
-		// the budget charge is returned (sequential composition meters
-		// releases).
-		refund()
 		s.metrics.fits.With("failed").Inc()
 		writeError(w, http.StatusBadRequest, "fit: %v", err)
 		return
 	}
-	if err := s.registry.Put(modelID, "fit", model, epsilon); err != nil {
-		refund()
+	if err := s.publish(modelID, "fit", model, epsilon); err != nil {
 		s.metrics.fits.With("failed").Inc()
 		writeError(w, statusFor(err), "%v", err)
 		return
 	}
-	s.persist(modelID, model, epsilon)
+	spend.Keep()
 	s.metrics.fits.With("created").Inc()
 	_, meta, _ := s.registry.Get(modelID)
 	w.Header().Set("X-Privbayes-Seed", strconv.FormatInt(seed, 10))

@@ -269,7 +269,7 @@ func TestLedgerFileCannotBeClobbered(t *testing.T) {
 	dir := t.TempDir()
 	ledgerPath := filepath.Join(dir, "ledger.json")
 	ledger := openLedger(t, ledgerPath)
-	if err := ledger.Charge("d", 0.9); err != nil {
+	if _, err := ledger.Charge("d", 0.9, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	_, c, m := newTestServer(t, Config{ModelsDir: dir, Ledger: ledger})
@@ -323,7 +323,7 @@ func captureLogs() (*slog.Logger, func() []string) {
 func TestLoadDirSkipsLedgerFile(t *testing.T) {
 	dir := t.TempDir()
 	ledger := openLedger(t, filepath.Join(dir, "ledger.json"))
-	if err := ledger.Charge("d", 0.1); err != nil { // materialize the file
+	if _, err := ledger.Charge("d", 0.1, "", ""); err != nil { // materialize the file
 		t.Fatal(err)
 	}
 	logger, logs := captureLogs()
