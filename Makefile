@@ -117,7 +117,9 @@ quality:
 # artifacts (core.ReadModelJSON, behind LoadModel), the one CSV/JSONL
 # row decoder (FuzzReadCSV drives ReadCSV and ScanCSV, the decoder of
 # POST /fit uploads and the CLI; FuzzScanJSONL drives ScanJSONL, the
-# decoder of row appends), the WAL framing every daemon start recovers
+# decoder of row appends), the row writer's round trip through that
+# decoder for every schema SchemaFromSpecs accepts
+# (FuzzRowWriterRoundTrip), the WAL framing every daemon start recovers
 # (FuzzWALOpen: ledger and row logs), the ledger's record decoder behind
 # it (FuzzLedgerReplay), the curator's on-disk row record codec — plus
 # the differential counting fuzz pinning the popcount kernel to the
@@ -128,6 +130,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz 'FuzzReadModelJSON$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run NONE -fuzz 'FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run NONE -fuzz 'FuzzScanJSONL$$' -fuzztime $(FUZZTIME) ./internal/dataset
+	$(GO) test -run NONE -fuzz 'FuzzRowWriterRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run NONE -fuzz 'FuzzWALOpen$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run NONE -fuzz 'FuzzLedgerReplay$$' -fuzztime $(FUZZTIME) ./internal/accountant
 	$(GO) test -run NONE -fuzz 'FuzzAppendRows$$' -fuzztime $(FUZZTIME) ./internal/curator

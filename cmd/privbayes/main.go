@@ -1,5 +1,5 @@
 // Command privbayes synthesizes a differentially private copy of a CSV
-// dataset end to end: infer a schema (or accept one), fit a PrivBayes
+// dataset end to end: infer a schema from the input, fit a PrivBayes
 // model, sample, and write the synthetic CSV.
 //
 // Usage:

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"sync"
 
 	"privbayes/internal/dataset"
 	"privbayes/internal/infer"
@@ -23,7 +24,9 @@ const sampleChunk = 2048
 // sequential draws from rng (the split-RNG scheme). Chunk geometry and
 // seeds depend only on (n, seed) — never on the worker count — so for
 // a fixed seed the output is bit-identical at every parallelism, on
-// any machine: parallelism only sets speed.
+// any machine: parallelism only sets speed. Rows are staged one
+// StreamChunkRows burst at a time and appended to the output's
+// columns, which are bit-packed like those of any other dataset.
 func (m *Model) SampleP(n int, rng *rand.Rand, parallelism int) *dataset.Dataset {
 	// The background context never ends, so there is no error.
 	out, _ := m.sampleContext(context.Background(), n, rng, parallelism, nil)
@@ -49,46 +52,59 @@ func (m *Model) SampleContextProgress(ctx context.Context, n int, rng *rand.Rand
 func (m *Model) sampleContext(ctx context.Context, n int, rng *rand.Rand, parallelism int, progress *progressSink) (*dataset.Dataset, error) {
 	progress.start(PhaseSampling, n)
 	workers := parallel.Workers(parallelism)
-	chunks := parallel.Chunks(n, sampleChunk)
-	seeds := parallel.SplitSeeds(rng, chunks)
-	out := dataset.NewWithLen(m.Attrs, n)
-	if err := parallel.ForCtx(ctx, workers, chunks, func(c int) {
-		lo := c * sampleChunk
-		hi := min(lo+sampleChunk, n)
-		m.sampleRange(out, lo, hi, rand.New(rand.NewSource(seeds[c])))
-		progress.add(PhaseSampling, hi-lo, n)
-	}); err != nil {
-		return nil, err
+	seeds := parallel.SplitSeeds(rng, parallel.Chunks(n, sampleChunk))
+	out := dataset.NewWithCapacity(m.Attrs, n)
+	staging := stagePool.Get().(*[]uint16)
+	defer stagePool.Put(staging)
+	cols := make([][]uint16, len(m.Attrs))
+	// Each StreamChunkRows burst is drawn column-major into the staging
+	// and appended to out's packed columns. StreamChunkRows is a multiple
+	// of sampleChunk, so burst-local chunk c is global chunk first+c.
+	for lo := 0; lo < n; lo += StreamChunkRows {
+		rows := min(StreamChunkRows, n-lo)
+		if cap(*staging) < len(cols)*rows {
+			*staging = make([]uint16, len(cols)*rows)
+		}
+		for a := range cols {
+			cols[a] = (*staging)[a*rows : (a+1)*rows : (a+1)*rows]
+		}
+		first := lo / sampleChunk
+		if err := parallel.ForCtx(ctx, workers, parallel.Chunks(rows, sampleChunk), func(c int) {
+			clo := c * sampleChunk
+			chi := min(clo+sampleChunk, rows)
+			m.sampleRange(cols, clo, chi, rand.New(rand.NewSource(seeds[first+c])))
+			progress.add(PhaseSampling, chi-clo, n)
+		}); err != nil {
+			return nil, err
+		}
+		out.AppendColumns(cols)
 	}
 	return out, nil
 }
 
-// sampleRange fills rows [lo, hi) of out by ancestral sampling from rng.
-// Distinct ranges touch disjoint row slots, so concurrent calls on one
-// dataset are race-free.
-func (m *Model) sampleRange(out *dataset.Dataset, lo, hi int, rng *rand.Rand) {
-	d := len(m.Attrs)
-	rec := make([]uint16, d)
-	raw := make([]int, d) // raw sampled code per attribute
+// stagePool recycles sampling bursts' column-major code staging, at
+// most StreamChunkRows codes per attribute.
+var stagePool = sync.Pool{New: func() any { return new([]uint16) }}
+
+// sampleRange fills rows [lo, hi) of the column-major cols by
+// ancestral sampling from rng. The network orders every parent before
+// its children, so a parent's code is already in place when a child
+// reads it. Distinct ranges touch disjoint codes, so concurrent calls
+// are race-free.
+func (m *Model) sampleRange(cols [][]uint16, lo, hi int, rng *rand.Rand) {
 	var parentCodes []int
 	for r := lo; r < hi; r++ {
 		for i, pair := range m.Network.Pairs {
-			cond := m.Conds[i]
 			parentCodes = parentCodes[:0]
 			for _, p := range pair.Parents {
-				code := raw[p.Attr]
+				code := int(cols[p.Attr][r])
 				if p.Level > 0 {
 					code = m.Attrs[p.Attr].Generalize(p.Level, code)
 				}
 				parentCodes = append(parentCodes, code)
 			}
-			x := cond.SampleX(parentCodes, rng)
-			raw[pair.X.Attr] = x
+			cols[pair.X.Attr][r] = uint16(m.Conds[i].SampleX(parentCodes, rng))
 		}
-		for a := 0; a < d; a++ {
-			rec[a] = uint16(raw[a])
-		}
-		out.SetRecord(r, rec)
 	}
 }
 

@@ -83,6 +83,25 @@ func TestSamplePDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestSamplePBitPacked checks that sampled datasets take the column
+// layout of every other dataset: a binary model's SampleP output,
+// spanning several sampling bursts, is bit-packed in every column, so
+// the popcount kernels count it.
+func TestSamplePBitPacked(t *testing.T) {
+	ds := chainData(2000, 7)
+	m, err := Fit(ds, Options{Epsilon: 0.8, Beta: 0.3, Theta: 4, K: 2, Mode: ModeBinary,
+		Score: score.F, Rand: rand.New(rand.NewSource(2))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn := m.SampleP(2*StreamChunkRows+100, rand.New(rand.NewSource(3)), 2)
+	for c := 0; c < syn.D(); c++ {
+		if !syn.Col(c).Maskable() {
+			t.Errorf("column %d of a binary model's sample is not bit-packed", c)
+		}
+	}
+}
+
 // TestConcurrentFitSharedScorer stresses concurrent Fit calls sharing
 // one Scorer cache, each internally parallel (run with -race). Every
 // call must still produce the model its own seed dictates.

@@ -89,7 +89,7 @@ type Options struct {
 	// Synthesize output is bit-identical at every parallelism, 1
 	// included, on any machine — work units and RNG streams are indexed
 	// by data position, never by worker, and counts are exact integers
-	// scaled once by 1/n (see Model.SampleP and marginal.MemorySource).
+	// scaled once by 1/n (see Model.SampleContext and marginal.MemorySource).
 	Parallelism int
 	// Progress, when set, receives one ProgressEvent per completed
 	// pipeline unit (greedy iteration, materialized marginal). Events
@@ -290,7 +290,7 @@ func RefitCountsContext(ctx context.Context, attrs []dataset.Attribute, cs margi
 
 // Synthesize runs the full three-phase pipeline and returns a synthetic
 // dataset of the same cardinality as the input (Section 3). Sampling
-// honours opt.Parallelism (see Model.SampleP).
+// honours opt.Parallelism (see Model.SampleContext).
 func Synthesize(ds *dataset.Dataset, opt Options) (*dataset.Dataset, error) {
 	return SynthesizeContext(context.Background(), ds, opt)
 }

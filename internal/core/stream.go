@@ -12,11 +12,12 @@ import (
 // StreamChunkRows is the row granularity of streaming synthesis:
 // Synthesize and SynthesizeTo generate this many rows at a time, so
 // per-call memory is bounded by the chunk no matter how many rows are
-// requested. It must be a multiple of the sampler's internal 2048-row
-// chunk: each burst then draws exactly the split-RNG seeds one
-// monolithic SampleP call would draw for those rows, which is what
-// makes a stream byte-identical to SampleP for a fixed (model, n,
-// seed). privbayesd's streaming endpoint uses the same granularity.
+// requested; the sampler stages its rows in bursts of the same size.
+// It must be a multiple of the sampler's internal 2048-row chunk: each
+// burst then draws exactly the split-RNG seeds one monolithic SampleP
+// call would draw for those rows, which is what makes a stream
+// byte-identical to SampleP for a fixed (model, n, seed). privbayesd's
+// streaming endpoint uses the same granularity.
 const StreamChunkRows = 16_384
 
 // Row is one synthetic record: the encoded value (attribute code) per

@@ -128,20 +128,14 @@ func (a *Attribute) Label(code int) string {
 }
 
 // Text returns the cell text of a code: its label (categorical) or its
-// bin center (continuous). It is the one rule for rendering a cell;
-// CSV output and core.Model.AppendRowText both use it.
+// bin center in shortest round-trip form (continuous). It is the one
+// rule for rendering a cell; RowWriter's CSV and JSONL cells and
+// core.Model.AppendRowText all use it.
 func (a *Attribute) Text(code int) string {
 	if a.Kind == Continuous {
-		var buf [32]byte
-		return string(a.appendBinCenter(buf[:0], code))
+		return strconv.FormatFloat(a.BinCenter(code), 'g', -1, 64)
 	}
 	return a.Label(code)
-}
-
-// appendBinCenter appends a continuous code's bin center in shortest
-// round-trip form, the number a cell renders as in CSV and JSONL alike.
-func (a *Attribute) appendBinCenter(dst []byte, code int) []byte {
-	return strconv.AppendFloat(dst, a.BinCenter(code), 'g', -1, 64)
 }
 
 // Code returns the code for a label, or -1 when the label is unknown.

@@ -29,15 +29,12 @@ type Column struct {
 	b16    []uint16   // width 16
 }
 
-// widthFor picks the physical code width for a domain size. Writable
-// columns — filled by row index, like the parallel sampler's disjoint
-// row ranges — use byte-addressable widths so concurrent writes to
-// distinct rows never share a memory word.
-func widthFor(size int, writable bool) int {
+// widthFor picks the physical code width for a domain size.
+func widthFor(size int) int {
 	switch {
-	case !writable && size <= 2:
+	case size <= 2:
 		return 1
-	case !writable && size <= 4:
+	case size <= 4:
 		return 2
 	case size <= 256:
 		return 8
@@ -48,11 +45,11 @@ func widthFor(size int, writable bool) int {
 
 // newColumn creates an empty column for a domain of the given size,
 // preallocating capRows rows of storage.
-func newColumn(size, capRows int, writable bool) *Column {
+func newColumn(size, capRows int) *Column {
 	if size > MaxDomain {
 		panic(fmt.Sprintf("dataset: attribute domain size %d exceeds %d (uint16 codes)", size, MaxDomain))
 	}
-	c := &Column{size: size, width: widthFor(size, writable)}
+	c := &Column{size: size, width: widthFor(size)}
 	switch c.width {
 	case 8:
 		c.b8 = make([]uint8, 0, capRows)
@@ -64,20 +61,6 @@ func newColumn(size, capRows int, writable bool) *Column {
 			c.planes[p] = make([]uint64, 0, (capRows+63)/64)
 		}
 	}
-	return c
-}
-
-// newColumnLen creates a writable column with n zero-filled rows, for
-// fill-by-index callers.
-func newColumnLen(size, n int) *Column {
-	c := newColumn(size, 0, true)
-	switch c.width {
-	case 8:
-		c.b8 = make([]uint8, n)
-	default:
-		c.b16 = make([]uint16, n)
-	}
-	c.n = n
 	return c
 }
 
@@ -106,20 +89,6 @@ func (c *Column) Get(i int) uint16 {
 		idx := c.off + i
 		w, b := idx>>6, uint(idx)&63
 		return uint16(c.planes[0][w]>>b)&1 | uint16(c.planes[1][w]>>b)&1<<1
-	}
-}
-
-// Set overwrites row i. Only byte-addressable (writable) columns
-// support it: bit-packed rows share words, so an index write there
-// would race with neighbouring rows.
-func (c *Column) Set(i int, v uint16) {
-	switch c.width {
-	case 16:
-		c.b16[i] = v
-	case 8:
-		c.b8[i] = uint8(v)
-	default:
-		panic("dataset: Set on a bit-packed column")
 	}
 }
 

@@ -6,34 +6,18 @@ import (
 )
 
 // TestColumnWidthSelection pins the width ladder: bit-packed for
-// low-arity read-only columns, byte-addressable when writable or wide.
+// low-arity columns, byte and short codes above.
 func TestColumnWidthSelection(t *testing.T) {
-	cases := []struct {
-		size     int
-		writable bool
-		want     int
-	}{
-		{2, false, 1},
-		{3, false, 2},
-		{4, false, 2},
-		{5, false, 8},
-		{256, false, 8},
-		{257, false, 16},
-		{1 << 16, false, 16},
-		{2, true, 8},
-		{4, true, 8},
-		{257, true, 16},
+	cases := []struct{ size, want int }{
+		{2, 1}, {3, 2}, {4, 2}, {5, 8}, {256, 8}, {257, 16}, {1 << 16, 16},
 	}
 	for _, c := range cases {
-		if got := widthFor(c.size, c.writable); got != c.want {
-			t.Errorf("widthFor(%d, %v) = %d, want %d", c.size, c.writable, got, c.want)
+		if got := widthFor(c.size); got != c.want {
+			t.Errorf("widthFor(%d) = %d, want %d", c.size, got, c.want)
 		}
 	}
-	if !newColumn(2, 0, false).Maskable() {
-		t.Error("size-2 read-only column should be maskable")
-	}
-	if newColumn(2, 0, true).Maskable() {
-		t.Error("writable column must not be bit-packed (Set would race)")
+	if !newColumn(2, 0).Maskable() {
+		t.Error("size-2 column should be maskable")
 	}
 }
 
@@ -56,13 +40,13 @@ func TestColumnRoundTrip(t *testing.T) {
 			want := randCodes(n, size, rng)
 
 			// Row-at-a-time fill.
-			byRow := newColumn(size, 0, false)
+			byRow := newColumn(size, 0)
 			for _, v := range want {
 				byRow.Append(v)
 			}
 			// Bulk fill, split at an odd point so AppendBlock exercises
 			// both the unaligned prologue and the word-aligned body.
-			bulk := newColumn(size, n, false)
+			bulk := newColumn(size, n)
 			cut := n / 3
 			bulk.AppendBlock(want[:cut])
 			bulk.AppendBlock(want[cut:])
@@ -98,7 +82,7 @@ func TestColumnValueMask(t *testing.T) {
 	for _, size := range []int{2, 3, 4} {
 		n := 517
 		want := randCodes(n, size, rng)
-		c := newColumn(size, n, false)
+		c := newColumn(size, n)
 		c.AppendBlock(want)
 
 		check := func(name string, col *Column) {
@@ -132,7 +116,7 @@ func TestColumnViewClone(t *testing.T) {
 	for _, size := range []int{2, 4, 9, 400} {
 		n := 300
 		want := randCodes(n, size, rng)
-		c := newColumn(size, n, false)
+		c := newColumn(size, n)
 		c.AppendBlock(want)
 
 		v := c.view(17, 203)
@@ -161,29 +145,6 @@ func TestColumnViewClone(t *testing.T) {
 			if cl.Get(i) != want[i] {
 				t.Fatalf("size %d clone Get(%d) mismatch", size, i)
 			}
-		}
-	}
-}
-
-// TestWritableColumnSet checks NewWithLen datasets take SetRecord
-// writes and that their columns never select a bit-packed width.
-func TestWritableColumnSet(t *testing.T) {
-	attrs := []Attribute{
-		NewCategorical("a", []string{"0", "1"}),
-		NewCategorical("b", []string{"x", "y", "z"}),
-	}
-	d := NewWithLen(attrs, 100)
-	for c := 0; c < d.D(); c++ {
-		if d.Col(c).Maskable() {
-			t.Fatalf("NewWithLen column %d is bit-packed; SetRecord would race", c)
-		}
-	}
-	for i := 0; i < 100; i++ {
-		d.SetRecord(i, []uint16{uint16(i % 2), uint16(i % 3)})
-	}
-	for i := 0; i < 100; i++ {
-		if d.Value(i, 0) != i%2 || d.Value(i, 1) != i%3 {
-			t.Fatalf("row %d = (%d, %d)", i, d.Value(i, 0), d.Value(i, 1))
 		}
 	}
 }

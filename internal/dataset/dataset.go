@@ -28,21 +28,7 @@ func NewWithCapacity(attrs []Attribute, n int) *Dataset {
 	d := &Dataset{attrs: append([]Attribute(nil), attrs...)}
 	d.cols = make([]*Column, len(attrs))
 	for i := range d.attrs {
-		d.cols[i] = newColumn(d.attrs[i].Size(), n, false)
-	}
-	return d
-}
-
-// NewWithLen creates a dataset with n zero-filled rows, for callers
-// that fill rows by index — e.g. the parallel sampler, whose workers
-// write disjoint row ranges of one shared dataset. Its columns use
-// byte-addressable code widths (never bit-packed) so those concurrent
-// disjoint-row writes cannot share a memory word.
-func NewWithLen(attrs []Attribute, n int) *Dataset {
-	d := &Dataset{attrs: append([]Attribute(nil), attrs...), n: n}
-	d.cols = make([]*Column, len(attrs))
-	for i := range d.attrs {
-		d.cols[i] = newColumnLen(d.attrs[i].Size(), n)
+		d.cols[i] = newColumn(d.attrs[i].Size(), n)
 	}
 	return d
 }
@@ -72,21 +58,6 @@ func (d *Dataset) Slice(lo, hi int) *Dataset {
 		}
 	}
 	return s
-}
-
-// SetRecord overwrites row i with one code per attribute. Concurrent
-// calls for distinct rows are race-free on datasets built with
-// NewWithLen.
-func (d *Dataset) SetRecord(i int, rec []uint16) {
-	if len(rec) != len(d.attrs) {
-		panic(fmt.Sprintf("dataset: record has %d values, want %d", len(rec), len(d.attrs)))
-	}
-	for c, v := range rec {
-		if int(v) >= d.attrs[c].Size() {
-			panic(fmt.Sprintf("dataset: code %d out of range for attribute %s (size %d)", v, d.attrs[c].Name, d.attrs[c].Size()))
-		}
-		d.cols[c].Set(i, v)
-	}
 }
 
 // N returns the number of rows.

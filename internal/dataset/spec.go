@@ -3,6 +3,8 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"strings"
+	"unicode/utf8"
 )
 
 // AttrSpec is the wire form of one schema attribute: the "schema" field
@@ -23,6 +25,11 @@ type AttrSpec struct {
 const maxSchemaAttrs = 1 << 12
 
 // SchemaFromSpecs validates a wire schema and builds its attributes.
+// It accepts only schemas whose every cell reads back as written
+// through RowWriter, ReadCSV and ReadJSONL: names and labels must be
+// valid UTF-8 (JSON replaces other bytes) without "\r\n" (CSV readers
+// turn it into "\n"), and every continuous bin center must be finite
+// and bin back to its own code.
 func SchemaFromSpecs(specs []AttrSpec) ([]Attribute, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("dataset: schema has no attributes")
@@ -35,6 +42,9 @@ func SchemaFromSpecs(specs []AttrSpec) ([]Attribute, error) {
 	for i, s := range specs {
 		if s.Name == "" {
 			return nil, fmt.Errorf("dataset: schema attribute %d has no name", i+1)
+		}
+		if !readsBack(s.Name) {
+			return nil, fmt.Errorf("dataset: schema attribute %d name %q is not valid UTF-8 or holds \"\\r\\n\"", i+1, s.Name)
 		}
 		if seen[s.Name] {
 			return nil, fmt.Errorf("dataset: duplicate schema attribute %q", s.Name)
@@ -50,6 +60,9 @@ func SchemaFromSpecs(specs []AttrSpec) ([]Attribute, error) {
 			}
 			labels := make(map[string]bool, len(s.Labels))
 			for _, l := range s.Labels {
+				if !readsBack(l) {
+					return nil, fmt.Errorf("dataset: attribute %q label %q is not valid UTF-8 or holds \"\\r\\n\"", s.Name, l)
+				}
 				if labels[l] {
 					return nil, fmt.Errorf("dataset: attribute %q has duplicate label %q", s.Name, l)
 				}
@@ -64,11 +77,22 @@ func SchemaFromSpecs(specs []AttrSpec) ([]Attribute, error) {
 				return nil, fmt.Errorf("dataset: continuous attribute %q has invalid range [%g, %g]", s.Name, s.Min, s.Max)
 			}
 			attrs[i] = NewContinuous(s.Name, s.Min, s.Max, s.Bins)
+			for c := 0; c < s.Bins; c++ {
+				if v := attrs[i].BinCenter(c); math.IsInf(v, 0) || attrs[i].Bin(v) != c {
+					return nil, fmt.Errorf("dataset: continuous attribute %q: range [%g, %g] in %d bins does not round-trip (bin %d's center %g)", s.Name, s.Min, s.Max, s.Bins, c, v)
+				}
+			}
 		default:
 			return nil, fmt.Errorf("dataset: attribute %q has unknown kind %q", s.Name, s.Kind)
 		}
 	}
 	return attrs, nil
+}
+
+// readsBack reports whether a name or label reads back as written
+// through both row wire formats.
+func readsBack(s string) bool {
+	return utf8.ValidString(s) && !strings.Contains(s, "\r\n")
 }
 
 // SpecsFromAttrs renders a schema in wire form, the inverse of

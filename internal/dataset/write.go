@@ -31,25 +31,23 @@ func (f Format) String() string {
 	}
 }
 
+// writeChunk bounds each write RowWriter hands its underlying writer.
+const writeChunk = 64 << 10
+
 // RowWriter is the one chunk writer of the row wire formats:
 // Dataset.WriteCSV, core.Model.SynthesizeTo and privbayesd's synthesize
 // endpoint all emit rows through it, a large output as a sequence of
 // small chunk datasets through one long-lived writer. Each code decodes
 // back to its label (categorical) or bin center (continuous).
+//
+// Both formats share one row loop: the constructor encodes every
+// (attribute, code) cell once, with its separator or JSON key in
+// front, so a row is one copied cell per attribute plus the row end.
 type RowWriter struct {
-	attrs []Attribute
-
-	// FormatCSV: cw is set, rec is the row scratch.
-	cw  *csv.Writer
-	rec []string
-
-	// FormatJSONL: attribute names and categorical labels are
-	// JSON-escaped once up front, so the per-row loop only copies bytes.
-	w       io.Writer
-	names   [][]byte   // `"name":` per attribute
-	labels  [][][]byte // escaped label per categorical code; nil for continuous
-	buf     bytes.Buffer
-	scratch []byte // float-formatting scratch, reused across cells
+	w     io.Writer
+	cells [][][]byte // cells[a][code]: the encoded cell, led by its separator or key
+	end   []byte     // row end: "\n" (CSV) or "}\n" (JSONL)
+	buf   []byte     // encoding buffer, reused across WriteRows calls
 }
 
 // NewRowWriter prepares a writer of format f for the given schema. A
@@ -58,11 +56,18 @@ type RowWriter struct {
 func NewRowWriter(w io.Writer, attrs []Attribute, f Format) (*RowWriter, error) {
 	switch f {
 	case FormatCSV:
-		rw := &RowWriter{attrs: attrs, cw: csv.NewWriter(w), rec: make([]string, len(attrs))}
-		for i := range attrs {
-			rw.rec[i] = attrs[i].Name
+		rw := &RowWriter{w: w, cells: make([][][]byte, len(attrs)), end: []byte("\n")}
+		field := newCSVField()
+		var header []byte
+		for a := range attrs {
+			var sep []byte
+			if a > 0 {
+				sep = []byte{','}
+			}
+			rw.cells[a] = cellTable(&attrs[a], sep, field)
+			header = field(append(header, sep...), attrs[a].Name)
 		}
-		if err := rw.cw.WriteAll([][]string{rw.rec}); err != nil {
+		if _, err := w.Write(append(header, '\n')); err != nil {
 			return nil, fmt.Errorf("dataset: write header: %w", err)
 		}
 		return rw, nil
@@ -75,68 +80,85 @@ func NewRowWriter(w io.Writer, attrs []Attribute, f Format) (*RowWriter, error) 
 
 // NewJSONLWriter is NewRowWriter for FormatJSONL, which cannot fail.
 func NewJSONLWriter(w io.Writer, attrs []Attribute) *RowWriter {
-	rw := &RowWriter{attrs: attrs, w: w, names: make([][]byte, len(attrs)), labels: make([][][]byte, len(attrs))}
-	for i := range attrs {
-		a := &attrs[i]
-		name, _ := json.Marshal(a.Name)
-		rw.names[i] = append(name, ':')
-		if a.Kind == Categorical {
-			codes := make([][]byte, a.Size())
-			for c := range codes {
-				codes[c], _ = json.Marshal(a.Label(c))
-			}
-			rw.labels[i] = codes
+	rw := &RowWriter{w: w, cells: make([][][]byte, len(attrs)), end: []byte("}\n")}
+	for a := range attrs {
+		prefix := jsonString([]byte{','}, attrs[a].Name)
+		if a == 0 {
+			prefix[0] = '{'
 		}
+		value := jsonString
+		if attrs[a].Kind == Continuous {
+			value = func(dst []byte, text string) []byte { return append(dst, text...) }
+		}
+		rw.cells[a] = cellTable(&attrs[a], append(prefix, ':'), value)
 	}
 	return rw
 }
 
+// cellTable encodes every code of a as prefix followed by value's
+// encoding of the code's Text. The cells share backing arrays: a cell
+// keeps pointing into an array append has outgrown, which stays intact.
+func cellTable(a *Attribute, prefix []byte, value func(dst []byte, text string) []byte) [][]byte {
+	cells := make([][]byte, a.Size())
+	var flat []byte
+	for code := range cells {
+		start := len(flat)
+		flat = value(append(flat, prefix...), a.Text(code))
+		cells[code] = flat[start:len(flat):len(flat)]
+	}
+	return cells
+}
+
+// newCSVField returns an encoder of lone CSV fields. Each field goes
+// through encoding/csv as a record of its own, so quoting matches a
+// csv.Writer's byte for byte, except that an empty field is written as
+// "": unquoted, a row holding one empty field would be a blank line,
+// which CSV readers skip.
+func newCSVField() func(dst []byte, text string) []byte {
+	var b bytes.Buffer
+	cw := csv.NewWriter(&b)
+	return func(dst []byte, text string) []byte {
+		if text == "" {
+			return append(dst, `""`...)
+		}
+		b.Reset()
+		cw.Write([]string{text}) // a bytes.Buffer write cannot fail
+		cw.Flush()
+		return append(dst, bytes.TrimSuffix(b.Bytes(), []byte{'\n'})...)
+	}
+}
+
+// jsonString appends text as a JSON string.
+func jsonString(dst []byte, text string) []byte {
+	s, _ := json.Marshal(text) // marshalling a string cannot fail
+	return append(dst, s...)
+}
+
 // WriteRows encodes rows [lo, hi) of d and flushes them to the
-// underlying writer, so each chunk is one syscall-sized burst to the
-// client.
+// underlying writer, handing it at most 64 KiB at a time, so each
+// chunk is a few syscall-sized bursts to the client.
 func (rw *RowWriter) WriteRows(d *Dataset, lo, hi int) error {
 	if lo < 0 || hi > d.n || lo > hi {
 		return fmt.Errorf("dataset: row range [%d, %d) outside [0, %d)", lo, hi, d.n)
 	}
-	if rw.cw != nil {
-		return rw.writeCSV(d, lo, hi)
-	}
-	return rw.writeJSONL(d, lo, hi)
-}
-
-func (rw *RowWriter) writeCSV(d *Dataset, lo, hi int) error {
+	buf := rw.buf[:0]
 	for r := lo; r < hi; r++ {
-		for c := range rw.rec {
-			rw.rec[c] = rw.attrs[c].Text(d.Value(r, c))
+		for a, cells := range rw.cells {
+			buf = append(buf, cells[d.Value(r, a)]...)
 		}
-		if err := rw.cw.Write(rw.rec); err != nil {
-			return fmt.Errorf("dataset: write row %d: %w", r+1, err)
+		buf = append(buf, rw.end...)
+		for len(buf) >= writeChunk {
+			if _, err := rw.w.Write(buf[:writeChunk]); err != nil {
+				return err
+			}
+			buf = buf[:copy(buf, buf[writeChunk:])]
 		}
 	}
-	rw.cw.Flush()
-	return rw.cw.Error()
-}
-
-func (rw *RowWriter) writeJSONL(d *Dataset, lo, hi int) error {
-	rw.buf.Reset()
-	for r := lo; r < hi; r++ {
-		rw.buf.WriteByte('{')
-		for c := range rw.attrs {
-			if c > 0 {
-				rw.buf.WriteByte(',')
-			}
-			rw.buf.Write(rw.names[c])
-			code := d.Value(r, c)
-			if rw.labels[c] != nil {
-				rw.buf.Write(rw.labels[c][code])
-			} else {
-				rw.scratch = rw.attrs[c].appendBinCenter(rw.scratch[:0], code)
-				rw.buf.Write(rw.scratch)
-			}
-		}
-		rw.buf.WriteString("}\n")
+	rw.buf = buf
+	if len(buf) == 0 {
+		return nil
 	}
-	_, err := rw.w.Write(rw.buf.Bytes())
+	_, err := rw.w.Write(buf)
 	return err
 }
 

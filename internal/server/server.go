@@ -596,9 +596,9 @@ func (p *synthesizeParams) applyQuery(q url.Values) error {
 //
 // The response is generated in core.StreamChunkRows-row chunks: for
 // each chunk the request claims workers from the server-wide budget,
-// samples the chunk through Model.SampleP and the internal/parallel
-// pool, releases the workers, and only then writes the chunk to the
-// client. Workers are never held across a client write, so a slow
+// samples the chunk through Model.SampleContext and the
+// internal/parallel pool, releases the workers, and only then writes
+// the chunk to the client. Workers are never held across a client write, so a slow
 // reader back-pressures its own TCP stream while the budget serves
 // other requests, and per-request memory stays bounded by the chunk
 // size no matter how large n is.
@@ -606,7 +606,7 @@ func (p *synthesizeParams) applyQuery(q url.Values) error {
 // Determinism: for a fixed (model, n, seed) the streamed rows are
 // byte-identical across requests, worker counts, and server load —
 // chunk geometry and RNG streams are derived from (n, seed) only (see
-// core.Model.SampleP). When the caller omits seed, the server draws one
+// core.Model.SampleContext). When the caller omits seed, the server draws one
 // and returns it in the X-Privbayes-Seed header, so any stream can be
 // reproduced later.
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
