@@ -41,43 +41,62 @@ func waitGoroutines(t *testing.T, base int) {
 	t.Errorf("goroutine leak: %d at baseline, %d now", base, runtime.NumGoroutine())
 }
 
+// fitEntry is one way to fit the same rows: Fit over the dataset, or
+// FitScanner over a DatasetSource of it.
+type fitEntry struct {
+	name string
+	fit  func(ctx context.Context, ds *Dataset, opts ...Option) (*Model, error)
+}
+
+var fitEntries = []fitEntry{
+	{"Fit", Fit},
+	{"FitScanner", func(ctx context.Context, ds *Dataset, opts ...Option) (*Model, error) {
+		return FitScanner(ctx, DatasetSource(ds, 1000), opts...)
+	}},
+}
+
 // TestFitCancelMidRun: cancelling mid-fit — from inside a progress
 // callback, so cancellation demonstrably lands while the pipeline is
-// running — returns context.Canceled promptly and leaks no goroutines.
+// running — returns context.Canceled promptly and leaks no goroutines,
+// through either entry point.
 func TestFitCancelMidRun(t *testing.T) {
 	ds := cancelData(6000, 8)
 	base := runtime.NumGoroutine()
-	for _, par := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		events := 0
-		start := time.Now()
-		_, err := Fit(ctx, ds,
-			WithEpsilon(1), WithSeed(1), WithParallelism(par),
-			WithProgress(func(p Progress) {
-				events++
-				if events == 2 {
-					cancel()
-				}
-			}))
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallelism %d: err = %v, want context.Canceled", par, err)
-		}
-		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			t.Errorf("parallelism %d: cancellation took %v", par, elapsed)
+	for _, e := range fitEntries {
+		for _, par := range []int{1, 4} {
+			ctx, cancel := context.WithCancel(context.Background())
+			events := 0
+			start := time.Now()
+			_, err := e.fit(ctx, ds,
+				WithEpsilon(1), WithSeed(1), WithParallelism(par),
+				WithProgress(func(p Progress) {
+					events++
+					if events == 2 {
+						cancel()
+					}
+				}))
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s, parallelism %d: err = %v, want context.Canceled", e.name, par, err)
+			}
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Errorf("%s, parallelism %d: cancellation took %v", e.name, par, elapsed)
+			}
 		}
 	}
 	waitGoroutines(t, base)
 }
 
 // TestFitPreCancelled: an already-cancelled context fails before any
-// work happens.
+// work happens, through either entry point.
 func TestFitPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Fit(ctx, cancelData(500, 4), WithEpsilon(1), WithSeed(2))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, e := range fitEntries {
+		_, err := e.fit(ctx, cancelData(500, 4), WithEpsilon(1), WithSeed(2))
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", e.name, err)
+		}
 	}
 }
 

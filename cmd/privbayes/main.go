@@ -10,7 +10,8 @@
 // Schema inference: a column whose every value parses as a float and
 // that has more distinct values than -bins is treated as continuous with
 // -bins equi-width bins; every other column is categorical with its
-// observed labels as the domain.
+// observed labels as the domain. The inferred schema must pass the
+// checks privbayesd's POST /fit makes of a schema, or the run fails.
 package main
 
 import (
@@ -20,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -88,7 +90,10 @@ func run(ctx context.Context, in, out string, epsilon, beta, theta float64, bins
 	// The schema is inferred from the cells as text; the rows are then
 	// decoded against it by the library's CSV decoder, which rejects a
 	// cell the schema cannot hold, such as a non-finite number.
-	attrs := inferSchema(header, records, bins)
+	attrs, err := inferSchema(header, records, bins)
+	if err != nil {
+		return err
+	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
@@ -148,28 +153,36 @@ func readAll(r io.Reader) (header []string, records [][]string, err error) {
 	return header, records, nil
 }
 
-func inferSchema(header []string, records [][]string, bins int) []privbayes.Attribute {
-	attrs := make([]privbayes.Attribute, len(header))
+// inferSchema infers each column's attribute and builds the schema
+// through dataset.SchemaFromSpecs, so it refuses what POST /fit
+// refuses, such as continuous bins that do not round-trip. Non-finite
+// numbers do not widen a range: the decoder rejects their cells.
+func inferSchema(header []string, records [][]string, bins int) ([]privbayes.Attribute, error) {
+	specs := make([]dataset.AttrSpec, len(header))
 	for c, name := range header {
-		numeric := true
+		numeric, finite := true, false
 		min, max := 0.0, 0.0
 		distinct := map[string]bool{}
-		for i, rec := range records {
+		for _, rec := range records {
 			distinct[rec[c]] = true
 			v, err := strconv.ParseFloat(rec[c], 64)
 			if err != nil {
 				numeric = false
 				continue
 			}
-			if i == 0 || v < min {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				continue
+			}
+			if !finite || v < min {
 				min = v
 			}
-			if i == 0 || v > max {
+			if !finite || v > max {
 				max = v
 			}
+			finite = true
 		}
 		if numeric && len(distinct) > bins {
-			attrs[c] = privbayes.NewContinuous(name, min, max, bins)
+			specs[c] = dataset.AttrSpec{Name: name, Kind: "continuous", Min: min, Max: max, Bins: bins}
 			continue
 		}
 		labels := make([]string, 0, len(distinct))
@@ -177,7 +190,7 @@ func inferSchema(header []string, records [][]string, bins int) []privbayes.Attr
 			labels = append(labels, l)
 		}
 		sort.Strings(labels)
-		attrs[c] = privbayes.NewCategorical(name, labels)
+		specs[c] = dataset.AttrSpec{Name: name, Kind: "categorical", Labels: labels}
 	}
-	return attrs
+	return dataset.SchemaFromSpecs(specs)
 }

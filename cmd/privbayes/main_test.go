@@ -118,7 +118,10 @@ func TestInferSchema(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		records = append(records, []string{"ab", fmt.Sprint(float64(i) * 1.5)})
 	}
-	attrs := inferSchema(header, records, 16)
+	attrs, err := inferSchema(header, records, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if attrs[0].Kind != 0 || attrs[0].Size() != 1 {
 		t.Errorf("cat column: kind %v size %d", attrs[0].Kind, attrs[0].Size())
 	}
@@ -127,8 +130,37 @@ func TestInferSchema(t *testing.T) {
 	}
 	// Few distinct numeric values stay categorical.
 	small := [][]string{{"x", "1"}, {"y", "2"}, {"z", "1"}}
-	attrs2 := inferSchema(header, small, 16)
+	attrs2, err := inferSchema(header, small, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if attrs2[1].Kind != 0 {
 		t.Error("low-cardinality numeric column should stay categorical")
+	}
+}
+
+// TestRunRejectsBinsThatDoNotRoundTrip: a narrow range at large
+// magnitude, 1e15 + k/100 for k < 200 in 16 bins, has bin centres that
+// bin elsewhere, so the synthetic output would merge bins. The run
+// must refuse the column with SchemaFromSpecs' message, as POST /fit
+// does, instead of writing that output.
+func TestRunRejectsBinsThatDoNotRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	var sb strings.Builder
+	sb.WriteString("x\n")
+	for i := 0; i < 3000; i++ {
+		fmt.Fprintf(&sb, "%.2f\n", 1e15+float64(i%200)/100)
+	}
+	in := filepath.Join(dir, "in.csv")
+	if err := os.WriteFile(in, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "out.csv")
+	err := run(context.Background(), in, out, 5, 0.3, 4, 16, 0, 0, 7)
+	if err == nil || !strings.Contains(err.Error(), `continuous attribute "x"`) || !strings.Contains(err.Error(), "does not round-trip") {
+		t.Fatalf("err = %v, want the schema's round-trip refusal", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("refused run left an output file (stat err %v)", err)
 	}
 }

@@ -83,7 +83,7 @@ func main() {
 	flag.Float64Var(&o.refitEpsilon, "refit-epsilon", 0, "ε charged per automatic curator refit (0 = ingest only, no automatic refits)")
 	flag.Int64Var(&o.refitRows, "refit-rows", 0, "refit a curated dataset once this many rows arrive since its last fit (0 = no row trigger)")
 	flag.DurationVar(&o.refitStale, "refit-staleness", 0, "refit a curated dataset once unfitted rows are older than this (0 = no staleness trigger)")
-	flag.IntVar(&o.fitChunkRows, "fit-chunk-rows", 0, "rows per chunk for out-of-core fit scans; bounds fit memory (0 = default 65536)")
+	flag.IntVar(&o.fitChunkRows, "fit-chunk-rows", 0, "rows per chunk while a fit decodes its rows; bounds the decode staging, not the packed rows (0 = default 65536)")
 	flag.IntVar(&o.workers, "max-workers", 0, "server-wide sampling/fitting worker budget (0 = all cores)")
 	flag.IntVar(&o.reqPar, "max-request-parallelism", 0, "max workers one request may claim (0 = whole budget)")
 	flag.IntVar(&o.maxRows, "max-rows", server.DefaultMaxSynthesisRows, "max synthetic rows per request")

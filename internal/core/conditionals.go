@@ -24,12 +24,11 @@ import (
 // noised joints before conditionals are derived (footnote 1 of the
 // paper).
 //
-// The marginals phase opens before the joints are prefetched, so a
-// batching source's one scan is timed under it. The d−k joints are
-// counted across up to opt.Parallelism workers and scaled once by 1/n;
-// the Laplace noise is then drawn from opt.Rand serially in pair order.
-// Exact counts make the joints worker-count independent, so for a fixed
-// seed the result is bit-identical at every parallelism.
+// The d−k joints are counted across up to opt.Parallelism workers and
+// scaled once by 1/n; the Laplace noise is then drawn from opt.Rand
+// serially in pair order. Exact counts make the joints worker-count
+// independent, so for a fixed seed the result is bit-identical at every
+// parallelism.
 func noisyConditionals(ctx context.Context, cs marginal.CountSource, net Network, k int, eps2 float64, opt Options, progress *progressSink) ([]*marginal.Conditional, error) {
 	d := len(net.Pairs)
 	conds := make([]*marginal.Conditional, d)
@@ -38,9 +37,6 @@ func noisyConditionals(ctx context.Context, cs marginal.CountSource, net Network
 	}
 	pairs := net.Pairs[k:]
 	progress.start(PhaseMarginals, len(pairs))
-	if err := prefetchPairCounts(ctx, cs, pairs); err != nil {
-		return nil, err
-	}
 	jointErrs := make([]error, len(pairs))
 	joints, err := parallel.MapCtx(ctx, parallel.Workers(opt.Parallelism), len(pairs), func(i int) *marginal.Table {
 		t, err := materializeJoint(cs, pairs[i])
@@ -92,21 +88,6 @@ func materializeJoint(cs marginal.CountSource, pair APPair) (*marginal.Table, er
 	t := ts[0]
 	t.Scale(1 / float64(cs.Rows()))
 	return t, nil
-}
-
-// prefetchPairCounts batches the AP pairs' joints into one count-source
-// pass when the source supports it — one scan covers the whole
-// distribution-learning phase of an out-of-core fit.
-func prefetchPairCounts(ctx context.Context, cs marginal.CountSource, pairs []APPair) error {
-	bcs, ok := cs.(marginal.BatchCountSource)
-	if !ok {
-		return nil
-	}
-	reqs := make([]marginal.CountRequest, len(pairs))
-	for i, pair := range pairs {
-		reqs[i] = marginal.CountRequest{Parents: pair.Parents, Children: []marginal.Var{pair.X}}
-	}
-	return bcs.Prefetch(ctx, reqs)
 }
 
 // projectOnto marginalizes the anchor joint onto [pair.Parents...,

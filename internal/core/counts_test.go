@@ -75,13 +75,17 @@ func TestFitCountsBitIdenticalToInMemory(t *testing.T) {
 	}
 }
 
-// TestFitCountsScanBudget checks the one-scan-per-iteration promise: an
-// out-of-core fit's scan count is bounded by the number of greedy
-// iterations plus the initial row-counting pass and the conditional
-// materialization pass — not by the number of candidates scored.
+// TestFitCountsScanBudget checks the one-read promise: an out-of-core
+// fit opens its source exactly once, whatever the number of greedy
+// iterations and candidates scored.
 func TestFitCountsScanBudget(t *testing.T) {
 	ds := chainData(2000, 3)
-	src := dataset.DatasetSource(ds, 512)
+	inner := dataset.DatasetSource(ds, 512)
+	opens := 0
+	src := &dataset.ChunkSource{Attrs: inner.Attrs, ChunkRows: inner.ChunkRows, Open: func() (dataset.Scanner, error) {
+		opens++
+		return inner.Open()
+	}}
 	p, err := counts.NewProvider(context.Background(), src, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -91,12 +95,8 @@ func TestFitCountsScanBudget(t *testing.T) {
 	if _, err := FitCountsContext(context.Background(), ds.Attrs(), p, opt); err != nil {
 		t.Fatal(err)
 	}
-	scans, _ := p.Stats()
-	// d-1 greedy iterations + counting scan + conditionals prefetch,
-	// with slack for memo-hit iterations that still prefetch.
-	maxScans := int64(ds.D() + 2)
-	if scans > maxScans {
-		t.Errorf("fit used %d scans, want <= %d (one per greedy iteration)", scans, maxScans)
+	if opens != 1 {
+		t.Errorf("fit opened its source %d times, want 1", opens)
 	}
 }
 
@@ -286,62 +286,6 @@ func TestSuppliedScorerGuard(t *testing.T) {
 			t.Errorf("%s: model differs from a fit without a supplied scorer", tc.name)
 		case !tc.ok && err == nil:
 			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-}
-
-// prefetchProbe is a batchable in-memory source that records, for each
-// Prefetch, whether the marginals phase had opened by then.
-type prefetchProbe struct {
-	*marginal.MemorySource
-	marginalsOpen bool
-	opened        []bool
-}
-
-func (p *prefetchProbe) Prefetch(context.Context, []marginal.CountRequest) error {
-	p.opened = append(p.opened, p.marginalsOpen)
-	return nil
-}
-
-// TestDistributionPrefetchInMarginalsPhase checks the distribution
-// phase's batched prefetch — a full scan out of core — runs after the
-// marginals phase opens, so progress and phase timings account for it,
-// while every scoring prefetch runs before.
-func TestDistributionPrefetchInMarginalsPhase(t *testing.T) {
-	cases := []struct {
-		name string
-		ds   *dataset.Dataset
-		opt  Options
-	}{
-		{"binary", chainData(2000, 13), Options{Epsilon: 0.8, Beta: 0.3, Theta: 4, K: 2,
-			Mode: ModeBinary, Score: score.F}},
-		{"general", mixedData(2000, 14), Options{Epsilon: 0.8, Beta: 0.3, Theta: 4,
-			Mode: ModeGeneral, Score: score.R, UseHierarchy: true}},
-	}
-	for _, tc := range cases {
-		probe := &prefetchProbe{MemorySource: marginal.NewMemorySource(tc.ds, 2)}
-		opt := tc.opt
-		opt.Parallelism = 2
-		opt.Rand = rand.New(rand.NewSource(15))
-		opt.Progress = func(ev ProgressEvent) {
-			if ev.Phase == PhaseMarginals && ev.Done == 0 {
-				probe.marginalsOpen = true
-			}
-		}
-		if _, err := FitCountsContext(context.Background(), tc.ds.Attrs(), probe, opt); err != nil {
-			t.Fatal(err)
-		}
-		n := len(probe.opened)
-		if n < 2 {
-			t.Fatalf("%s: %d prefetches, want scoring and distribution prefetches", tc.name, n)
-		}
-		if !probe.opened[n-1] {
-			t.Errorf("%s: distribution prefetch ran before the marginals phase opened", tc.name)
-		}
-		for i, open := range probe.opened[:n-1] {
-			if open {
-				t.Errorf("%s: scoring prefetch %d ran inside the marginals phase", tc.name, i)
-			}
 		}
 	}
 }

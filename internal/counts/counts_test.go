@@ -159,10 +159,9 @@ func TestRegisterLimits(t *testing.T) {
 	}
 }
 
-// TestProviderMatchesDirectCounts: tables served by the scan-backed
-// provider are bit-identical to ParentIndex.CountChildren over the
-// materialized dataset, for any chunk size, and Prefetch batches all
-// missing tables into one scan.
+// TestProviderMatchesDirectCounts: tables served by the provider are
+// bit-identical to ParentIndex.CountChildren over the materialized
+// dataset, for any chunk size.
 func TestProviderMatchesDirectCounts(t *testing.T) {
 	attrs := testSchema()
 	ds := randomDataset(3, 4000, attrs)
@@ -183,13 +182,6 @@ func TestProviderMatchesDirectCounts(t *testing.T) {
 		if p.Rows() != ds.N() {
 			t.Fatalf("rows %d, want %d", p.Rows(), ds.N())
 		}
-		if err := p.Prefetch(context.Background(), reqs); err != nil {
-			t.Fatal(err)
-		}
-		scans, _ := p.Stats()
-		if scans != 2 { // counting scan + one prefetch scan
-			t.Fatalf("chunk %d: %d scans, want 2", chunk, scans)
-		}
 		for _, req := range reqs {
 			got, err := p.CountTables(req.Parents, req.Children)
 			if err != nil {
@@ -204,17 +196,6 @@ func TestProviderMatchesDirectCounts(t *testing.T) {
 				}
 			}
 		}
-		// Serving prefetched tables must not have cost extra scans.
-		if scans, _ := p.Stats(); scans != 2 {
-			t.Fatalf("serving cached tables scanned (total %d)", scans)
-		}
-		// A fresh table after prefetch costs exactly one more scan.
-		if _, err := p.CountTables([]marginal.Var{v(1)}, []marginal.Var{v(3)}); err != nil {
-			t.Fatal(err)
-		}
-		if scans, _ := p.Stats(); scans != 3 {
-			t.Fatalf("miss after prefetch: %d scans, want 3", scans)
-		}
 	}
 }
 
@@ -226,9 +207,6 @@ func TestProviderReturnsCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	v0 := marginal.Var{Attr: 0}
-	if err := p.Prefetch(context.Background(), []marginal.CountRequest{{Children: []marginal.Var{v0}}}); err != nil {
-		t.Fatal(err)
-	}
 	a, err := p.CountTables(nil, []marginal.Var{v0})
 	if err != nil {
 		t.Fatal(err)
@@ -239,65 +217,45 @@ func TestProviderReturnsCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	if b[0].P[0] == -1e9 {
-		t.Fatal("caller mutation leaked into the provider cache")
-	}
-	if scans, _ := p.Stats(); scans != 2 { // row count + prefetch
-		t.Fatalf("%d scans, want both tables served from the prefetched store", scans)
+		t.Fatal("caller mutation leaked into the provider's counts")
 	}
 }
 
+// cancelAfterChunks wraps a scanner and calls cancel once it has
+// yielded after chunks.
+type cancelAfterChunks struct {
+	dataset.Scanner
+	cancel context.CancelFunc
+	after  int
+}
+
+func (s *cancelAfterChunks) Next() (*dataset.Dataset, error) {
+	chunk, err := s.Scanner.Next()
+	if s.after--; s.after == 0 {
+		s.cancel()
+	}
+	return chunk, err
+}
+
+// TestProviderContextCancel: the decode scan checks ctx between
+// chunks, so a context cancelled before or during NewProvider fails it
+// with context.Canceled.
 func TestProviderContextCancel(t *testing.T) {
 	attrs := testSchema()
 	ds := randomDataset(9, 500, attrs)
 	ctx, cancel := context.WithCancel(context.Background())
-	p, err := NewProvider(ctx, dataset.DatasetSource(ds, 100), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cancel()
-	if _, err := p.CountTables(nil, []marginal.Var{{Attr: 0}}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	// The cancellation is sticky: a later call fails without scanning.
-	if _, err := p.CountTables(nil, []marginal.Var{{Attr: 1}}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("sticky error lost: %v", err)
-	}
-	if scans, _ := p.Stats(); scans != 1 {
-		t.Fatalf("%d scans after cancellation, want only the row count", scans)
+	if _, err := NewProvider(ctx, dataset.DatasetSource(ds, 100), 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled before: want context.Canceled, got %v", err)
 	}
 
-	// Prefetch stops on either context, with that context's error.
-	reqs := []marginal.CountRequest{{Children: []marginal.Var{{Attr: 0}}}}
-	live, err := NewProvider(context.Background(), dataset.DatasetSource(ds, 100), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := live.Prefetch(ctx, reqs); !errors.Is(err, context.Canceled) {
-		t.Fatalf("prefetch under a cancelled call context: want context.Canceled, got %v", err)
-	}
-	fitCtx, stop := context.WithCancel(context.Background())
-	ended, err := NewProvider(fitCtx, dataset.DatasetSource(ds, 100), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop()
-	if err := ended.Prefetch(context.Background(), reqs); !errors.Is(err, context.Canceled) {
-		t.Fatalf("prefetch after the provider's context ended: want context.Canceled, got %v", err)
-	}
-}
-
-func TestProviderDetectsSourceChange(t *testing.T) {
-	attrs := testSchema()
-	ds := randomDataset(9, 500, attrs)
-	src := dataset.DatasetSource(ds, 100)
-	p, err := NewProvider(context.Background(), src, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Grow the source behind the provider's back.
-	ds.Append(make([]uint16, len(attrs)))
-	if _, err := p.CountTables(nil, []marginal.Var{{Attr: 0}}); !errors.Is(err, ErrSourceChanged) {
-		t.Fatalf("want ErrSourceChanged, got %v", err)
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	src := &dataset.ChunkSource{Attrs: attrs, ChunkRows: 100, Open: func() (dataset.Scanner, error) {
+		return &cancelAfterChunks{Scanner: dataset.ScanDataset(ds, 100), cancel: cancel, after: 2}, nil
+	}}
+	if _, err := NewProvider(ctx, src, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled during: want context.Canceled, got %v", err)
 	}
 }
 

@@ -5,8 +5,8 @@
 // accumulates chunks, merges across shards, and serves fits as a
 // marginal.CountSource, with tables bit-identical to a single pass
 // over the full dataset, so any fit driven from them is byte-identical
-// to the in-memory fit. A Provider refills a Store once per greedy
-// batch from a reopenable row source.
+// to the in-memory fit. A Provider reads a row source once into packed
+// columns and counts every table from them in memory.
 package counts
 
 import (

@@ -6,7 +6,7 @@ package curator
 //     in rows/s through the full Append path — encode, WAL append,
 //     count-store accumulate;
 //   - BenchmarkFitInMemory and BenchmarkFitScanner: the same fit from
-//     materialized columns and from re-scans of a spooled CSV. They
+//     materialized columns and from one decode of a spooled CSV. They
 //     are recorded unpaired: the in-memory fit takes milliseconds at
 //     this size, so their ratio misstates the out-of-core gap, which
 //     perfbench's fit-outofcore and fit-binary workloads measure;

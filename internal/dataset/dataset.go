@@ -149,6 +149,26 @@ func (d *Dataset) AppendColumns(cols [][]uint16) {
 	d.n += rows
 }
 
+// appendChunk appends every row of chunk, decoding each column through
+// buf, and returns buf for reuse. A chunk whose columns do not match
+// the schema's domains is an error: a caller-built source may yield it.
+func (d *Dataset) appendChunk(chunk *Dataset, buf []uint16) ([]uint16, error) {
+	if len(chunk.cols) != len(d.cols) {
+		return buf, fmt.Errorf("dataset: chunk has %d columns, schema has %d", len(chunk.cols), len(d.cols))
+	}
+	for i, col := range d.cols {
+		if chunk.cols[i].size != col.size {
+			return buf, fmt.Errorf("dataset: chunk column %d has domain %d, schema has %d", i+1, chunk.cols[i].size, col.size)
+		}
+	}
+	buf = growU16(buf, chunk.n)
+	for i, col := range d.cols {
+		col.AppendBlock(chunk.cols[i].DecodeRange(0, chunk.n, buf))
+	}
+	d.n += chunk.n
+	return buf, nil
+}
+
 // Record copies row i into dst (allocating when dst is short) and
 // returns it.
 func (d *Dataset) Record(i int, dst []uint16) []uint16 {

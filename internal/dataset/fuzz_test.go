@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -45,25 +46,24 @@ func FuzzReadCSV(f *testing.F) {
 			return
 		}
 		// ReadCSV drains the chunk loop ScanCSV yields from, so every
-		// document ReadCSV accepts must scan clean to as many rows.
-		sc, err := ScanCSV(strings.NewReader(s), attrs, 3)
+		// document ReadCSV accepts must drain clean from ScanCSV's
+		// 3-row chunks to the same dataset, cell for cell.
+		src := &ChunkSource{Attrs: attrs, ChunkRows: 3, Open: func() (Scanner, error) {
+			return ScanCSV(strings.NewReader(s), attrs, 3)
+		}}
+		drained, err := Drain(context.Background(), src)
 		if err != nil {
-			t.Fatalf("ReadCSV accepted but ScanCSV rejected: %v", err)
+			t.Fatalf("ReadCSV accepted but draining ScanCSV failed: %v", err)
 		}
-		total := 0
-		for {
-			chunk, err := sc.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("ReadCSV accepted but chunk scan failed: %v", err)
-			}
-			total += chunk.N()
+		if drained.N() != ds.N() {
+			t.Fatalf("drain decoded %d rows, ReadCSV %d", drained.N(), ds.N())
 		}
-		sc.Close()
-		if total != ds.N() {
-			t.Fatalf("scanner decoded %d rows, ReadCSV %d", total, ds.N())
+		for r := 0; r < ds.N(); r++ {
+			for c := 0; c < ds.D(); c++ {
+				if got, want := drained.Value(r, c), ds.Value(r, c); got != want {
+					t.Fatalf("row %d col %d: drained code %d, ReadCSV %d", r, c, got, want)
+				}
+			}
 		}
 		// Accepted datasets must be fully in-range and re-encodable.
 		for r := 0; r < ds.N(); r++ {

@@ -2,17 +2,18 @@ package dataset
 
 // Row decoding: the one place CSV and JSONL rows become attribute
 // codes. A Scanner yields the rows of a source as a sequence of small
-// Dataset chunks, so sufficient statistics can be accumulated over
-// datasets far larger than RAM (the out-of-core fit and the continuous
-// curator); ReadCSV and ReadJSONL drain the same chunk loop into one
-// in-memory dataset, and ScanRows opens it to the curator's row logs.
-// A ChunkSource makes a scanner reopenable, which is what lets the
-// greedy fit re-scan the source once per iteration instead of
-// materializing the rows.
+// Dataset chunks, so text of any length decodes through bounded
+// staging; ScanRows opens the same chunk loop to the curator's row
+// logs. One drain loop packs a scanner's chunks into one bit-packed
+// in-memory dataset: ReadCSV and ReadJSONL run it over a reader, and
+// Drain over a ChunkSource, which is how the out-of-core fit reads its
+// source exactly once. A ChunkSource makes a scanner reopenable, so
+// one source can back many fits and the curator's count-store scans.
 
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
@@ -44,9 +45,7 @@ type Scanner interface {
 }
 
 // ChunkSource is a reopenable chunked row source: Open starts a fresh
-// scan from the first row. Re-scanning is the contract the out-of-core
-// fit path relies on — one full scan per greedy iteration — so Open
-// must yield the same rows in the same order every time.
+// scan from the first row, reading the source as it is then.
 type ChunkSource struct {
 	// Attrs is the schema every scan decodes against.
 	Attrs []Attribute
@@ -123,15 +122,15 @@ func ScanJSONL(r io.Reader, attrs []Attribute, chunkRows int) Scanner {
 //
 // It is ScanCSV drained into one dataset: rows are decoded straight
 // off the reader, so the whole file is never held in memory beyond the
-// 2-bytes-per-cell encoded dataset, and it is safe to point at a large
-// upload stream. Errors report the 1-based data row and column of the
-// offending cell.
+// encoded dataset (at most 2 bytes per cell), and it is safe to point
+// at a large upload stream. Errors report the 1-based data row and
+// column of the offending cell.
 func ReadCSV(r io.Reader, attrs []Attribute) (*Dataset, error) {
 	s, err := scanCSV(r, attrs, readChunkRows)
 	if err != nil {
 		return nil, err
 	}
-	return s.readAll(0)
+	return readAll(context.TODO(), attrs, s, 0)
 }
 
 // ErrTooManyRows reports a ReadJSONL input longer than its row cap.
@@ -141,12 +140,53 @@ var ErrTooManyRows = errors.New("dataset: too many rows")
 // the rows read: a longer input fails with ErrTooManyRows as soon as
 // the block of rows that crosses the cap is decoded.
 func ReadJSONL(r io.Reader, attrs []Attribute, maxRows int) (*Dataset, error) {
-	return scanJSONL(r, attrs, readChunkRows).readAll(maxRows)
+	return readAll(context.TODO(), attrs, scanJSONL(r, attrs, readChunkRows), maxRows)
 }
 
 // readChunkRows is the block ReadCSV and ReadJSONL decode at a time
 // before packing it into the one growing dataset.
 const readChunkRows = 4096
+
+// Drain reads one full scan of src into one bit-packed in-memory
+// dataset: a binary column costs 1 bit a row, one of arity 3–4 costs
+// 2 bits, and wider ones a byte or two. Only one chunk is staged at a
+// time. ctx is checked before each chunk; when it ends, Drain returns
+// context.Cause(ctx).
+func Drain(ctx context.Context, src *ChunkSource) (*Dataset, error) {
+	sc, err := src.Open()
+	if err != nil {
+		return nil, err
+	}
+	defer sc.Close()
+	return readAll(ctx, src.Attrs, sc, 0)
+}
+
+// readAll appends every chunk of sc to one dataset over attrs,
+// checking ctx before each chunk. maxRows > 0 caps the rows: a longer
+// input fails with ErrTooManyRows as soon as the chunk that crosses the
+// cap is decoded.
+func readAll(ctx context.Context, attrs []Attribute, sc Scanner, maxRows int) (*Dataset, error) {
+	d := New(attrs)
+	var buf []uint16
+	for {
+		if ctx.Err() != nil {
+			return nil, context.Cause(ctx)
+		}
+		chunk, err := sc.Next()
+		if err == io.EOF {
+			return d, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if maxRows > 0 && d.N()+chunk.N() > maxRows {
+			return nil, ErrTooManyRows
+		}
+		if buf, err = d.appendChunk(chunk, buf); err != nil {
+			return nil, err
+		}
+	}
+}
 
 // ScanRows returns the chunk loop over a row source that read decodes
 // one row at a time: read writes the next row's codes into rec, each
@@ -182,11 +222,11 @@ func newRowScanner(attrs []Attribute, chunkRows int, read func(rec []uint16) err
 		rec: make([]uint16, len(attrs)), stage: make([][]uint16, len(attrs))}
 }
 
-// fill decodes up to one chunk of rows into the stage and returns how
-// many. It returns io.EOF only when no row is left.
-func (s *rowScanner) fill() (int, error) {
+// Next decodes up to one chunk of rows into the stage and packs them.
+// It returns io.EOF only when no row is left.
+func (s *rowScanner) Next() (*Dataset, error) {
 	if s.err != nil {
-		return 0, s.err
+		return nil, s.err
 	}
 	for c := range s.stage {
 		s.stage[c] = s.stage[c][:0]
@@ -198,42 +238,15 @@ func (s *rowScanner) fill() (int, error) {
 			if err == io.EOF && rows > 0 {
 				break
 			}
-			return 0, err
+			return nil, err
 		}
 		for c, v := range s.rec {
 			s.stage[c] = append(s.stage[c], v)
 		}
 	}
-	return rows, nil
-}
-
-func (s *rowScanner) Next() (*Dataset, error) {
-	rows, err := s.fill()
-	if err != nil {
-		return nil, err
-	}
 	d := NewWithCapacity(s.attrs, rows)
 	d.AppendColumns(s.stage)
 	return d, nil
-}
-
-// readAll drains the scanner into one dataset; maxRows > 0 caps it
-// (see ReadJSONL).
-func (s *rowScanner) readAll(maxRows int) (*Dataset, error) {
-	d := New(s.attrs)
-	for {
-		rows, err := s.fill()
-		if err == io.EOF {
-			return d, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if maxRows > 0 && d.N()+rows > maxRows {
-			return nil, ErrTooManyRows
-		}
-		d.AppendColumns(s.stage)
-	}
 }
 
 func (s *rowScanner) Close() error {

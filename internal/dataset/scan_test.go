@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math/rand"
@@ -240,8 +241,9 @@ func TestChunkSourceFilesRescan(t *testing.T) {
 		CSVFile(csvPath, want.Attrs(), 64),
 		JSONLFile(jsonlPath, want.Attrs(), 64),
 	} {
-		// Two scans over the same source must yield identical rows: the
-		// re-scan contract of the out-of-core fit path.
+		// Two scans over the same source must yield identical rows: one
+		// source backs any number of fits and count-store scans. Drain,
+		// the out-of-core fit's one read, yields them too.
 		for pass := 0; pass < 2; pass++ {
 			sc, err := src.Open()
 			if err != nil {
@@ -249,11 +251,24 @@ func TestChunkSourceFilesRescan(t *testing.T) {
 			}
 			sameRows(t, want, drain(t, sc))
 		}
+		got, err := Drain(context.Background(), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, want, got)
 	}
 
 	missing := CSVFile(filepath.Join(dir, "nope.csv"), want.Attrs(), 64)
 	if _, err := missing.Open(); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file: %v", err)
+	}
+
+	// A source whose chunks do not match its schema fails the drain.
+	other := &ChunkSource{Attrs: want.Attrs()[:2], Open: func() (Scanner, error) {
+		return ScanDataset(want, 64), nil
+	}}
+	if _, err := Drain(context.Background(), other); err == nil {
+		t.Fatal("drained chunks of another schema")
 	}
 }
 

@@ -1,7 +1,6 @@
 package marginal
 
 import (
-	"context"
 	"fmt"
 
 	"privbayes/internal/dataset"
@@ -11,9 +10,10 @@ import (
 // exposing rows. It is the one seam between the fit pipeline and the
 // data: everything PrivBayes learns reduces to the schema, the row
 // count, and [parents..., child] count tables, so the columnar dataset
-// in memory (MemorySource), chunked scans (counts.Provider) and an
-// incrementally maintained store (counts.Store) all drive the exact
-// same greedy search and conditional materialization.
+// in memory (MemorySource, which counts.Provider fills from one scan
+// of a row source) and an incrementally maintained store
+// (counts.Store) drive the exact same greedy search and conditional
+// materialization.
 //
 // CountTables must return, for each child, the table
 // ParentIndex.CountChildren would produce over the full dataset: laid
@@ -31,22 +31,10 @@ type CountSource interface {
 }
 
 // CountRequest names one group of joint tables over a shared parent
-// set, for batched prefetching.
+// set: the argument of counts.Provider's no-op Prefetch.
 type CountRequest struct {
 	Parents  []Var
 	Children []Var
-}
-
-// BatchCountSource is implemented by count sources that can satisfy
-// many requests in one pass over the data. The scoring engine and the
-// conditional materialization prefetch each batch, so a scan-backed
-// source pays one full scan per greedy iteration rather than one per
-// parent set.
-type BatchCountSource interface {
-	CountSource
-	// Prefetch makes subsequent CountTables calls for the requested
-	// groups serve from memory.
-	Prefetch(ctx context.Context, reqs []CountRequest) error
 }
 
 // MemorySource is the CountSource over a columnar dataset held in
@@ -70,6 +58,12 @@ func NewMemorySource(ds *dataset.Dataset, parallelism int) *MemorySource {
 // Rows implements CountSource.
 func (s *MemorySource) Rows() int { return s.ds.N() }
 
+// countBlockRows bounds the rows one CountChildren call counts. A
+// source over more rows counts each request block by block and sums
+// the exact integer tables, so the popcount kernel's row masks stay at
+// 32 KiB each whatever the row count.
+const countBlockRows = 1 << 18
+
 // CountTables implements CountSource. A parent set with more than
 // MaxParentConfigs configurations is an error, as it is out of core;
 // θ-usefulness domain caps keep fits far below it.
@@ -77,7 +71,20 @@ func (s *MemorySource) CountTables(parents []Var, children []Var) ([]*Table, err
 	if _, ok := ParentConfigs(s.ds, parents); !ok {
 		return nil, fmt.Errorf("marginal: parent set %v overflows the code domain", parents)
 	}
-	return s.idx.Get(s.ds, parents).CountChildren(s.ds, children, s.par), nil
+	ix := s.idx.Get(s.ds, parents)
+	n := s.ds.N()
+	if n <= countBlockRows {
+		return ix.CountChildren(s.ds, children, s.par), nil
+	}
+	out := ix.CountChildren(s.ds.Slice(0, countBlockRows), children, s.par)
+	for lo := countBlockRows; lo < n; lo += countBlockRows {
+		for j, t := range ix.CountChildren(s.ds.Slice(lo, min(lo+countBlockRows, n)), children, s.par) {
+			for i, c := range t.P {
+				out[j].P[i] += c
+			}
+		}
+	}
+	return out, nil
 }
 
 // Indexes returns the source's parent-index cache; its Stats count how

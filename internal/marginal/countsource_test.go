@@ -33,23 +33,26 @@ func randomData(n, d, domain int, seed int64) *dataset.Dataset {
 // TestMaterializeCountsPExact checks the in-memory source's chunked
 // parallel row walk, and its popcount route, are bit-identical to the
 // serial MaterializeCounts at every parallelism: counts are
-// integer-valued, so per-worker accumulation merges exactly.
+// integer-valued, so per-worker accumulation merges exactly. The
+// second dataset spans two count blocks, summed the same way.
 func TestMaterializeCountsPExact(t *testing.T) {
-	ds := randomData(10000, 4, 3, 1)
 	parents, child := []Var{{Attr: 0}, {Attr: 2}}, Var{Attr: 3}
-	want := MaterializeCounts(ds, []Var{parents[0], parents[1], child})
 	old := disablePopcount
 	defer func() { disablePopcount = old }()
-	for _, rowWalk := range []bool{true, false} {
-		disablePopcount = rowWalk
-		for _, par := range []int{1, 2, 3, 8, 32} {
-			got, err := NewMemorySource(ds, par).CountTables(parents, []Var{child})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want.P {
-				if got[0].P[i] != want.P[i] {
-					t.Fatalf("row walk %v, parallelism %d: cell %d = %g, want %g", rowWalk, par, i, got[0].P[i], want.P[i])
+	for _, n := range []int{10000, countBlockRows + 1000} {
+		ds := randomData(n, 4, 3, 1)
+		want := MaterializeCounts(ds, []Var{parents[0], parents[1], child})
+		for _, rowWalk := range []bool{true, false} {
+			disablePopcount = rowWalk
+			for _, par := range []int{1, 2, 3, 8, 32} {
+				got, err := NewMemorySource(ds, par).CountTables(parents, []Var{child})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want.P {
+					if got[0].P[i] != want.P[i] {
+						t.Fatalf("%d rows, row walk %v, parallelism %d: cell %d = %g, want %g", n, rowWalk, par, i, got[0].P[i], want.P[i])
+					}
 				}
 			}
 		}

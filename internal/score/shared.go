@@ -71,20 +71,6 @@ func (s *Scorer) ScoreBatchContext(ctx context.Context, parallelism int, pairs [
 	if len(groups) == 0 {
 		return out, nil
 	}
-	// A batchable count source satisfies the whole batch's missing
-	// tables in one pass over the data before the groups fan out —
-	// this is what bounds the out-of-core fit to one full scan per
-	// greedy iteration.
-	if bcs, ok := s.cs.(marginal.BatchCountSource); ok {
-		reqs := make([]marginal.CountRequest, len(groups))
-		for i, g := range groups {
-			reqs[i] = marginal.CountRequest{Parents: g.parents, Children: g.children}
-		}
-		if err := bcs.Prefetch(ctx, reqs); err != nil {
-			return nil, err
-		}
-	}
-
 	groupErrs := make([]error, len(groups))
 	if err := parallel.ForCtx(ctx, parallel.Workers(parallelism), len(groups), func(gi int) {
 		groupErrs[gi] = s.scoreGroup(groups[gi])

@@ -227,11 +227,10 @@ func TestCuratorDisabled(t *testing.T) {
 
 // TestFitEndToEndBoundedMemory is the serving-side acceptance bound of
 // the out-of-core fit path: POST /fit spools the upload to disk and
-// fits it in chunk-sized scans, so whole-process peak heap during a
-// large fit stays bounded by the chunk size, not the row count. The
-// watcher samples heap throughout; materializing the columns alone
-// would hold n*d*2 bytes live, and the old ReadCSV path roughly
-// doubled that.
+// reads it once, in chunks, into bit-packed columns, so whole-process
+// peak heap during a large fit holds the packed rows (1 bit a cell,
+// 0.7 MiB here) plus one chunk of decode staging. The watcher samples
+// heap throughout; 2-byte columns alone would hold n*d*2 bytes live.
 func TestFitEndToEndBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large fit in -short mode")
@@ -318,7 +317,7 @@ func TestFitEndToEndBoundedMemory(t *testing.T) {
 	t.Logf("heap growth during served fit: %.1f MiB (materialized would be %.1f MiB)",
 		float64(growth)/(1<<20), float64(materialized)/(1<<20))
 	if growth > materialized/2 {
-		t.Fatalf("served fit heap growth %d exceeds %d (half the materialized dataset); out-of-core path not bounding memory",
+		t.Fatalf("served fit heap growth %d exceeds %d (half the 2-byte columns); out-of-core path not bounding memory",
 			growth, materialized/2)
 	}
 }

@@ -110,9 +110,10 @@ type Config struct {
 	// CuratorPollInterval is the staleness check cadence; <= 0 selects
 	// the curator default.
 	CuratorPollInterval time.Duration
-	// FitChunkRows bounds the rows materialized at a time while fitting
-	// (POST /fit spools the upload and scans it; curator refits scan the
-	// row log); <= 0 selects the scanner default.
+	// FitChunkRows bounds the rows staged for decoding at a time while
+	// a fit reads its rows (POST /fit reads its spooled upload, curator
+	// cold refits the row log) into bit-packed columns; <= 0 selects
+	// the scanner default.
 	FitChunkRows int
 	// FS is the filesystem seam for model-artifact persistence; nil
 	// selects the real filesystem. Tests inject write/sync/rename
@@ -861,10 +862,10 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 			}
-			// Spool the CSV to disk instead of materializing it: the fit
-			// below scans the spool file in bounded chunks, so request
-			// memory stays flat no matter how many rows arrive. The 413
-			// cap still applies — MaxBytesReader fails the copy.
+			// Spool the CSV to disk instead of holding its text: the fit
+			// below reads the spool file once, in bounded chunks, into
+			// bit-packed columns (1 bit a binary cell). The 413 cap still
+			// applies — MaxBytesReader fails the copy.
 			spool, err = s.spoolCSV(part)
 			if err != nil {
 				// statusFor distinguishes an upload that blew the size
@@ -964,10 +965,10 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		pt := &phaseTimer{m: s.metrics}
 		fitOpts = append(fitOpts, privbayes.WithProgress(pt.observe))
 	}
-	// The fit scans the spool file in bounded chunks (one pass per greedy
-	// iteration) instead of materializing the rows: peak memory is set by
-	// FitChunkRows, not the upload size, and the fitted model is
-	// byte-identical to the in-memory path for the same seed.
+	// The fit reads the spool file once, FitChunkRows rows at a time,
+	// into bit-packed columns and fits from them in memory: the rows
+	// cost 1 bit a binary cell, not the upload's text, and the fitted
+	// model is byte-identical to the in-memory path for the same seed.
 	model, err := privbayes.FitScanner(r.Context(), privbayes.CSVSource(spool, attrs, s.cfg.FitChunkRows), fitOpts...)
 	release()
 	if err != nil {

@@ -1,14 +1,13 @@
 package privbayes
 
-// Out-of-core fitting. FitScanner runs the identical two-phase
-// pipeline as Fit with the rows left on disk: every greedy iteration
-// re-reads the source once through a chunked scanner and reduces it to
-// exact integer count tables (one table per candidate parent set, one
-// column per child), and the distribution phase prefetches all chosen
-// joints in one final pass. Peak memory is bounded by the chunk size
-// plus the count tables — never by the row count — and the fitted
-// model is byte-identical to Fit over the materialized rows for the
-// same seed, at every parallelism setting.
+// Out-of-core fitting. FitScanner fits straight from a CSV or JSONL
+// file (or any chunked source): it reads the source once, one chunk at
+// a time, into bit-packed columns — 1 bit a cell for binary
+// attributes, 2 bits up to arity 4, at most 2 bytes otherwise — and
+// runs the in-memory fit's counting over them.
+// Memory holds the packed rows plus one chunk of decode staging, never
+// the text, and the fitted model is byte-identical to Fit over the same
+// rows for the same seed, at every parallelism setting.
 
 import (
 	"context"
@@ -21,7 +20,7 @@ import (
 // ScanSource is a chunked, re-scannable dataset source: a schema plus
 // a way to open a fresh pass over the rows. Build one with CSVSource,
 // JSONLSource or DatasetSource. The same source can back any number of
-// FitScanner calls; each call re-opens it per greedy iteration.
+// FitScanner calls; each call reads it once.
 type ScanSource = dataset.ChunkSource
 
 // DefaultChunkRows is the chunk size the source constructors use when
@@ -29,17 +28,16 @@ type ScanSource = dataset.ChunkSource
 const DefaultChunkRows = dataset.DefaultChunkRows
 
 // CSVSource describes a headered CSV file as a re-scannable source.
-// chunkRows bounds the rows materialized at a time (<= 0 selects
-// DefaultChunkRows). The file is not opened until fitting starts, and
-// is re-read once per greedy iteration, so it must stay unchanged for
-// the duration of a fit.
+// chunkRows bounds the rows staged for decoding at a time (<= 0
+// selects DefaultChunkRows). The file is not opened until fitting
+// starts, and each fit reads it once, as it is then.
 func CSVSource(path string, attrs []Attribute, chunkRows int) *ScanSource {
 	return dataset.CSVFile(path, attrs, chunkRows)
 }
 
 // JSONLSource describes a JSON-lines file (one object per row, fields
 // keyed by attribute name) as a re-scannable source. See CSVSource for
-// the chunking and immutability contract.
+// the chunking and when the file is read.
 func JSONLSource(path string, attrs []Attribute, chunkRows int) *ScanSource {
 	return dataset.JSONLFile(path, attrs, chunkRows)
 }
@@ -52,12 +50,10 @@ func DatasetSource(ds *Dataset, chunkRows int) *ScanSource {
 }
 
 // FitScanner learns a PrivBayes model from a chunked source under
-// ε-differential privacy without ever materializing the full dataset:
-// the out-of-core counterpart of Fit. The source is scanned once up
-// front to count rows, once per greedy iteration, and once for the
-// distribution phase. For a fixed seed the result is byte-identical to
-// Fit over the same rows at every parallelism; the source must not
-// change between scans (a changed row count fails the fit).
+// ε-differential privacy: the out-of-core counterpart of Fit. It reads
+// the source once, checking ctx between chunks, into bit-packed
+// columns, then fits from them in memory. For a fixed seed the result
+// is byte-identical to Fit over the same rows at every parallelism.
 func FitScanner(ctx context.Context, src *ScanSource, opts ...Option) (*Model, error) {
 	opt, err := resolve(opts).toCoreAttrs(src.Attrs)
 	if err != nil {

@@ -129,13 +129,12 @@ func TestFitScannerErrors(t *testing.T) {
 }
 
 // TestFitScannerMillionRowsBoundedMemory is the acceptance bound of the
-// out-of-core path: fitting a 1M-row CSV keeps peak heap bounded by
-// the chunk size (here 8192 rows ≈ 100 KiB materialized at a time),
-// not the row count — materializing the file's columns alone would
-// hold 12 MiB live, and ReadCSV's decode roughly doubles that. A
-// watcher goroutine samples heap usage throughout the fit and the peak
+// out-of-core path: fitting a 1M-row CSV holds its rows bit-packed
+// (1 bit a binary cell, 0.7 MiB here) plus one 8192-row chunk of decode
+// staging — 2-byte columns alone would hold 12 MiB live. A watcher
+// goroutine samples heap usage throughout the fit and the peak
 // (including uncollected decode garbage) must stay under half of the
-// materialized size.
+// 2-byte size.
 func TestFitScannerMillionRowsBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-row fit in -short mode")
@@ -203,9 +202,9 @@ func TestFitScannerMillionRowsBoundedMemory(t *testing.T) {
 	growth := int64(peak.Load()) - int64(base.HeapAlloc)
 	const materialized = int64(n * 6 * 2) // 12 MiB of uint16 columns
 	if growth > materialized/2 {
-		t.Errorf("peak heap growth %d bytes; want <= %d (materializing the rows would take %d)",
+		t.Errorf("peak heap growth %d bytes; want <= %d (2-byte columns would take %d)",
 			growth, materialized/2, materialized)
 	}
-	t.Logf("1M-row scanner fit: peak heap growth %.1f MiB (materialized rows would be %.1f MiB)",
+	t.Logf("1M-row scanner fit: peak heap growth %.1f MiB (2-byte columns would be %.1f MiB)",
 		float64(growth)/(1<<20), float64(materialized)/(1<<20))
 }
