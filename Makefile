@@ -63,9 +63,10 @@ perfbench-smoke:
 	done
 
 # Timed benchmarks, captured machine-readably. Scoring: runs
-# BenchmarkScoreBatchShared over the (d, k) grid and the columnar vs
-# row-major counting pair, and writes per-benchmark ns/op plus the
-# columnar speedups to BENCH_scoring.json. Serving: runs BenchmarkServeSynthesize
+# BenchmarkScoreBatchShared over the (d, k) grid, the columnar vs
+# row-major counting pair and BenchmarkFitGeneral (the Adult-like
+# general-mode fit, hierarchy on), and writes per-benchmark ns/op plus
+# the columnar speedups to BENCH_scoring.json. Serving: runs BenchmarkServeSynthesize
 # (end-to-end HTTP streaming synthesis at n∈{1e4,1e5} × parallelism) and
 # writes rows/s per configuration to BENCH_serving.json.
 # Each bench run lands in a temp file first so a benchmark failure fails
@@ -80,6 +81,8 @@ bench-json:
 		-benchtime 1s ./internal/score > bench_scoring.out
 	$(GO) test -run NONE -bench 'BenchmarkCount(Columnar|RowMajor)$$' \
 		-benchtime 1s ./internal/marginal >> bench_scoring.out
+	$(GO) test -run NONE -bench 'BenchmarkFitGeneral$$' \
+		-benchtime 5x . >> bench_scoring.out
 	$(GO) run ./cmd/benchjson -in bench_scoring.out > BENCH_scoring.json
 	@rm -f bench_scoring.out
 	@cat BENCH_scoring.json

@@ -223,6 +223,26 @@ func BenchmarkFitParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkFitGeneral is a general-mode fit at the paper's Adult
+// cardinality: Adult-like rows (n = 45 222, 15 attributes with
+// taxonomies) drawn from the same ground truth perfbench's serve-mixed
+// workload uses, fitted through the facade at ε = 1 with the hierarchy
+// on, parallelism 2 and seed 7. Row order never changes counts, so the
+// model is serve-mixed's analyst model.
+func BenchmarkFitGeneral(b *testing.B) {
+	spec, _ := data.ByName("Adult")
+	gt := data.NewGroundTruth(spec.Attrs(), 2, spec.Alpha, rand.New(rand.NewSource(spec.Seed)))
+	ds := gt.Sample(spec.N, rand.New(rand.NewSource(spec.Seed+1)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := Fit(context.Background(), ds,
+			WithEpsilon(1), WithHierarchy(true), WithParallelism(2), WithSeed(7))
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSynthesizeParallel compares the full fit-and-sample pipeline
 // serial vs 4 workers across widths.
 func BenchmarkSynthesizeParallel(b *testing.B) {

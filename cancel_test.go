@@ -27,6 +27,26 @@ func cancelData(n, d int) *Dataset {
 	return ds
 }
 
+// cancelHierData is a general-mode dataset whose attributes carry
+// taxonomies (16 equi-width bins under a binary tree), so Algorithm 6
+// generalizes parents and most joints take the batched row walk instead
+// of the popcount kernel.
+func cancelHierData(n, d int) *Dataset {
+	attrs := make([]Attribute, d)
+	for i := range attrs {
+		attrs[i] = NewContinuous(string(rune('a'+i)), 0, 16, 16)
+	}
+	ds := NewDataset(attrs)
+	rec := make([]uint16, d)
+	for r := 0; r < n; r++ {
+		for c := range rec {
+			rec[c] = uint16((r*(c+3) + c*c + r/7) % 16)
+		}
+		ds.Append(rec)
+	}
+	return ds
+}
+
 // waitGoroutines polls until the goroutine count drops back to at most
 // base (plus slack for the runtime's own helpers).
 func waitGoroutines(t *testing.T, base int) {
@@ -57,8 +77,9 @@ var fitEntries = []fitEntry{
 
 // TestFitCancelMidRun: cancelling mid-fit — from inside a progress
 // callback, so cancellation demonstrably lands while the pipeline is
-// running — returns context.Canceled promptly and leaks no goroutines,
-// through either entry point.
+// running, or in general mode from a timer it starts, so it lands in a
+// batched row walk — returns context.Canceled promptly and leaks no
+// goroutines, through either entry point.
 func TestFitCancelMidRun(t *testing.T) {
 	ds := cancelData(6000, 8)
 	base := runtime.NumGoroutine()
@@ -81,6 +102,36 @@ func TestFitCancelMidRun(t *testing.T) {
 			}
 			if elapsed := time.Since(start); elapsed > 5*time.Second {
 				t.Errorf("%s, parallelism %d: cancellation took %v", e.name, par, elapsed)
+			}
+		}
+	}
+
+	// General mode with taxonomies: cancel from another goroutine 5 ms
+	// into the fifth greedy iteration. From there on each iteration
+	// takes over 100 ms on a 2-CPU host, nearly all of it in the batched
+	// row walk, so the cancel lands inside a walk, which checks ctx
+	// every 4 096-row chunk.
+	hier := cancelHierData(60_000, 8)
+	for _, e := range fitEntries {
+		for _, par := range []int{1, 4} {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancelled := make(chan time.Time, 1)
+			_, err := e.fit(ctx, hier,
+				WithEpsilon(4), WithHierarchy(true), WithSeed(1), WithParallelism(par),
+				WithProgress(func(p Progress) {
+					if p.Phase == PhaseNetwork && p.Done == 4 {
+						time.AfterFunc(5*time.Millisecond, func() {
+							cancelled <- time.Now()
+							cancel()
+						})
+					}
+				}))
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s general mode, parallelism %d: err = %v, want context.Canceled", e.name, par, err)
+			}
+			if elapsed := time.Since(<-cancelled); elapsed > 5*time.Second {
+				t.Errorf("%s general mode, parallelism %d: cancellation took %v", e.name, par, elapsed)
 			}
 		}
 	}

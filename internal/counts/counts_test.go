@@ -160,8 +160,8 @@ func TestRegisterLimits(t *testing.T) {
 }
 
 // TestProviderMatchesDirectCounts: tables served by the provider are
-// bit-identical to ParentIndex.CountChildren over the materialized
-// dataset, for any chunk size.
+// bit-identical to MaterializeCounts over the materialized dataset,
+// for any chunk size.
 func TestProviderMatchesDirectCounts(t *testing.T) {
 	attrs := testSchema()
 	ds := randomDataset(3, 4000, attrs)
@@ -187,11 +187,11 @@ func TestProviderMatchesDirectCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := marginal.BuildParentIndex(ds, req.Parents).CountChildren(ds, req.Children, 1)
-			for j := range got {
-				for i := range want[j].P {
-					if got[j].P[i] != want[j].P[i] {
-						t.Fatalf("chunk %d table %d cell %d: %g vs %g", chunk, j, i, got[j].P[i], want[j].P[i])
+			for j, ch := range req.Children {
+				want := marginal.MaterializeCounts(ds, append(append([]marginal.Var(nil), req.Parents...), ch))
+				for i := range want.P {
+					if got[j].P[i] != want.P[i] {
+						t.Fatalf("chunk %d table %d cell %d: %g vs %g", chunk, j, i, got[j].P[i], want.P[i])
 					}
 				}
 			}
@@ -275,11 +275,11 @@ func TestStoreSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := marginal.BuildParentIndex(ds, []marginal.Var{v(0)}).CountChildren(ds, []marginal.Var{v(1), v(2)}, 1)
-	for j := range got {
-		for i := range want[j].P {
-			if got[j].P[i] != want[j].P[i] {
-				t.Fatalf("table %d cell %d: %g vs %g", j, i, got[j].P[i], want[j].P[i])
+	for j, ch := range []marginal.Var{v(1), v(2)} {
+		want := marginal.MaterializeCounts(ds, []marginal.Var{v(0), ch})
+		for i := range want.P {
+			if got[j].P[i] != want.P[i] {
+				t.Fatalf("table %d cell %d: %g vs %g", j, i, got[j].P[i], want.P[i])
 			}
 		}
 	}

@@ -154,20 +154,28 @@ func (s *Store) checkSchema(attrs []dataset.Attribute) error {
 // Accumulate adds every row of the chunk into all registered tables
 // and advances the row count. Chunks may arrive in any order and size;
 // the resulting counts equal a single pass over the concatenation.
-// Each parent set's children are counted against the chunk together by
-// ParentIndex.CountChildren: by bitmask and popcount when the joints
-// are small and bit-packed, else by one fused walk of the chunk's rows.
+// Every registered table is counted against the chunk in one
+// marginal.MemorySource batch: by bitmask and popcount when the joints
+// are small and bit-packed, else by one walk of the chunk's rows for
+// all parent sets together.
 func (s *Store) Accumulate(chunk *dataset.Dataset) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.checkSchema(chunk.Attrs()); err != nil {
 		return err
 	}
-	for _, g := range s.groups {
-		ts := marginal.BuildParentIndex(chunk, g.parents).CountChildren(chunk, g.children, s.Parallelism)
-		for j, t := range ts {
-			addCells(g.tables[j], t)
-		}
+	reqs := make([]marginal.CountRequest, len(s.groups))
+	for i, g := range s.groups {
+		reqs[i] = marginal.CountRequest{Parents: g.parents, Children: g.children}
+	}
+	err := marginal.NewMemorySource(chunk, s.Parallelism).CountBatch(context.Background(), s.Parallelism, reqs,
+		func(i int, ts []*marginal.Table) {
+			for j, t := range ts {
+				addCells(s.groups[i].tables[j], t)
+			}
+		})
+	if err != nil {
+		return err
 	}
 	s.rows += chunk.N()
 	return nil

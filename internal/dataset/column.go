@@ -220,6 +220,18 @@ func (c *Column) DecodeRange(lo, hi int, buf []uint16) []uint16 {
 	}
 }
 
+// Bytes returns the codes of rows [lo, hi) of a byte-coded column in
+// place; it reports false when the column has another width. Together
+// with DecodeRange, zero-copy at width 16, it lets a row loop read
+// every column wider than two bits without a widening copy. The caller
+// must not mutate the result.
+func (c *Column) Bytes(lo, hi int) ([]uint8, bool) {
+	if c.width != 8 {
+		return nil, false
+	}
+	return c.b8[lo:hi:hi], true
+}
+
 func growU16(buf []uint16, n int) []uint16 {
 	if cap(buf) < n {
 		return make([]uint16, n)

@@ -40,47 +40,79 @@ const writeChunk = 64 << 10
 // small chunk datasets through one long-lived writer. Each code decodes
 // back to its label (categorical) or bin center (continuous).
 //
-// Both formats share one row loop: the constructor encodes every
-// (attribute, code) cell once, with its separator or JSON key in
-// front, so a row is one copied cell per attribute plus the row end.
+// Both formats share one row loop over a RowCells table, so a row is
+// one copied cell per attribute plus the row end.
 type RowWriter struct {
 	w     io.Writer
-	cells [][][]byte // cells[a][code]: the encoded cell, led by its separator or key
-	end   []byte     // row end: "\n" (CSV) or "}\n" (JSONL)
+	cells [][][]byte // a RowCells table's cells, shared read-only
+	end   []byte     // its row end
 	buf   []byte     // encoding buffer, reused across WriteRows calls
 }
 
-// NewRowWriter prepares a writer of format f for the given schema. A
-// CSV writer writes its header row at once, so an output of no rows
-// still carries it.
-func NewRowWriter(w io.Writer, attrs []Attribute, f Format) (*RowWriter, error) {
+// RowCells is one schema's encoding in one row format: every
+// (attribute, code) cell encoded once, with its separator or JSON key
+// in front. It is never modified once built, so one table can serve
+// any number of RowWriters at once; a server builds it once per model
+// and format.
+type RowCells struct {
+	header []byte     // CSV header row; nil for JSONL
+	cells  [][][]byte // cells[a][code]: the encoded cell, led by its separator or key
+	end    []byte     // row end: "\n" (CSV) or "}\n" (JSONL)
+}
+
+// NewRowCells encodes the schema's cells in format f.
+func NewRowCells(attrs []Attribute, f Format) (*RowCells, error) {
 	switch f {
 	case FormatCSV:
-		rw := &RowWriter{w: w, cells: make([][][]byte, len(attrs)), end: []byte("\n")}
+		c := &RowCells{cells: make([][][]byte, len(attrs)), end: []byte("\n")}
 		field := newCSVField()
-		var header []byte
 		for a := range attrs {
 			var sep []byte
 			if a > 0 {
 				sep = []byte{','}
 			}
-			rw.cells[a] = cellTable(&attrs[a], sep, field)
-			header = field(append(header, sep...), attrs[a].Name)
+			c.cells[a] = cellTable(&attrs[a], sep, field)
+			c.header = field(append(c.header, sep...), attrs[a].Name)
 		}
-		if _, err := w.Write(append(header, '\n')); err != nil {
-			return nil, fmt.Errorf("dataset: write header: %w", err)
-		}
-		return rw, nil
+		c.header = append(c.header, '\n')
+		return c, nil
 	case FormatJSONL:
-		return NewJSONLWriter(w, attrs), nil
+		return jsonlCells(attrs), nil
 	default:
 		return nil, fmt.Errorf("dataset: unknown format %v", f)
 	}
 }
 
+// NewWriter returns a writer of the cells' format over w. A CSV writer
+// writes its header row at once, so an output of no rows still carries
+// it.
+func (c *RowCells) NewWriter(w io.Writer) (*RowWriter, error) {
+	if c.header != nil {
+		if _, err := w.Write(c.header); err != nil {
+			return nil, fmt.Errorf("dataset: write header: %w", err)
+		}
+	}
+	return &RowWriter{w: w, cells: c.cells, end: c.end}, nil
+}
+
+// NewRowWriter prepares a writer of format f for the given schema,
+// encoding its cells for this writer alone (see RowCells).
+func NewRowWriter(w io.Writer, attrs []Attribute, f Format) (*RowWriter, error) {
+	c, err := NewRowCells(attrs, f)
+	if err != nil {
+		return nil, err
+	}
+	return c.NewWriter(w)
+}
+
 // NewJSONLWriter is NewRowWriter for FormatJSONL, which cannot fail.
 func NewJSONLWriter(w io.Writer, attrs []Attribute) *RowWriter {
-	rw := &RowWriter{w: w, cells: make([][][]byte, len(attrs)), end: []byte("}\n")}
+	c := jsonlCells(attrs)
+	return &RowWriter{w: w, cells: c.cells, end: c.end}
+}
+
+func jsonlCells(attrs []Attribute) *RowCells {
+	c := &RowCells{cells: make([][][]byte, len(attrs)), end: []byte("}\n")}
 	for a := range attrs {
 		prefix := jsonString([]byte{','}, attrs[a].Name)
 		if a == 0 {
@@ -90,9 +122,9 @@ func NewJSONLWriter(w io.Writer, attrs []Attribute) *RowWriter {
 		if attrs[a].Kind == Continuous {
 			value = func(dst []byte, text string) []byte { return append(dst, text...) }
 		}
-		rw.cells[a] = cellTable(&attrs[a], append(prefix, ':'), value)
+		c.cells[a] = cellTable(&attrs[a], append(prefix, ':'), value)
 	}
-	return rw
+	return c
 }
 
 // cellTable encodes every code of a as prefix followed by value's

@@ -14,7 +14,7 @@ import (
 // binary (NLTCS-style) attributes at k ∈ {2, 3, 5} parents and
 // d ∈ {8, 16, 32}. At k = 5 every joint has 64 cells, the popcount
 // kernel's limit. CountColumnar runs the popcount kernel; CountRowMajor
-// forces the row walk (code build + fused decode scan) on the same
+// forces the row walk (code build + decode and count) on the same
 // bit-packed dataset. cmd/benchjson pairs the matching sub-names into
 // columnar_vs_rowmajor/k*/d* speedups in BENCH_scoring.json.
 
@@ -55,11 +55,12 @@ func benchCountChildren(b *testing.B, k, d int, rowMajor bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A fresh index per iteration, as a fresh parent set in the
+		// A fresh source per iteration, as a fresh parent set in the
 		// greedy search would be: the row-major path pays its code
 		// build, the columnar path its mask builds.
-		ix := BuildParentIndex(ds, parents)
-		ix.CountChildren(ds, children, 1)
+		if _, err := NewMemorySource(ds, 1).CountTables(parents, children); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

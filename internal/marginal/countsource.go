@@ -1,9 +1,11 @@
 package marginal
 
 import (
+	"context"
 	"fmt"
 
 	"privbayes/internal/dataset"
+	"privbayes/internal/parallel"
 )
 
 // CountSource supplies exact integer joint count tables without
@@ -15,12 +17,13 @@ import (
 // (counts.Store) drive the exact same greedy search and conditional
 // materialization.
 //
-// CountTables must return, for each child, the table
-// ParentIndex.CountChildren would produce over the full dataset: laid
-// out [parents..., child] with integer-valued float64 cells. Integer
-// counts merge exactly, so any chunking or sharding of the underlying
-// rows yields bit-identical tables — the foundation of the
-// out-of-core fit's byte-identity contract.
+// CountTables must return, for each child, the table MaterializeCounts
+// would produce over the full dataset: laid out [parents..., child]
+// with integer-valued float64 cells. Integer counts merge exactly, so
+// any chunking or sharding of the underlying rows yields bit-identical
+// tables — the foundation of the out-of-core fit's byte-identity
+// contract. A scorer asks its source for one parent set at a time
+// unless the source also counts whole batches (MemorySource.CountBatch).
 type CountSource interface {
 	// Rows returns the number of rows the counts are over.
 	Rows() int
@@ -31,26 +34,27 @@ type CountSource interface {
 }
 
 // CountRequest names one group of joint tables over a shared parent
-// set: the argument of counts.Provider's no-op Prefetch.
+// set: one request of MemorySource.CountBatch, and the argument of
+// counts.Provider's no-op Prefetch.
 type CountRequest struct {
 	Parents  []Var
 	Children []Var
 }
 
 // MemorySource is the CountSource over a columnar dataset held in
-// memory. All children of a request are counted against the parent
-// set's ParentIndex in one call: by bitmask intersection and popcount
-// when the columns are bit-packed and low-arity, else by the fused row
-// walk. It keeps no per-row state between requests.
+// memory. It counts a child by bitmask intersection and popcount when
+// the joint is small and bit-packed, else by the row walk, which
+// CountBatch shares across every parent set of a batch. It keeps no
+// per-row state between requests.
 type MemorySource struct {
 	ds  *dataset.Dataset
 	par int
 	idx *IndexCache
 }
 
-// NewMemorySource returns a count source over ds whose counting fans
-// out across up to parallelism workers (<= 0 selects GOMAXPROCS, 1
-// counts serially). The counts are the same at every setting.
+// NewMemorySource returns a count source over ds whose CountTables
+// fans out across up to parallelism workers (<= 0 selects GOMAXPROCS,
+// 1 counts serially). The counts are the same at every setting.
 func NewMemorySource(ds *dataset.Dataset, parallelism int) *MemorySource {
 	return &MemorySource{ds: ds, par: parallelism, idx: NewIndexCache(0)}
 }
@@ -58,33 +62,102 @@ func NewMemorySource(ds *dataset.Dataset, parallelism int) *MemorySource {
 // Rows implements CountSource.
 func (s *MemorySource) Rows() int { return s.ds.N() }
 
-// countBlockRows bounds the rows one CountChildren call counts. A
-// source over more rows counts each request block by block and sums
-// the exact integer tables, so the popcount kernel's row masks stay at
-// 32 KiB each whatever the row count.
+// countBlockRows bounds the rows counted between merges: the popcount
+// kernel builds its row masks over one block at a time, so each stays at
+// 32 KiB whatever the row count, and the walk adds its workers' uint32
+// cells into the tables after every block, so none can overflow.
 const countBlockRows = 1 << 18
 
-// CountTables implements CountSource. A parent set with more than
-// MaxParentConfigs configurations is an error, as it is out of core;
-// θ-usefulness domain caps keep fits far below it.
+// CountTables implements CountSource as a batch of one request, at the
+// source's parallelism. A parent set with more than MaxParentConfigs
+// configurations is an error, as it is out of core; θ-usefulness domain
+// caps keep fits far below it.
 func (s *MemorySource) CountTables(parents []Var, children []Var) ([]*Table, error) {
-	if _, ok := ParentConfigs(s.ds, parents); !ok {
-		return nil, fmt.Errorf("marginal: parent set %v overflows the code domain", parents)
-	}
-	ix := s.idx.Get(s.ds, parents)
-	n := s.ds.N()
-	if n <= countBlockRows {
-		return ix.CountChildren(s.ds, children, s.par), nil
-	}
-	out := ix.CountChildren(s.ds.Slice(0, countBlockRows), children, s.par)
-	for lo := countBlockRows; lo < n; lo += countBlockRows {
-		for j, t := range ix.CountChildren(s.ds.Slice(lo, min(lo+countBlockRows, n)), children, s.par) {
-			for i, c := range t.P {
-				out[j].P[i] += c
+	var out []*Table
+	err := s.CountBatch(context.Background(), s.par, []CountRequest{{Parents: parents, Children: children}},
+		func(_ int, tables []*Table) { out = tables })
+	return out, err
+}
+
+// CountBatch counts every request of a batch and calls use once per
+// request with its tables, which CountTables would return for it. A
+// request whose every child is popcount-eligible is counted and handed
+// to use in one step, as a unit of work of its own; the children of the
+// other requests take the row walk, which counts all of them in one
+// pass over the rows (see walk.go), or in several when their tables
+// hold more than maxPassCells cells, handing each pass's requests to
+// use before the next pass starts. parallelism (<= 0 selects
+// GOMAXPROCS) bounds the walk's workers and the concurrent calls to
+// use, which must be safe to call from several goroutines; the tables
+// are the caller's. ctx is checked before every request and every
+// 4 096-row chunk of the walk; when it ends, CountBatch returns
+// ctx.Err() with some requests never handed to use.
+func (s *MemorySource) CountBatch(ctx context.Context, parallelism int, reqs []CountRequest, use func(i int, tables []*Table)) error {
+	ds, n := s.ds, s.ds.N()
+	tables := make([][]*Table, len(reqs))
+	walk := make([][]int, len(reqs)) // children the walk counts
+	pop := make([][]int, len(reqs))  // children the popcount kernel counts
+	cells := make([]int, len(reqs))  // cells of the walk's tables
+	var fused, walked []int
+	for i, r := range reqs {
+		if _, ok := ParentConfigs(ds, r.Parents); !ok {
+			return fmt.Errorf("marginal: parent set %v overflows the code domain", r.Parents)
+		}
+		ix := s.idx.Get(ds, r.Parents)
+		tables[i] = make([]*Table, len(r.Children))
+		pk, ok := newPopKernel(ds, r.Parents)
+		for j, ch := range r.Children {
+			if ok && pk.childOK(ch) {
+				pop[i] = append(pop[i], j)
+			} else {
+				walk[i] = append(walk[i], j)
+				cells[i] += ix.PiDim * ch.Size(ds)
 			}
 		}
+		if len(walk[i]) == 0 {
+			fused = append(fused, i)
+		} else {
+			walked = append(walked, i)
+		}
 	}
-	return out, nil
+	workers := parallel.Workers(parallelism)
+	// finish counts request i's popcount children and hands it over.
+	finish := func(i int) {
+		if len(pop[i]) > 0 {
+			children := make([]Var, len(pop[i]))
+			dsts := make([][]float64, len(pop[i]))
+			for k, j := range pop[i] {
+				children[k] = reqs[i].Children[j]
+				tables[i][j] = NewTable(ds, append(append([]Var(nil), reqs[i].Parents...), children[k]))
+				dsts[k] = tables[i][j].P
+			}
+			for lo := 0; lo < n; lo += countBlockRows {
+				block := ds
+				if n > countBlockRows {
+					block = ds.Slice(lo, min(lo+countBlockRows, n))
+				}
+				pk, _ := newPopKernel(block, reqs[i].Parents)
+				pk.countChildren(children, dsts)
+			}
+		}
+		t := tables[i]
+		tables[i] = nil // a handed-over pass's tables are the caller's to drop
+		use(i, t)
+	}
+	if err := parallel.ForCtx(ctx, workers, len(fused), func(k int) { finish(fused[k]) }); err != nil {
+		return err
+	}
+	gens := genTables{}
+	for _, ids := range planPasses(reqs, walked, cells) {
+		p := newWalkPass(ds, reqs, ids, walk, tables, gens)
+		if err := p.run(ctx, ds, workers); err != nil {
+			return err
+		}
+		if err := parallel.ForCtx(ctx, workers, len(ids), func(k int) { finish(ids[k]) }); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Indexes returns the source's parent-index cache; its Stats count how

@@ -8,12 +8,14 @@ import (
 	"privbayes/internal/dataset"
 )
 
-// FuzzColumnarCounts differentially fuzzes the two counting engines:
-// for random datasets (row counts straddling mask-word boundaries,
-// arities spanning every packing width) and random parent/child
-// variable picks, the popcount kernel's counts must equal the legacy
-// row-major walk's exactly — cell for cell, through MaterializeCounts
-// and the fused CountChildren pass. Wired into `make fuzz`.
+// FuzzColumnarCounts differentially fuzzes the counting engines: for
+// random datasets (row counts straddling mask-word boundaries, arities
+// spanning every packing width, taxonomies over the wider attributes)
+// and random parent/child variable picks, the popcount kernel's counts
+// must equal the legacy row-major walk's exactly — cell for cell,
+// through MaterializeCounts and a MemorySource request — and so must
+// every table of a random batch through CountBatch's walk, with the
+// pass cap drawn small enough to split it. Wired into `make fuzz`.
 func FuzzColumnarCounts(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint16(0x1234), uint8(2))
 	f.Add(int64(2), uint16(64), uint16(0xffff), uint8(0))
@@ -39,6 +41,9 @@ func FuzzColumnarCounts(f *testing.F) {
 				labels[i] = fmt.Sprintf("v%d", i)
 			}
 			attrs[a] = dataset.NewCategorical(fmt.Sprintf("a%d", a), labels)
+			if arity > 2 {
+				attrs[a].Hierarchy = taxonomy(arity)
+			}
 		}
 		ds := dataset.NewWithCapacity(attrs, n)
 		rec := make([]uint16, d)
@@ -67,10 +72,10 @@ func FuzzColumnarCounts(f *testing.F) {
 		}
 
 		parents, child := vars[:k-1], vars[k-1]
-		fastJ := BuildParentIndex(ds, parents).CountChildren(ds, []Var{child}, 1)[0]
+		fastJ := countTables(t, ds, parents, []Var{child}, 1)[0]
 		var refJ *Table
 		withRowMajor(func() {
-			refJ = BuildParentIndex(ds, parents).CountChildren(ds, []Var{child}, 1)[0]
+			refJ = countTables(t, ds, parents, []Var{child}, 1)[0]
 		})
 		for i := range refJ.P {
 			if fastJ.P[i] != refJ.P[i] {
@@ -78,5 +83,10 @@ func FuzzColumnarCounts(f *testing.F) {
 					n, parents, child, i, fastJ.P[i], refJ.P[i])
 			}
 		}
+
+		old := maxPassCells
+		maxPassCells = 1 + int(pick)*4
+		defer func() { maxPassCells = old }()
+		checkBatch(t, ds, randomBatch(rng, attrs, 1+int(pick)%12), 1+int(arityBits)%3)
 	})
 }

@@ -9,6 +9,17 @@ import (
 	"privbayes/internal/dataset"
 )
 
+// countTables counts children against parents through a MemorySource
+// at the given parallelism.
+func countTables(t testing.TB, ds *dataset.Dataset, parents, children []Var, par int) []*Table {
+	t.Helper()
+	out, err := NewMemorySource(ds, par).CountTables(parents, children)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // hierData builds a dataset whose first attribute carries a two-level
 // taxonomy, for generalization-aware index tests.
 func hierData(n int, seed int64) *dataset.Dataset {
@@ -43,7 +54,7 @@ func TestParentIndexCodes(t *testing.T) {
 		if ix.PiDim != 2*3 {
 			t.Fatalf("PiDim = %d, want 6", ix.PiDim)
 		}
-		got := ix.CountChildren(ds, []Var{child}, par)[0]
+		got := countTables(t, ds, parents, []Var{child}, par)[0]
 		for i := range want.P {
 			if got.P[i] != want.P[i] {
 				t.Fatalf("parallelism %d cell %d: %g, want %g", par, i, got.P[i], want.P[i])
@@ -52,16 +63,15 @@ func TestParentIndexCodes(t *testing.T) {
 	}
 }
 
-// TestCountChildrenMatchesMaterializeCounts checks the fused multi-child
-// pass is bit-identical to per-child MaterializeCounts at every
+// TestCountChildrenMatchesMaterializeCounts checks a multi-child
+// request is bit-identical to per-child MaterializeCounts at every
 // parallelism, including generalized children.
 func TestCountChildrenMatchesMaterializeCounts(t *testing.T) {
 	ds := hierData(4000, 2)
 	parents := []Var{{Attr: 1}}
 	children := []Var{{Attr: 0}, {Attr: 2}, {Attr: 0, Level: 1}}
 	for _, par := range []int{1, 2, 8} {
-		ix := BuildParentIndex(ds, parents)
-		got := ix.CountChildren(ds, children, par)
+		got := countTables(t, ds, parents, children, par)
 		for j, ch := range children {
 			want := MaterializeCounts(ds, append(append([]Var(nil), parents...), ch))
 			if len(got[j].P) != len(want.P) {
@@ -84,7 +94,7 @@ func TestEmptyParentSetCounting(t *testing.T) {
 	if ix.PiDim != 1 {
 		t.Fatalf("empty parent set: PiDim %d", ix.PiDim)
 	}
-	got := ix.CountChildren(ds, []Var{{Attr: 2}}, 4)[0]
+	got := countTables(t, ds, nil, []Var{{Attr: 2}}, 4)[0]
 	want := MaterializeCounts(ds, []Var{{Attr: 2}})
 	for i := range want.P {
 		if got.P[i] != want.P[i] {
@@ -145,7 +155,7 @@ func TestIndexCacheConcurrent(t *testing.T) {
 					t.Errorf("PiDim %d for %v", ix.PiDim, parents)
 				}
 				full := c.Get(ds, []Var{{Attr: 0}, {Attr: 1}})
-				joint := full.CountChildren(ds, []Var{{Attr: 2}}, 2)[0]
+				joint := countTables(t, ds, full.Vars, []Var{{Attr: 2}}, 2)[0]
 				for i := range want.P {
 					if joint.P[i] != want.P[i] {
 						t.Errorf("joint cell %d: %g, want %g", i, joint.P[i], want.P[i])

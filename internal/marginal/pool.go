@@ -1,9 +1,8 @@
 package marginal
 
 // Scratch-buffer pools for the counting hot path. Within one Fit the
-// counting loops ask for decode buffers, code buffers, row masks and
-// per-worker count scratch thousands of times with identical shapes,
-// so they are pooled here. Pooled buffers are not zeroed: users
+// counting loops ask for decode buffers, code buffers and row masks
+// thousands of times with identical shapes, so they are pooled here. Pooled buffers are not zeroed: users
 // overwrite them fully or clear them first.
 
 import "sync"
@@ -29,9 +28,8 @@ func (p *pool[T]) put(s []T) {
 }
 
 var (
-	floats pool[float64] // per-worker count scratch
-	u16s   pool[uint16]  // per-chunk column-decode buffers
-	u32s   pool[uint32]  // per-chunk parent-configuration codes
-	words  pool[uint64]  // popcount row masks
-	ints   pool[int]     // generalization lookups, cell codes
+	u16s  pool[uint16] // per-chunk column-decode buffers
+	u32s  pool[uint32] // per-chunk parent-configuration codes
+	words pool[uint64] // popcount row masks
+	ints  pool[int]    // generalization lookups, cell codes
 )

@@ -19,9 +19,8 @@ import (
 // popcountMaxCells bounds the joint-table size (parent configurations ×
 // child domain) the popcount kernel will take on. Beyond it the
 // mask-per-cell strategy scans the rows once per cell and loses to the
-// single fused row walk. 64 cells admit, for example, five binary
-// parents with a binary child, or two 4-valued parents with a 4-valued
-// child.
+// row walk. 64 cells admit, for example, five binary parents with a
+// binary child, or two 4-valued parents with a 4-valued child.
 const popcountMaxCells = 64
 
 // disablePopcount forces the row-major counting paths, so tests and
@@ -77,8 +76,8 @@ func (k *popKernel) childOK(child Var) bool {
 	return popVarOK(k.ds, child) && k.piDim*child.Size(k.ds) <= popcountMaxCells
 }
 
-// countChildren fills dsts[j] — a zeroed [parents..., child_j] count
-// table laid out with the child fastest — with exact joint counts for
+// countChildren adds into dsts[j] — a [parents..., child_j] count
+// table laid out with the child fastest — the exact joint counts of
 // every child. It walks the parent configurations in row-major order
 // keeping one running AND per parent depth, so a step rebuilds only the
 // masks from the first parent whose value changed. Each configuration's
@@ -140,10 +139,10 @@ func (k *popKernel) countChildren(children []Var, dsts [][]float64) {
 			last := rows
 			for x, mx := range vm {
 				c := popcountAnd(cfg, mx)
-				dst[x] = float64(c)
+				dst[x] += float64(c)
 				last -= c
 			}
-			dst[len(vm)] = float64(last)
+			dst[len(vm)] += float64(last)
 		}
 		// Next configuration: the last parent varies fastest.
 		from = np - 1

@@ -127,10 +127,10 @@ func TestPopcountMaterializeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCountChildrenPopcountMatchesRowWalk checks the fused
-// CountChildren pass splits children between the popcount kernel and
-// the row walk without changing any table: mixed eligible / wide /
-// over-64-cell / generalized children against the same parent index.
+// TestCountChildrenPopcountMatchesRowWalk checks a MemorySource request
+// splits its children between the popcount kernel and the row walk
+// without changing any table: mixed eligible / wide / over-64-cell /
+// generalized children against the same parent set.
 // The kernel must accept the parents and every child exactly in the
 // cases marked popOnly.
 func TestCountChildrenPopcountMatchesRowWalk(t *testing.T) {
@@ -171,11 +171,10 @@ func TestCountChildrenPopcountMatchesRowWalk(t *testing.T) {
 				tc.parents, tc.children, all, tc.popOnly)
 		}
 		for _, par := range []int{1, 4} {
-			ix := BuildParentIndex(tc.ds, tc.parents)
-			fast := ix.CountChildren(tc.ds, tc.children, par)
+			fast := countTables(t, tc.ds, tc.parents, tc.children, par)
 			var ref []*Table
 			withRowMajor(func() {
-				ref = ix.CountChildren(tc.ds, tc.children, par)
+				ref = countTables(t, tc.ds, tc.parents, tc.children, par)
 			})
 			for j := range ref {
 				for i := range ref[j].P {

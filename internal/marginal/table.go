@@ -179,9 +179,10 @@ func putLookups(gens [][]int) {
 	}
 }
 
-// materializeChunk is the row-range fan-out granularity. Large enough
-// that per-chunk overhead vanishes, small enough to balance load across
-// workers on mid-sized datasets.
+// materializeChunk is the row-range fan-out granularity, and the rows a
+// walk worker encodes at a time (16 KiB of codes per trie depth). Large
+// enough that per-chunk overhead vanishes, small enough to balance load
+// across workers on mid-sized datasets.
 const materializeChunk = 4096
 
 // Sum returns the total mass.

@@ -30,9 +30,9 @@ func benchGrid(b *testing.B, run func(b *testing.B, sc *Scorer, pairs []Pair)) {
 	}
 }
 
-// BenchmarkScoreBatchShared measures the shared-scan engine: one parent
-// configuration scan per parent set plus one fused counting pass for all
-// of its children.
+// BenchmarkScoreBatchShared measures the shared-scan engine: the grid's
+// binary joints fit the popcount kernel, so each parent set's children
+// are counted and scored as one unit of work.
 func BenchmarkScoreBatchShared(b *testing.B) {
 	benchGrid(b, func(b *testing.B, sc *Scorer, pairs []Pair) {
 		sc.ScoreBatch(1, pairs)

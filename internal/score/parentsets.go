@@ -7,9 +7,9 @@ package score
 // less-generalized variant) exists.
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"encoding/binary"
+	"slices"
+	"strconv"
 
 	"privbayes/internal/dataset"
 	"privbayes/internal/marginal"
@@ -20,8 +20,8 @@ import (
 // An empty result means even the empty set violates the cap (tau < 1);
 // a result containing only the empty set means no attribute fits.
 func MaximalParentSets(ds *dataset.Dataset, v []int, tau float64) [][]marginal.Var {
-	e := &psEnv{ds: ds, v: v, memo: make(map[string][][]marginal.Var)}
-	return e.run(0, tau, false)
+	e := &psEnv{ds: ds, v: v, memo: make(map[psKey][][]marginal.Var)}
+	return e.run(0, tau)
 }
 
 // MaximalParentSetsHierarchical implements Algorithm 6: like Algorithm 5
@@ -29,28 +29,36 @@ func MaximalParentSets(ds *dataset.Dataset, v []int, tau float64) [][]marginal.V
 // taxonomy tree, and maximality also forbids replacing a member with a
 // less-generalized version of itself.
 func MaximalParentSetsHierarchical(ds *dataset.Dataset, v []int, tau float64) [][]marginal.Var {
-	e := &psEnv{ds: ds, v: v, memo: make(map[string][][]marginal.Var)}
-	return e.run(0, tau, true)
+	e := &psEnv{ds: ds, v: v, hier: true, memo: make(map[psKey][][]marginal.Var)}
+	return e.run(0, tau)
 }
 
 type psEnv struct {
 	ds   *dataset.Dataset
 	v    []int
-	memo map[string][][]marginal.Var
+	hier bool
+	memo map[psKey][][]marginal.Var
+}
+
+// psKey identifies one call of run: the position in v, and τ rounded
+// to nine significant digits, which decides which calls share a result.
+type psKey struct {
+	i   int
+	tau string
 }
 
 // run returns the maximal parent sets drawn from v[i:] under cap tau.
 // The recursion follows the paper exactly, with memoization on (i, tau):
 // tau only ever shrinks by division with attribute domain sizes, so the
 // float key is stable across identical call paths.
-func (e *psEnv) run(i int, tau float64, hier bool) [][]marginal.Var {
+func (e *psEnv) run(i int, tau float64) [][]marginal.Var {
 	if tau < 1 {
 		return nil
 	}
 	if i == len(e.v) {
 		return [][]marginal.Var{{}}
 	}
-	key := fmt.Sprintf("%d|%.9g|%t", i, tau, hier)
+	key := psKey{i, strconv.FormatFloat(tau, 'g', 9, 64)}
 	if r, ok := e.memo[key]; ok {
 		return r
 	}
@@ -61,7 +69,7 @@ func (e *psEnv) run(i int, tau float64, hier bool) [][]marginal.Var {
 	var out [][]marginal.Var
 
 	levels := 1
-	if hier {
+	if e.hier {
 		levels = attr.Height()
 	}
 	// Least-generalized levels first, so a set that fits with a finer
@@ -73,7 +81,7 @@ func (e *psEnv) run(i int, tau float64, hier bool) [][]marginal.Var {
 		if size <= 1 && lvl > 0 {
 			break // fully generalized levels carry no information
 		}
-		for _, z := range e.run(i+1, tau/float64(size), hier) {
+		for _, z := range e.run(i+1, tau/float64(size)) {
 			k := setKey(z)
 			if seen[k] {
 				continue
@@ -85,7 +93,7 @@ func (e *psEnv) run(i int, tau float64, hier bool) [][]marginal.Var {
 	}
 	// Sets that exclude X entirely (Line 4 of Algorithm 5 / Lines 9-11 of
 	// Algorithm 6) survive only when no variant including X covers them.
-	for _, z := range e.run(i+1, tau, hier) {
+	for _, z := range e.run(i+1, tau) {
 		if seen[setKey(z)] {
 			continue
 		}
@@ -95,13 +103,17 @@ func (e *psEnv) run(i int, tau float64, hier bool) [][]marginal.Var {
 	return out
 }
 
+// setKey is a set's identity in the paper's U: its (attr, level) pairs
+// in sorted order, eight bytes each.
 func setKey(set []marginal.Var) string {
-	parts := make([]string, len(set))
-	for i, v := range set {
-		parts[i] = fmt.Sprintf("%d.%d", v.Attr, v.Level)
+	sorted := slices.Clone(set)
+	sortVars(sorted)
+	b := make([]byte, 0, 8*len(sorted))
+	for _, v := range sorted {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v.Attr))
+		b = binary.LittleEndian.AppendUint32(b, uint32(v.Level))
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
+	return string(b)
 }
 
 // DomainSize returns the product of the variables' domain sizes.

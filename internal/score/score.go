@@ -73,7 +73,8 @@ func SensitivityR(n int) float64 {
 // iterations — parent sets eligible at iteration i remain candidates at
 // every later iteration, which makes the memo the dominant cost saver
 // of the harness. Batch evaluation additionally counts all children of
-// a parent set in one source request (see shared.go).
+// a parent set together, and an in-memory source counts a whole batch
+// in one row walk (see shared.go).
 type Scorer struct {
 	Fn Function
 	cs marginal.CountSource
@@ -93,9 +94,10 @@ func NewScorer(fn Function, ds *dataset.Dataset) *Scorer {
 	return NewScorerSized(fn, ds, 0)
 }
 
-// NewScorerSized builds a scorer over the in-memory dataset (a serial
-// marginal.MemorySource; batches still fan out over parent sets) whose
-// memo holds at most cacheSize scored pairs, evicting
+// NewScorerSized builds a scorer over the in-memory dataset (a
+// marginal.MemorySource whose single-request CountTables is serial; a
+// batch counts and scores at ScoreBatch's parallelism, its row walk
+// included) whose memo holds at most cacheSize scored pairs, evicting
 // least-recently-used entries beyond it — bounding the memory of
 // long-running services that share one Scorer across many Fit calls.
 // cacheSize <= 0 means unbounded (NewScorer). Eviction only ever costs

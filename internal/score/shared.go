@@ -1,14 +1,17 @@
 package score
 
-// The shared-scan scoring engine. A greedy iteration of Algorithm 2
-// scores C(|V|,k)·(d−|V|) candidates that share only C(|V|,k) distinct
-// parent sets; counting each candidate's joint on its own rescans all n
-// rows per candidate. Here ScoreBatch groups the uncached candidates by
-// canonical parent set and asks the count source for every child joint
-// of a group in one CountTables call — for the in-memory source, one
-// parent-configuration index plus one fused O(n) pass (or popcounts)
-// for all children — cutting per-iteration scoring from O(#cand·n·k) to
-// O(#Π·n·k + #cand·n).
+// The shared-scan scoring engine. A greedy iteration scores far more
+// candidates than it has distinct parent sets: Algorithm 2's
+// C(|V|,k)·(d−|V|) candidates share C(|V|,k) parent sets, and
+// Algorithm 4's maximal parent sets each serve about one child. Here
+// ScoreBatch groups the uncached candidates by canonical parent set
+// and has the count source count every child joint of a group
+// together. A marginal.MemorySource takes the whole batch at once
+// (CountBatch): a group whose joints the popcount kernel takes is
+// counted and scored as one unit of work, and the other groups share
+// one row walk over a prefix trie of their parent lists before they
+// are scored in parallel. Other sources count group by group through
+// CountTables.
 //
 // Joint counts are exact integers whatever the source or parallelism,
 // and MI and R scale them once by 1/n, so every score sees byte-equal
@@ -48,8 +51,9 @@ type batchGroup struct {
 // to sequential Score calls at any parallelism — see the package note
 // above — and every result lands in the memo, so a batch also serves as
 // a parallel precompute for a scorer shared across runs. Parallelism
-// fans out over parent-set groups (<= 0 selects GOMAXPROCS); counting
-// within a group runs at the count source's own parallelism.
+// fans out over parent-set groups (<= 0 selects GOMAXPROCS), and bounds
+// the workers of a MemorySource's row walk; a group counted through
+// CountTables runs at the count source's own parallelism.
 func (s *Scorer) ScoreBatch(parallelism int, pairs []Pair) []float64 {
 	out, err := s.ScoreBatchContext(context.Background(), parallelism, pairs)
 	if err != nil {
@@ -61,9 +65,10 @@ func (s *Scorer) ScoreBatch(parallelism int, pairs []Pair) []float64 {
 }
 
 // ScoreBatchContext is ScoreBatch with cancellation and source errors:
-// when ctx ends it stops dispatching parent-set groups, discards the
-// partial batch (nothing is memoized) and returns ctx.Err(); a failed
-// count request is returned the same way. A nil error guarantees the
+// when ctx ends it stops dispatching parent-set groups (a row walk
+// stops within a 4 096-row chunk), discards the partial batch (nothing
+// is memoized) and returns ctx.Err(); a failed count request is
+// returned the same way. A nil error guarantees the
 // full, bit-identical result vector.
 func (s *Scorer) ScoreBatchContext(ctx context.Context, parallelism int, pairs []Pair) ([]float64, error) {
 	out := make([]float64, len(pairs))
@@ -71,16 +76,8 @@ func (s *Scorer) ScoreBatchContext(ctx context.Context, parallelism int, pairs [
 	if len(groups) == 0 {
 		return out, nil
 	}
-	groupErrs := make([]error, len(groups))
-	if err := parallel.ForCtx(ctx, parallel.Workers(parallelism), len(groups), func(gi int) {
-		groupErrs[gi] = s.scoreGroup(groups[gi])
-	}); err != nil {
+	if err := s.scoreGroups(ctx, parallelism, groups); err != nil {
 		return nil, err
-	}
-	for _, err := range groupErrs {
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	s.mu.Lock()
@@ -153,15 +150,44 @@ func (s *Scorer) planBatch(pairs []Pair, out []float64) ([]*batchGroup, []*batch
 	return groups, works
 }
 
-// scoreGroup counts every child joint of one parent-set group in one
-// source request and evaluates the score function on each.
-func (s *Scorer) scoreGroup(g *batchGroup) error {
-	joints, err := s.cs.CountTables(g.parents, g.children)
-	if err != nil {
+// batchCounter is a count source that counts a whole batch of groups
+// at once: marginal.MemorySource, and counts.Provider through it.
+type batchCounter interface {
+	CountBatch(ctx context.Context, parallelism int, reqs []marginal.CountRequest, use func(i int, tables []*marginal.Table)) error
+}
+
+// scoreGroups counts every child joint of the groups and evaluates the
+// score function on each, fanning out across up to parallelism workers.
+// A batchCounter takes all groups in one call; any other source gets
+// one CountTables request per group.
+func (s *Scorer) scoreGroups(ctx context.Context, parallelism int, groups []*batchGroup) error {
+	score := func(g *batchGroup, joints []*marginal.Table) {
+		for j, w := range g.works {
+			w.val = s.evaluate(joints[j])
+		}
+	}
+	if bc, ok := s.cs.(batchCounter); ok {
+		reqs := make([]marginal.CountRequest, len(groups))
+		for i, g := range groups {
+			reqs[i] = marginal.CountRequest{Parents: g.parents, Children: g.children}
+		}
+		return bc.CountBatch(ctx, parallelism, reqs, func(i int, joints []*marginal.Table) { score(groups[i], joints) })
+	}
+	errs := make([]error, len(groups))
+	if err := parallel.ForCtx(ctx, parallel.Workers(parallelism), len(groups), func(i int) {
+		joints, err := s.cs.CountTables(groups[i].parents, groups[i].children)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		score(groups[i], joints)
+	}); err != nil {
 		return err
 	}
-	for j, w := range g.works {
-		w.val = s.evaluate(joints[j])
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"privbayes/internal/core"
+	"privbayes/internal/dataset"
 )
 
 // ModelMeta is the registry's public view of one model: identity plus
@@ -27,11 +28,16 @@ type ModelMeta struct {
 	core.ModelInfo
 }
 
-// entry pairs the live model with its metadata.
+// entry pairs the live model with its metadata and, per row format,
+// its synthesis cell table, built by the first request for it.
 type entry struct {
 	meta  ModelMeta
 	model *core.Model
+	cells [2]func() (*dataset.RowCells, error) // indexed by dataset.Format
 }
+
+// newRowCells builds a model's cell table; tests count its calls.
+var newRowCells = dataset.NewRowCells
 
 // Registry is the concurrency-safe model store behind /models: models
 // load from a directory at startup and arrive at runtime via upload or
@@ -124,11 +130,31 @@ func (r *Registry) Put(id, source string, m *core.Model, epsilon float64) error 
 	if _, dup := r.models[id]; dup {
 		return fmt.Errorf("%w: %q", ErrExists, id)
 	}
-	r.models[id] = entry{
+	e := entry{
 		meta:  ModelMeta{ID: id, Epsilon: epsilon, Source: source, ModelInfo: m.Info()},
 		model: m,
 	}
+	for f := range e.cells {
+		e.cells[f] = sync.OnceValues(func() (*dataset.RowCells, error) { return newRowCells(m.Attrs, dataset.Format(f)) })
+	}
+	r.models[id] = e
 	return nil
+}
+
+// Cells returns the model's synthesis cell table in format f. The
+// first call for a format builds it; every later request shares it
+// read-only, so a stream pays only for its own write buffer.
+func (r *Registry) Cells(id string, f dataset.Format) (*dataset.RowCells, error) {
+	r.mu.RLock()
+	e, ok := r.models[id]
+	r.mu.RUnlock()
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
+	case f < 0 || int(f) >= len(e.cells):
+		return nil, fmt.Errorf("server: unknown format %v", f)
+	}
+	return e.cells[f]()
 }
 
 // Get returns the model and its metadata.

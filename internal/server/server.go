@@ -660,7 +660,11 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 
 	flusher, _ := w.(http.Flusher)
 	rng := rand.New(rand.NewSource(seed))
-	rw, err := dataset.NewRowWriter(w, model.Attrs, format)
+	cells, err := s.registry.Cells(meta.ID, format)
+	if err != nil {
+		return
+	}
+	rw, err := cells.NewWriter(w)
 	if err != nil {
 		return
 	}

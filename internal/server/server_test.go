@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -195,6 +196,42 @@ func TestSynthesizeJSONL(t *testing.T) {
 	}
 	if rows != 1000 {
 		t.Errorf("rows = %d, want 1000", rows)
+	}
+}
+
+// TestSynthesizeBuildsCellsOncePerModel checks a model's cell table is
+// built by its first stream in a format and shared by later ones: two
+// CSV streams and two JSONL streams of one model build two tables.
+func TestSynthesizeBuildsCellsOncePerModel(t *testing.T) {
+	var builds atomic.Int64
+	build := newRowCells
+	newRowCells = func(attrs []dataset.Attribute, f dataset.Format) (*dataset.RowCells, error) {
+		builds.Add(1)
+		return build(attrs, f)
+	}
+	defer func() { newRowCells = build }()
+
+	_, c, _ := newTestServer(t, Config{})
+	seed := int64(3)
+	var first []byte
+	for _, format := range []string{"csv", "csv", "jsonl", "jsonl"} {
+		stream, err := c.Synthesize(context.Background(), "fixture", SynthesizeRequest{N: 500, Seed: &seed, Format: format})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(stream.Body)
+		stream.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if format == "csv" && first == nil {
+			first = body
+		} else if format == "csv" && !bytes.Equal(body, first) {
+			t.Error("a stream over the shared table differs from the first")
+		}
+	}
+	if got := builds.Load(); got != 2 {
+		t.Errorf("%d cell tables built for one model in two formats, want 2", got)
 	}
 }
 
