@@ -150,11 +150,12 @@ var speedupPairs = []struct{ fast, base, label string }{
 	// end-to-end serving pair.
 	{"BenchmarkTelemetryOverhead/off/", "BenchmarkTelemetryOverhead/on/", "telemetry_on_vs_off/"},
 	{"BenchmarkServeSynthesizeTelemetry/off/", "BenchmarkServeSynthesizeTelemetry/on/", "serve_telemetry_on_vs_off/"},
-	// How much faster an incremental curator refit over the maintained
-	// count store is than a cold rescan of the row log. The out-of-core
-	// fit's cost against the in-memory one is not paired here: a fit
-	// small enough for this benchmark misstates it, so perfbench's
-	// fit-outofcore and fit-binary workloads measure it end to end.
+	// How much faster an incremental curator refit (the known network's
+	// conditionals over the resident rows) is than a cold one, which
+	// learns the structure as well. The out-of-core fit's cost against
+	// the in-memory one is not paired here: a fit small enough for this
+	// benchmark misstates it, so perfbench's fit-outofcore and
+	// fit-binary workloads measure it end to end.
 	{"BenchmarkRefitIncremental/", "BenchmarkRefitCold/", "refit_cold_vs_incremental/"},
 }
 

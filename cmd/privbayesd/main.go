@@ -57,7 +57,6 @@ type options struct {
 	refitEpsilon  float64
 	refitRows     int64
 	refitStale    time.Duration
-	fitChunkRows  int
 	workers       int
 	reqPar        int
 	maxRows       int
@@ -80,10 +79,9 @@ func main() {
 	flag.BoolVar(&o.ledgerFsck, "ledger-fsck", false, "repair a corrupt ledger by truncating it at the first damaged record, then continue startup (records from the damage onward are lost)")
 	flag.Float64Var(&o.budget, "budget", 2.0, "default per-dataset ε budget for curator-mode fits")
 	flag.StringVar(&o.curatorDir, "curator-dir", "", "directory of crash-safe row logs for continuously curated datasets (empty = /datasets endpoints disabled)")
-	flag.Float64Var(&o.refitEpsilon, "refit-epsilon", 0, "ε charged per automatic curator refit (0 = ingest only, no automatic refits)")
+	flag.Float64Var(&o.refitEpsilon, "refit-epsilon", 0, "ε charged per automatic curator refit; refits hold each curated dataset's rows in memory, bit-packed (0 = ingest only: no automatic refits, no rows held)")
 	flag.Int64Var(&o.refitRows, "refit-rows", 0, "refit a curated dataset once this many rows arrive since its last fit (0 = no row trigger)")
 	flag.DurationVar(&o.refitStale, "refit-staleness", 0, "refit a curated dataset once unfitted rows are older than this (0 = no staleness trigger)")
-	flag.IntVar(&o.fitChunkRows, "fit-chunk-rows", 0, "rows per chunk while a fit decodes its rows; bounds the decode staging, not the packed rows (0 = default 65536)")
 	flag.IntVar(&o.workers, "max-workers", 0, "server-wide sampling/fitting worker budget (0 = all cores)")
 	flag.IntVar(&o.reqPar, "max-request-parallelism", 0, "max workers one request may claim (0 = whole budget)")
 	flag.IntVar(&o.maxRows, "max-rows", server.DefaultMaxSynthesisRows, "max synthetic rows per request")
@@ -152,7 +150,6 @@ func run(o options) error {
 		RefitEpsilon:          o.refitEpsilon,
 		RefitRows:             o.refitRows,
 		RefitStaleness:        o.refitStale,
-		FitChunkRows:          o.fitChunkRows,
 		Logger:                log,
 		Telemetry:             telemetry.NewRegistry(),
 	})

@@ -100,10 +100,11 @@ func TestFitCountsScanBudget(t *testing.T) {
 	}
 }
 
-// TestRefitCountsMatchesConditionals: an incremental refit over a
-// maintained count store reproduces — byte for byte — the noisy
-// conditionals a full-data materialization draws with the same seed and
-// network, at both the serial and parallel settings.
+// TestRefitCountsMatchesConditionals: an incremental refit over rows
+// appended batch by batch, as the curator holds them, reproduces —
+// byte for byte — the noisy conditionals a full-data materialization
+// draws with the same seed and network, at both the serial and
+// parallel settings.
 func TestRefitCountsMatchesConditionals(t *testing.T) {
 	ds := chainData(3000, 7)
 	opt := Options{Epsilon: 0.8, Beta: 0.3, Theta: 4, K: 2, Mode: ModeBinary,
@@ -113,28 +114,17 @@ func TestRefitCountsMatchesConditionals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Maintain a count store the way the curator does: register the
-	// network's AP pairs, accumulate chunks as rows arrive.
-	st := counts.NewStore(ds.Attrs())
-	for _, pair := range m.Network.Pairs {
-		if err := st.Register(pair.Parents, []marginal.Var{pair.X}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for lo := 0; lo < ds.N(); lo += 700 {
-		hi := lo + 700
-		if hi > ds.N() {
-			hi = ds.N()
-		}
-		if err := st.Accumulate(ds.Slice(lo, hi)); err != nil {
-			t.Fatal(err)
-		}
+	// Hold the rows the way the curator does: each 700-row batch
+	// appended, as it arrives, to one packed dataset.
+	rows, err := dataset.Drain(context.Background(), dataset.DatasetSource(ds, 700))
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	for _, par := range []int{1, 2} {
 		refitOpt := Options{Epsilon: 0.56, Mode: ModeBinary, Score: score.F,
 			Parallelism: par, Rand: rand.New(rand.NewSource(33))}
-		got, err := RefitCountsContext(context.Background(), ds.Attrs(), st, m.Network, m.K, refitOpt)
+		got, err := RefitCountsContext(context.Background(), ds.Attrs(), marginal.NewMemorySource(rows, par), m.Network, m.K, refitOpt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,16 +157,7 @@ func TestRefitCountsGeneralMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := counts.NewStore(ds.Attrs())
-	for _, pair := range m.Network.Pairs {
-		if err := st.Register(pair.Parents, []marginal.Var{pair.X}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Accumulate(ds); err != nil {
-		t.Fatal(err)
-	}
-	refit, err := RefitCountsContext(context.Background(), ds.Attrs(), st, m.Network, -1,
+	refit, err := RefitCountsContext(context.Background(), ds.Attrs(), marginal.NewMemorySource(ds, 2), m.Network, -1,
 		Options{Epsilon: 0.7, Mode: ModeGeneral, Score: score.R, Parallelism: 2, Rand: rand.New(rand.NewSource(10))})
 	if err != nil {
 		t.Fatal(err)
@@ -191,10 +172,7 @@ func TestRefitCountsGeneralMode(t *testing.T) {
 // epsilon, empty source, invalid network, bad anchor degree.
 func TestRefitCountsValidation(t *testing.T) {
 	ds := chainData(200, 1)
-	st := counts.NewStore(ds.Attrs())
-	if err := st.Accumulate(ds); err != nil {
-		t.Fatal(err)
-	}
+	st := marginal.NewMemorySource(ds, 2)
 	net := Network{Pairs: []APPair{
 		{X: marginal.Var{Attr: 0}}, {X: marginal.Var{Attr: 1}, Parents: []marginal.Var{{Attr: 0}}}}}
 	good := Options{Epsilon: 1, Mode: ModeBinary, Score: score.F, Rand: rand.New(rand.NewSource(1))}
@@ -210,7 +188,7 @@ func TestRefitCountsValidation(t *testing.T) {
 			t.Errorf("epsilon %g accepted", eps)
 		}
 	}
-	empty := counts.NewStore(ds.Attrs())
+	empty := marginal.NewMemorySource(dataset.New(ds.Attrs()), 2)
 	if _, err := RefitCountsContext(context.Background(), ds.Attrs(), empty, net, 1, good); err == nil {
 		t.Error("empty source accepted")
 	}

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"testing"
 
-	"privbayes/internal/counts"
 	"privbayes/internal/dataset"
 	"privbayes/internal/marginal"
 	"privbayes/internal/score"
@@ -28,7 +27,7 @@ func modelDigest(t *testing.T, m *Model, epsilon float64) string {
 
 // TestFitModelDigests pins the exact bytes of fixed-seed models: each
 // configuration is fitted at parallelism 1 and 3, and each fit is
-// followed by a distribution-only refit over a count store holding the
+// followed by a distribution-only refit over a MemorySource of the
 // same rows, as the curator runs it (general-mode refits get k = −1).
 // The digests cover both algorithm families, the Infinite* references
 // and the consistency post-processing, so any change to the RNG order,
@@ -89,19 +88,11 @@ func TestFitModelDigests(t *testing.T) {
 				t.Errorf("%s parallelism %d: fit digest %s, want %s", tc.name, par, got, tc.fit)
 			}
 
-			st := counts.NewStore(tc.ds.Attrs())
-			for _, pair := range m.Network.Pairs {
-				if err := st.Register(pair.Parents, []marginal.Var{pair.X}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := st.Accumulate(tc.ds); err != nil {
-				t.Fatal(err)
-			}
 			refitOpt := opt
 			refitOpt.Epsilon = 0.7 * opt.Epsilon
 			refitOpt.Rand = rand.New(rand.NewSource(62))
-			refit, err := RefitCountsContext(context.Background(), tc.ds.Attrs(), st, m.Network, m.K, refitOpt)
+			refit, err := RefitCountsContext(context.Background(), tc.ds.Attrs(),
+				marginal.NewMemorySource(tc.ds, par), m.Network, m.K, refitOpt)
 			if err != nil {
 				t.Fatalf("%s parallelism %d refit: %v", tc.name, par, err)
 			}

@@ -249,11 +249,11 @@ func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 // the supplied network structure and materializes fresh noisy
 // conditionals from the count source, spending the whole opt.Epsilon
 // on distribution learning (there is no structure-learning charge, so
-// Beta is ignored). This is the curator's incremental refit — with a
-// counts.Store whose tables were maintained on ingest, no row is
-// re-read at all. k is the binary-mode anchor degree the network was
-// learned with; it is ignored in ModeGeneral, whose Algorithm 3 is
-// Algorithm 1 at k = 0.
+// Beta is ignored). This is the curator's incremental refit, over a
+// marginal.MemorySource of the dataset's resident rows: it counts the
+// network's d tables and scores no candidate. k is the binary-mode
+// anchor degree the network was learned with; it is ignored in
+// ModeGeneral, whose Algorithm 3 is Algorithm 1 at k = 0.
 func RefitCountsContext(ctx context.Context, attrs []dataset.Attribute, cs marginal.CountSource, net Network, k int, opt Options) (*Model, error) {
 	if opt.Rand == nil {
 		return nil, errors.New("core: Options.Rand is required")

@@ -1,3 +1,9 @@
+// Package counts reads a chunked row source for a fit. All of
+// PrivBayes' data access reduces to exact [parents..., child] joint
+// count tables, and every fit counts them one way: a
+// marginal.MemorySource over bit-packed rows. A Provider reads a row
+// source once into such rows and counts every table from them, which
+// is what privbayes.FitScanner does.
 package counts
 
 import (
@@ -10,9 +16,10 @@ import (
 // Provider is the count source behind privbayes.FitScanner. NewProvider
 // reads its row source once, into one bit-packed in-memory dataset, and
 // every CountTables is answered from a marginal.MemorySource over it,
-// so the fit that follows is the in-memory fit. The rows cost 1 bit a
-// cell for binary attributes, 2 bits up to arity 4 and at most 2 bytes
-// otherwise.
+// so the fit that follows is the in-memory fit: the one POST /fit runs
+// on its decoded upload and a curator refit on its resident rows. The
+// rows cost 1 bit a cell for binary attributes, 2 bits up to arity 4
+// and at most 2 bytes otherwise.
 type Provider struct {
 	*marginal.MemorySource
 }

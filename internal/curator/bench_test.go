@@ -3,17 +3,17 @@ package curator
 // Benchmarks behind `make bench-json` (BENCH_curator.json):
 //
 //   - BenchmarkCuratorIngest: acknowledged (fsynced) append throughput
-//     in rows/s through the full Append path — encode, WAL append,
-//     count-store accumulate;
+//     in rows/s through the full Append path of an ingest-only curator
+//     — encode, WAL append;
 //   - BenchmarkFitInMemory and BenchmarkFitScanner: the same fit from
-//     materialized columns and from one decode of a spooled CSV. They
+//     materialized columns and from one decode of a CSV file. They
 //     are recorded unpaired: the in-memory fit takes milliseconds at
 //     this size, so their ratio misstates the out-of-core gap, which
 //     perfbench's fit-outofcore and fit-binary workloads measure;
-//   - BenchmarkRefitIncremental vs BenchmarkRefitCold: what the
-//     maintained count store buys — an incremental refit redraws from
-//     already-aggregated sufficient statistics, a cold refit pays the
-//     full log rescan.
+//   - BenchmarkRefitIncremental vs BenchmarkRefitCold: the two refits
+//     a curator runs over a snapshot of its resident rows — an
+//     incremental refit redraws the known network's conditionals from a
+//     MemorySource, a cold refit learns the structure as well.
 //
 // cmd/benchjson pairs the refit families into the headline ratio
 // refit_cold_vs_incremental.
@@ -30,9 +30,10 @@ import (
 	"privbayes"
 	"privbayes/internal/core"
 	"privbayes/internal/dataset"
+	"privbayes/internal/marginal"
 )
 
-// writeCSVFile spools a dataset to a CSV file for the scanner benches.
+// writeCSVFile writes a dataset to a CSV file for the scanner bench.
 func writeCSVFile(path string, ds *dataset.Dataset) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -139,41 +140,12 @@ func BenchmarkFitScanner(b *testing.B) {
 	})
 }
 
-// benchLog materializes a curator row log holding ds, returning its
-// path — the input of a cold refit.
-func benchLog(b *testing.B, ds *dataset.Dataset) string {
-	b.Helper()
-	dir := b.TempDir()
-	cur, err := New(Config{Dir: dir})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := cur.Create("bench", ds.Attrs()); err != nil {
-		b.Fatal(err)
-	}
-	for lo := 0; lo < ds.N(); lo += MaxBatchRows {
-		hi := lo + MaxBatchRows
-		if hi > ds.N() {
-			hi = ds.N()
-		}
-		if _, err := cur.Append("bench", "", ds.Slice(lo, hi)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := cur.Close(); err != nil {
-		b.Fatal(err)
-	}
-	return filepath.Join(dir, "bench.rows")
-}
-
 func BenchmarkRefitCold(b *testing.B) {
 	b.Run(fmt.Sprintf("rows=%d", benchRows), func(b *testing.B) {
 		ds := benchData(benchRows)
-		path := benchLog(b, ds)
-		src := rowLogSource(nil, path, ds.Attrs(), 8192, int64(ds.N()))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := privbayes.FitScanner(context.Background(), src, benchFitOpts()...); err != nil {
+			if _, err := privbayes.Fit(context.Background(), ds.Snapshot(ds.N()), benchFitOpts()...); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -187,17 +159,10 @@ func BenchmarkRefitIncremental(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		st, err := registeredStore(ds.Attrs(), m0.Network)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := st.Accumulate(ds); err != nil {
-			b.Fatal(err)
-		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, err := core.RefitCountsContext(context.Background(), ds.Attrs(), st,
-				m0.Network, m0.K, core.Options{
+			_, err := core.RefitCountsContext(context.Background(), ds.Attrs(),
+				marginal.NewMemorySource(ds.Snapshot(ds.N()), 2), m0.Network, m0.K, core.Options{
 					Epsilon:     1,
 					Mode:        core.ModeBinary,
 					Score:       m0.Score,

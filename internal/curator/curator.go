@@ -1,7 +1,14 @@
 // Package curator implements the continuous-curation subsystem: per-
-// dataset append-only row logs with crash-safe idempotent ingest,
-// incremental maintenance of the mergeable count store, and budget-
-// metered background refits that republish models atomically.
+// dataset append-only row logs with crash-safe idempotent ingest, and
+// budget-metered background refits that republish models atomically.
+//
+// A curator whose refits are enabled keeps each dataset's rows
+// resident, bit-packed as one dataset.Dataset (1 bit a binary cell, 2
+// bits up to arity 4, 1–2 bytes above), and fits them as the library
+// does: a cold refit is privbayes.Fit over a snapshot of the rows, an
+// incremental one redraws the last network's conditionals from a
+// marginal.MemorySource over it. The row log is read once, at
+// recovery. An ingest-only curator keeps no rows.
 //
 // The crash contract mirrors the serving stack's ledger: a row batch is
 // acknowledged only after its WAL record is fsynced, so acknowledged
@@ -24,7 +31,6 @@ import (
 	"privbayes"
 	"privbayes/internal/accountant"
 	"privbayes/internal/core"
-	"privbayes/internal/counts"
 	"privbayes/internal/dataset"
 	"privbayes/internal/faultfs"
 	"privbayes/internal/marginal"
@@ -56,9 +62,6 @@ type Config struct {
 	RefitMaxStaleness time.Duration
 	// PollInterval is the staleness check cadence; <= 0 selects 15s.
 	PollInterval time.Duration
-	// ChunkRows bounds rows materialized at a time during log scans
-	// (cold fits, store rebuilds); <= 0 selects dataset.DefaultChunkRows.
-	ChunkRows int
 	// FitOptions extend cold refits (seed, degree, β...). ε and
 	// parallelism are always appended by the curator and win.
 	FitOptions []privbayes.Option
@@ -100,9 +103,8 @@ type Curator struct {
 
 // curated is one dataset's live state.
 type curated struct {
-	c    *Curator
-	id   string
-	path string
+	c  *Curator
+	id string
 
 	mu    sync.Mutex
 	log   *wal.Log
@@ -110,16 +112,20 @@ type curated struct {
 	rows  int64
 	keys  map[string]int64 // acknowledged batch key -> rows after that batch
 
-	fit        *fitMarker    // latest fit; nil before the first
-	store      *counts.Store // incremental counts over fit.Network; nil before the first fit
-	dirtySince time.Time     // first unfitted append; zero when model is fresh
+	// resident holds every acknowledged row, in ingest order, when
+	// refits are enabled; nil for ingest-only curation.
+	resident *dataset.Dataset
+
+	fit        *fitMarker // latest fit; nil before the first
+	dirtySince time.Time  // first unfitted append; zero when model is fresh
 	refitting  bool
 	failedRows int64 // rows at the last failed refit; re-armed by new appends
 }
 
 // New opens (or creates) the curator directory and recovers every
 // existing row log in it: replaying metadata, truncating torn tails,
-// and rebuilding incremental count stores for datasets with a fit.
+// and, when refits are enabled, decoding the logged rows into each
+// dataset's resident rows.
 func New(cfg Config) (*Curator, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("curator: Config.Dir is required")
@@ -220,24 +226,29 @@ func (c *Curator) Create(id string, attrs []dataset.Attribute) error {
 		c.fs.Remove(path)
 		return err
 	}
-	c.datasets[id] = &curated{
-		c: c, id: id, path: path, log: log,
+	d := &curated{
+		c: c, id: id, log: log,
 		attrs: append([]dataset.Attribute(nil), attrs...),
 		keys:  map[string]int64{},
 	}
+	if c.refitsEnabled() {
+		d.resident = dataset.New(d.attrs)
+	}
+	c.datasets[id] = d
 	return nil
 }
 
-// recover rebuilds one dataset's state from its row log: schema from
-// the type-0 record, row count and batch keys from type-1 headers
-// (values are not retained), the latest fit marker from type-2 — then
-// one streaming scan to rebuild the incremental count store when a fit
-// exists. A log that holds no record is a Create a crash cut short:
+// recover rebuilds one dataset's state from one read of its row log:
+// schema from the type-0 record, row count and batch keys from type-1
+// records, whose rows it also decodes into the resident rows when
+// refits are enabled (an out-of-domain code then fails recovery), and
+// the latest fit marker from type-2. A log that holds no record is a
+// Create a crash cut short:
 // Create acknowledges only once the schema record is durable, so
 // nothing in it was acknowledged. recover removes it, so the id can be
 // created again, and returns a nil dataset.
 func (c *Curator) recover(id, path string) (*curated, error) {
-	d := &curated{c: c, id: id, path: path, keys: map[string]int64{}}
+	d := &curated{c: c, id: id, keys: map[string]int64{}}
 	log, err := wal.Open(path, wal.Options{FS: c.cfg.FS}, func(_ int64, payload []byte) error {
 		if len(payload) == 0 {
 			return errors.New("empty record")
@@ -249,16 +260,16 @@ func (c *Curator) recover(id, path string) (*curated, error) {
 				return err
 			}
 			d.attrs = attrs
+			if c.refitsEnabled() {
+				d.resident = dataset.New(attrs)
+			}
 		case recRows:
 			if d.attrs == nil {
 				return errors.New("rows record before schema record")
 			}
-			h, err := decodeRowsHeader(payload[1:])
+			h, err := decodeRows(payload[1:], d.attrs, d.resident)
 			if err != nil {
 				return err
-			}
-			if h.d != len(d.attrs) {
-				return fmt.Errorf("rows record has %d columns, schema has %d", h.d, len(d.attrs))
 			}
 			d.rows += int64(h.n)
 			if h.key != "" {
@@ -287,46 +298,12 @@ func (c *Curator) recover(id, path string) (*curated, error) {
 		return nil, errors.New("row log has no schema record")
 	}
 	d.log = log
-	if d.fit != nil {
-		st, err := c.buildStore(d, d.fit.Network, d.rows)
-		if err != nil {
-			log.Close()
-			return nil, err
-		}
-		d.store = st
-	}
 	if d.rows > fitRows(d.fit) {
 		// Unfitted rows exist; their true append time is unknown, so
 		// staleness restarts at recovery.
 		d.dirtySince = time.Now()
 	}
 	return d, nil
-}
-
-// buildStore registers the network's AP pairs in a fresh store and
-// seeds it with one streaming scan over the log's first maxRows rows.
-func (c *Curator) buildStore(d *curated, net core.Network, maxRows int64) (*counts.Store, error) {
-	st, err := registeredStore(d.attrs, net)
-	if err != nil {
-		return nil, err
-	}
-	if maxRows == 0 {
-		return st, nil
-	}
-	if err := st.Scan(context.Background(), rowLogSource(c.fs, d.path, d.attrs, c.cfg.ChunkRows, maxRows)); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-func registeredStore(attrs []dataset.Attribute, net core.Network) (*counts.Store, error) {
-	st := counts.NewStore(attrs)
-	for _, pair := range net.Pairs {
-		if err := st.Register(pair.Parents, []marginal.Var{pair.X}); err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
 }
 
 func fitRows(fm *fitMarker) int64 {
@@ -414,13 +391,12 @@ func (c *Curator) Append(id, key string, batch *dataset.Dataset) (duplicate bool
 	if key != "" {
 		d.keys[key] = d.rows
 	}
-	if d.store != nil {
-		if err := d.store.Accumulate(batch); err != nil {
-			// Counts and log have diverged; drop the store so the next
-			// refit rebuilds it from the log.
-			c.logf("curator %s: count store diverged, dropping: %v", id, err)
-			d.store = nil
+	if d.resident != nil {
+		cols := make([][]uint16, batch.D())
+		for i := range cols {
+			cols[i] = batch.ColumnCodes(i)
 		}
+		d.resident.AppendColumns(cols)
 	}
 	if d.dirtySince.IsZero() {
 		d.dirtySince = time.Now()
@@ -500,9 +476,9 @@ func (c *Curator) StalenessSeconds() float64 {
 	return time.Since(oldest).Seconds()
 }
 
-// StoreCells returns the total live count-table cells across curated
-// datasets — the count-store size gauge (8 bytes of memory per cell).
-func (c *Curator) StoreCells() int {
+// ResidentBytes returns the bytes of packed rows held for refits
+// across curated datasets — the resident-rows gauge.
+func (c *Curator) ResidentBytes() int {
 	c.mu.Lock()
 	ds := make([]*curated, 0, len(c.datasets))
 	for _, d := range c.datasets {
@@ -512,9 +488,8 @@ func (c *Curator) StoreCells() int {
 	total := 0
 	for _, d := range ds {
 		d.mu.Lock()
-		if d.store != nil {
-			cells, _ := d.store.Cells()
-			total += cells
+		if d.resident != nil {
+			total += d.resident.PackedBytes()
 		}
 		d.mu.Unlock()
 	}
@@ -587,8 +562,8 @@ func (c *Curator) refitRand() *rand.Rand {
 }
 
 // runRefit performs one refit end to end: snapshot, idempotent ε
-// charge, fit (incremental over the count store when the network is
-// known, cold over the row log otherwise), publish, durable fit marker.
+// charge, fit (incremental when a network is known, cold otherwise),
+// publish, durable fit marker.
 func (c *Curator) runRefit(d *curated) {
 	defer c.wg.Done()
 	t0 := time.Now()
@@ -610,24 +585,18 @@ func (c *Curator) runRefit(d *curated) {
 func (c *Curator) refit(d *curated) (outcome, kind string, err error) {
 	eps := c.cfg.RefitEpsilon
 
-	// Snapshot under the lock: row count, and for incremental refits a
-	// mergeable copy of the count store, so appends continue during the
-	// fit without perturbing it.
+	// Snapshot the rows under the lock, so appends continue during the
+	// fit without writing into what it reads.
 	d.mu.Lock()
 	rowsAt := d.rows
 	prevFit := d.fit
-	var snap *counts.Store
-	if prevFit != nil && d.store != nil && int64(d.store.Rows()) == rowsAt {
-		if s, cerr := registeredStore(d.attrs, prevFit.Network); cerr == nil && s.Merge(d.store) == nil {
-			snap = s
-		}
-	}
+	snap := d.resident.Snapshot(int(rowsAt))
 	d.mu.Unlock()
 	if rowsAt == 0 {
 		return "skipped", "", nil
 	}
 	kind = "cold"
-	if snap != nil {
+	if prevFit != nil {
 		kind = "incremental"
 	}
 
@@ -681,12 +650,12 @@ func (c *Curator) refit(d *curated) (outcome, kind string, err error) {
 	}
 
 	var m *privbayes.Model
-	if snap != nil {
+	if prevFit != nil {
 		mode := core.ModeGeneral
 		if prevFit.K >= 0 {
 			mode = core.ModeBinary
 		}
-		m, err = core.RefitCountsContext(ctx, d.attrs, snap, prevFit.Network, prevFit.K, core.Options{
+		m, err = core.RefitCountsContext(ctx, d.attrs, marginal.NewMemorySource(snap, par), prevFit.Network, prevFit.K, core.Options{
 			Epsilon:     eps,
 			Mode:        mode,
 			Score:       score.Function(prevFit.Score),
@@ -694,10 +663,9 @@ func (c *Curator) refit(d *curated) (outcome, kind string, err error) {
 			Rand:        c.refitRand(),
 		})
 	} else {
-		src := rowLogSource(c.fs, d.path, d.attrs, c.cfg.ChunkRows, rowsAt)
 		opts := append(append([]privbayes.Option(nil), c.cfg.FitOptions...),
 			privbayes.WithEpsilon(eps), privbayes.WithParallelism(par))
-		m, err = privbayes.FitScanner(ctx, src, opts...)
+		m, err = privbayes.Fit(ctx, snap, opts...)
 	}
 	if err != nil {
 		return "failed", kind, err
@@ -714,8 +682,8 @@ func (c *Curator) refit(d *curated) (outcome, kind string, err error) {
 	return "published", kind, nil
 }
 
-// recordFit writes the durable fit marker and installs the new fit
-// state: marker, refreshed count store, staleness.
+// recordFit writes the durable fit marker and installs it with the
+// staleness it leaves.
 func (c *Curator) recordFit(d *curated, m *privbayes.Model, modelID string, eps float64, kind string, rowsAt int64) error {
 	fm := &fitMarker{
 		ModelID:  modelID,
@@ -731,14 +699,9 @@ func (c *Curator) recordFit(d *curated, m *privbayes.Model, modelID string, eps 
 	if err != nil {
 		return err
 	}
-
-	// Install the new network's store before appends resume counting:
-	// swap in an empty registered store under the lock, then seed it
-	// from the log up to the swap point — concurrent appends accumulate
-	// into the swapped store and merge exactly.
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if err := d.log.Append(payload); err != nil {
-		d.mu.Unlock()
 		return err
 	}
 	d.fit = fm
@@ -747,46 +710,7 @@ func (c *Curator) recordFit(d *curated, m *privbayes.Model, modelID string, eps 
 	} else {
 		d.dirtySince = time.Now()
 	}
-	needSeed := false
-	var seedRows int64
-	if d.store == nil || !sameNetwork(d.store, fm.Network) {
-		st, serr := registeredStore(d.attrs, fm.Network)
-		if serr != nil {
-			d.store = nil
-			d.mu.Unlock()
-			return serr
-		}
-		d.store = st
-		seedRows = d.rows
-		needSeed = seedRows > 0
-	}
-	d.mu.Unlock()
-
-	if needSeed {
-		side, serr := c.buildStore(d, fm.Network, seedRows)
-		if serr == nil {
-			serr = d.store.Merge(side)
-		}
-		if serr != nil {
-			c.logf("curator %s: count store seed failed, next refit will be cold: %v", d.id, serr)
-			d.mu.Lock()
-			d.store = nil
-			d.mu.Unlock()
-		}
-	}
 	return nil
-}
-
-// sameNetwork reports whether the store's registered tables serve the
-// network (it was built by registeredStore for an equal network).
-func sameNetwork(st *counts.Store, net core.Network) bool {
-	for _, pair := range net.Pairs {
-		if !st.Holds(pair.Parents, pair.X) {
-			return false
-		}
-	}
-	_, tables := st.Cells()
-	return tables == len(net.Pairs)
 }
 
 // Close stops background work and closes every row log. In-flight

@@ -7,13 +7,12 @@ import (
 	"privbayes/internal/dataset"
 )
 
-// FuzzAppendRows throws arbitrary bytes at the row-record codec — the
-// header parser every recovery runs and the per-row decoder every
-// cold-refit scan runs over disk-resident (and therefore untrusted) log
-// payloads. Whatever the
-// bytes, decoding must never panic, and anything that decodes must
-// round-trip: re-encoding the decoded batch under the decoded key
-// yields a payload that decodes to the identical rows.
+// FuzzAppendRows throws arbitrary bytes at the row-record codec —
+// decodeRows, which recovery runs over every disk-resident (and
+// therefore untrusted) logged batch to fill a dataset's resident rows.
+// Whatever the bytes, decoding must never panic, and anything that
+// decodes must round-trip: re-encoding the decoded batch under the
+// decoded key yields a payload that decodes to the identical rows.
 func FuzzAppendRows(f *testing.F) {
 	attrs := []dataset.Attribute{
 		dataset.NewCategorical("a", []string{"0", "1"}),
@@ -34,17 +33,10 @@ func FuzzAppendRows(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 1, 0, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		h, err := decodeRowsHeader(payload)
-		if err != nil || h.d != len(attrs) {
+		got := dataset.New(attrs)
+		h, err := decodeRows(payload, attrs, got)
+		if err != nil {
 			return
-		}
-		got := dataset.NewWithCapacity(attrs, h.n)
-		rec := make([]uint16, h.d)
-		for vals := payload[h.valsOff:]; len(vals) > 0; vals = vals[2*h.d:] {
-			if err := decodeRow(rec, vals, attrs); err != nil {
-				return
-			}
-			got.Append(rec)
 		}
 		if got.N() != h.n {
 			t.Fatalf("decoded %d rows, header says %d", got.N(), h.n)

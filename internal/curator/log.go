@@ -10,27 +10,25 @@ package curator
 //	  idempotency key ("" for fire-and-forget appends).
 //	type 2 "fit":    JSON fitMarker — a completed, published refit:
 //	  model id, ε, the row count the fit covered, and the learned
-//	  network, so a restart can rebuild the incremental count store
-//	  without refitting.
+//	  network, so after a restart the next refit is incremental.
 //
 // The WAL's fsync-then-acknowledge contract gives the curator its
 // crash semantics for free: an acknowledged batch is on stable storage
 // before the HTTP 200 leaves the process, and a batch torn by a crash
 // was never acknowledged and vanishes at recovery. This file owns only
-// the payload encodings: the framing is read by internal/wal alone,
-// and logged rows reach a fit through internal/dataset's chunk loop.
+// the payload encodings: the framing is read by internal/wal alone.
+// The log is read once, at recovery, which decodes every rows record
+// into the dataset's resident rows when refits are enabled; refits
+// never read it.
 
 import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"privbayes/internal/core"
 	"privbayes/internal/dataset"
-	"privbayes/internal/faultfs"
-	"privbayes/internal/wal"
 )
 
 // Record type tags.
@@ -171,85 +169,46 @@ func decodeRowsHeader(payload []byte) (rowsHeader, error) {
 	return h, nil
 }
 
-// decodeRow decodes the first row of a rows record's value block into
-// rec, checking every code against its attribute's domain.
-func decodeRow(rec []uint16, vals []byte, attrs []dataset.Attribute) error {
-	for c := range rec {
-		v := binary.LittleEndian.Uint16(vals[2*c:])
-		if int(v) >= attrs[c].Size() {
-			return fmt.Errorf("column %d: code %d out of domain [0, %d)", c, v, attrs[c].Size())
-		}
-		rec[c] = v
+// decodeRows decodes a type-1 record's payload (after the type tag)
+// against the schema: the header, and when dst is not nil every row,
+// each code checked against its attribute's domain and appended to dst
+// 4 096 rows at a time. It is the decoder recovery runs over every
+// logged batch.
+func decodeRows(payload []byte, attrs []dataset.Attribute, dst *dataset.Dataset) (rowsHeader, error) {
+	h, err := decodeRowsHeader(payload)
+	if err != nil {
+		return h, err
 	}
-	return nil
-}
-
-// rowLogSource builds a re-scannable chunk source over the row log at
-// path, read through fs: the out-of-core fit path of a cold refit and
-// the count-store seed. The WAL reader yields intact records in order
-// and only type-1 records contribute rows. maxRows > 0 bounds the scan
-// to the first maxRows ingested rows — the snapshot that lets a fit
-// scan a log other clients are still appending to — and a log that
-// ends before them is damaged: every snapshot row was acknowledged.
-func rowLogSource(fs faultfs.FS, path string, attrs []dataset.Attribute, chunkRows int, maxRows int64) *dataset.ChunkSource {
-	return &dataset.ChunkSource{
-		Attrs:     attrs,
-		ChunkRows: chunkRows,
-		Open: func() (dataset.Scanner, error) {
-			r, err := wal.OpenReader(fs, path)
-			if err != nil {
-				return nil, err
+	if h.d != len(attrs) {
+		return h, fmt.Errorf("curator: rows record has %d columns, schema has %d", h.d, len(attrs))
+	}
+	if dst == nil {
+		return h, nil
+	}
+	const block = 4096
+	vals := payload[h.valsOff:]
+	stage := make([][]uint16, h.d)
+	for c := range stage {
+		stage[c] = make([]uint16, min(h.n, block))
+	}
+	for lo := 0; lo < h.n; lo += block {
+		rows := min(block, h.n-lo)
+		for r := 0; r < rows; r++ {
+			for c, col := range stage {
+				v := binary.LittleEndian.Uint16(vals[2*((lo+r)*h.d+c):])
+				if int(v) >= attrs[c].Size() {
+					return h, fmt.Errorf("curator: rows record row %d, column %d: code %d out of domain [0, %d)",
+						lo+r, c, v, attrs[c].Size())
+				}
+				col[r] = v
 			}
-			rows := &rowLogRows{r: r, path: path, attrs: attrs, maxRows: maxRows}
-			return dataset.ScanRows(attrs, chunkRows, rows.read, r), nil
-		},
+		}
+		for c := range stage {
+			stage[c] = stage[c][:rows]
+		}
+		dst.AppendColumns(stage)
 	}
-}
-
-// rowLogRows decodes one logged row per read, taking the next type-1
-// record off the WAL reader once the current one is spent. Batch
-// boundaries never reach the chunk loop, so the row stream is the
-// ingest order however appends were batched.
-type rowLogRows struct {
-	r       *wal.Reader
-	path    string
-	attrs   []dataset.Attribute
-	vals    []byte // the current record's undecoded rows; valid until r.Next
-	rows    int64  // rows decoded so far
-	maxRows int64  // snapshot bound; <= 0 reads to the end of the log
-}
-
-func (s *rowLogRows) read(rec []uint16) error {
-	if s.maxRows > 0 && s.rows == s.maxRows {
-		return io.EOF
-	}
-	for len(s.vals) == 0 {
-		_, payload, err := s.r.Next()
-		if err == io.EOF && s.maxRows > 0 {
-			return fmt.Errorf("curator: row log %s ends after %d of the snapshot's %d rows: %w",
-				s.path, s.rows, s.maxRows, wal.ErrCorrupt)
-		}
-		if err != nil {
-			return err
-		}
-		if payload[0] != recRows {
-			continue
-		}
-		h, err := decodeRowsHeader(payload[1:])
-		if err != nil {
-			return err
-		}
-		if h.d != len(s.attrs) {
-			return fmt.Errorf("curator: rows record has %d columns, schema has %d", h.d, len(s.attrs))
-		}
-		s.vals = payload[1+h.valsOff:]
-	}
-	if err := decodeRow(rec, s.vals, s.attrs); err != nil {
-		return fmt.Errorf("curator: %s row %d: %w", s.path, s.rows, err)
-	}
-	s.vals = s.vals[2*len(rec):]
-	s.rows++
-	return nil
+	return h, nil
 }
 
 // nowUnixNano is a seam for tests that pin time.

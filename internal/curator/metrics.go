@@ -14,7 +14,7 @@ type Metrics struct {
 }
 
 // NewMetrics registers the curator counter and histogram families on r.
-// The gauges (dataset count, staleness, count-store cells) are sampled
+// The gauges (dataset count, staleness, resident row bytes) are sampled
 // from the live curator and attach when New wires a curator to this
 // catalog. A nil registry returns a usable catalog whose instruments
 // all no-op.
@@ -46,9 +46,9 @@ func (m *Metrics) observe(c *Curator) {
 	m.r.GaugeFunc("privbayes_curator_staleness_seconds",
 		"Age in seconds of the oldest unfitted append across curated datasets (0 when all models are fresh).",
 		c.StalenessSeconds)
-	m.r.GaugeFunc("privbayes_curator_count_store_cells",
-		"Live incremental count-table cells across curated datasets.",
-		func() float64 { return float64(c.StoreCells()) })
+	m.r.GaugeFunc("privbayes_curator_resident_bytes",
+		"Bytes of packed rows held in memory for refits across curated datasets.",
+		func() float64 { return float64(c.ResidentBytes()) })
 }
 
 func (m *Metrics) batch(outcome string, rows int) {

@@ -60,6 +60,33 @@ func (d *Dataset) Slice(lo, hi int) *Dataset {
 	return s
 }
 
+// Snapshot returns rows [0, n) as a dataset that later appends to d
+// never write into, so it can be read while d keeps growing; only the
+// call itself must be serialized with the appends. Byte- and
+// short-coded columns are shared views, since an append writes only
+// past their end. A bit-packed column's last word can hold rows on
+// both sides of n, and an append ORs into it, so its planes are
+// copied: n/64 words each.
+func (d *Dataset) Snapshot(n int) *Dataset {
+	s := d.Slice(0, n)
+	for i, c := range s.cols {
+		if c.planes != nil {
+			s.cols[i] = c.clone()
+		}
+	}
+	return s
+}
+
+// PackedBytes returns the bytes the rows occupy in their columns: 1
+// bit a binary cell, 2 bits up to arity 4, 1 or 2 bytes above.
+func (d *Dataset) PackedBytes() int {
+	total := 0
+	for _, c := range d.cols {
+		total += (c.n*c.width + 7) / 8
+	}
+	return total
+}
+
 // N returns the number of rows.
 func (d *Dataset) N() int { return d.n }
 

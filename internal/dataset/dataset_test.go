@@ -77,6 +77,48 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestSnapshotOwnsPackedPlanes: a snapshot keeps its rows while the
+// dataset grows past them. It shares byte- and short-coded storage and
+// owns its bit-packed planes, whose last word holds rows on both sides
+// of the snapshot and which an append ORs into.
+func TestSnapshotOwnsPackedPlanes(t *testing.T) {
+	attrs := []Attribute{
+		NewCategorical("bit", []string{"0", "1"}),
+		NewCategorical("two", []string{"a", "b", "c"}),
+		NewContinuous("byte", 0, 1, 16),
+		NewContinuous("short", 0, 1, 300),
+	}
+	d := New(attrs)
+	fill(t, d, 100, 3)
+	want := d.Clone()
+	s := d.Snapshot(100)
+	for c := 0; c < 2; c++ {
+		if &s.cols[c].planes[0][0] == &d.cols[c].planes[0][0] {
+			t.Errorf("column %d: snapshot shares its bit planes", c)
+		}
+	}
+	if &s.cols[2].b8[0] != &d.cols[2].b8[0] || &s.cols[3].b16[0] != &d.cols[3].b16[0] {
+		t.Error("snapshot copied a byte- or short-coded column")
+	}
+	for i := 0; i < 50; i++ {
+		d.Append([]uint16{1, 2, 15, 299})
+	}
+	if s.N() != 100 {
+		t.Fatalf("snapshot has %d rows, want 100", s.N())
+	}
+	for r := 0; r < 100; r++ {
+		for c := range attrs {
+			if s.Value(r, c) != want.Value(r, c) {
+				t.Fatalf("row %d col %d: snapshot %d, want %d", r, c, s.Value(r, c), want.Value(r, c))
+			}
+		}
+	}
+	// 100 rows: 13 bytes of one bit, 25 of two bits, 100 bytes, 200.
+	if got := s.PackedBytes(); got != 338 {
+		t.Errorf("PackedBytes = %d, want 338", got)
+	}
+}
+
 func TestSubsetPreservesOrder(t *testing.T) {
 	d := New(testSchema())
 	fill(t, d, 20, 2)

@@ -3,12 +3,12 @@ package dataset
 // Row decoding: the one place CSV and JSONL rows become attribute
 // codes. A Scanner yields the rows of a source as a sequence of small
 // Dataset chunks, so text of any length decodes through bounded
-// staging; ScanRows opens the same chunk loop to the curator's row
-// logs. One drain loop packs a scanner's chunks into one bit-packed
-// in-memory dataset: ReadCSV and ReadJSONL run it over a reader, and
-// Drain over a ChunkSource, which is how the out-of-core fit reads its
-// source exactly once. A ChunkSource makes a scanner reopenable, so
-// one source can back many fits and the curator's count-store scans.
+// staging. One drain loop packs a scanner's chunks into one bit-packed
+// in-memory dataset: ReadCSV and ReadJSONL run it over a reader (a
+// POST /fit upload, a row append), and Drain over a ChunkSource, which
+// is how the out-of-core fit reads its source exactly once. A
+// ChunkSource makes a scanner reopenable, so one source can back many
+// fits.
 
 import (
 	"bufio"
@@ -186,17 +186,6 @@ func readAll(ctx context.Context, attrs []Attribute, sc Scanner, maxRows int) (*
 			return nil, err
 		}
 	}
-}
-
-// ScanRows returns the chunk loop over a row source that read decodes
-// one row at a time: read writes the next row's codes into rec, each
-// below its attribute's Size, and returns io.EOF after the last row.
-// Close closes closer (nil for none). It is how row formats outside
-// this package (the curator's row logs) reach the one chunk loop.
-func ScanRows(attrs []Attribute, chunkRows int, read func(rec []uint16) error, closer io.Closer) Scanner {
-	s := newRowScanner(attrs, chunkRows, read)
-	s.closer = closer
-	return s
 }
 
 // rowScanner is the one chunk loop behind every decoder. read decodes

@@ -11,11 +11,12 @@ import (
 // CountSource supplies exact integer joint count tables without
 // exposing rows. It is the one seam between the fit pipeline and the
 // data: everything PrivBayes learns reduces to the schema, the row
-// count, and [parents..., child] count tables, so the columnar dataset
-// in memory (MemorySource, which counts.Provider fills from one scan
-// of a row source) and an incrementally maintained store
-// (counts.Store) drive the exact same greedy search and conditional
-// materialization.
+// count, and [parents..., child] count tables. Every fit counts through
+// its one implementation, MemorySource: the in-memory fit, the
+// out-of-core fit (counts.Provider fills it from one scan of a row
+// source) and curator refits (over a snapshot of the resident rows).
+// The interface remains the seam through which a caller wraps the
+// counting, as perfbench's traced fit does.
 //
 // CountTables must return, for each child, the table MaterializeCounts
 // would produce over the full dataset: laid out [parents..., child]

@@ -13,54 +13,12 @@ package server
 
 import (
 	"errors"
-	"io"
 	"net/http"
-	"os"
 	"sort"
 
 	"privbayes/internal/curator"
 	"privbayes/internal/dataset"
 )
-
-// spoolCSV streams an upload to a temporary file so fitting can scan it
-// in bounded chunks. The caller removes the returned path.
-func (s *Server) spoolCSV(r io.Reader) (string, error) {
-	f, err := os.CreateTemp("", "privbayes-fit-*.csv")
-	if err != nil {
-		return "", err
-	}
-	path := f.Name()
-	_, err = io.Copy(f, r)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(path)
-		return "", err
-	}
-	return path, nil
-}
-
-// probeCSV validates a spooled upload's header and first row without
-// scanning the rest, so malformed uploads reject before any fit work.
-func probeCSV(path string, attrs []dataset.Attribute) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc, err := dataset.ScanCSV(f, attrs, 1)
-	if err != nil {
-		return err
-	}
-	if _, err := sc.Next(); err != nil {
-		if err == io.EOF {
-			return errors.New("data part has no rows")
-		}
-		return err
-	}
-	return nil
-}
 
 // requireCurator gates the /datasets handlers.
 func (s *Server) requireCurator(w http.ResponseWriter) bool {

@@ -229,3 +229,26 @@ func TestFitMultipartErrorPaths(t *testing.T) {
 		t.Errorf("ledger spent %g after rejected fits, want 0", spent)
 	}
 }
+
+// TestFitOversizedDataGets413: a data part that blows the upload cap
+// while it decodes is a 413, and the charge made before its first row
+// was read is refunded.
+func TestFitOversizedDataGets413(t *testing.T) {
+	ledger := accountant.New(1.0)
+	_, c, _ := newTestServer(t, Config{Ledger: ledger, MaxUploadBytes: 16 << 10})
+	schema := `[{"name":"employed","kind":"categorical","labels":["no","yes"]}]`
+	data := "employed\n" + strings.Repeat("yes\nno\n", 8000) // 56 KiB
+	body, ct := multipartBody(t, [][2]string{{"dataset_id", "d1"}, {"epsilon", "0.5"},
+		{"schema", schema}, {"data", data}})
+	status, msg := rawRequest(t, "POST", c.BaseURL+"/fit", ct, body)
+	if status != http.StatusRequestEntityTooLarge {
+		t.Errorf("status = %d (%s), want 413", status, msg)
+	}
+	e, charged := ledger.Snapshot()["d1"]
+	if !charged {
+		t.Fatal("the fit was refused before its charge; the cap must fail the data part's decode")
+	}
+	if e.Spent != 0 {
+		t.Errorf("ledger spent %g after the oversized fit, want 0", e.Spent)
+	}
+}

@@ -98,7 +98,8 @@ type Config struct {
 	// up. Empty disables curation.
 	CuratorDir string
 	// RefitEpsilon is the ε charged per background refit of a curated
-	// dataset; <= 0 disables refits (ingest-only curation).
+	// dataset; <= 0 disables refits (ingest-only curation). With
+	// refits on, each curated dataset's rows stay in memory, bit-packed.
 	RefitEpsilon float64
 	// RefitRows triggers a background refit once that many rows have
 	// accumulated beyond the last fitted model; <= 0 disables the row
@@ -110,11 +111,6 @@ type Config struct {
 	// CuratorPollInterval is the staleness check cadence; <= 0 selects
 	// the curator default.
 	CuratorPollInterval time.Duration
-	// FitChunkRows bounds the rows staged for decoding at a time while
-	// a fit reads its rows (POST /fit reads its spooled upload, curator
-	// cold refits the row log) into bit-packed columns; <= 0 selects
-	// the scanner default.
-	FitChunkRows int
 	// FS is the filesystem seam for model-artifact persistence; nil
 	// selects the real filesystem. Tests inject write/sync/rename
 	// faults and crashes here (internal/faultfs).
@@ -230,7 +226,6 @@ func New(cfg Config) (*Server, error) {
 			RefitRows:         cfg.RefitRows,
 			RefitMaxStaleness: cfg.RefitStaleness,
 			PollInterval:      cfg.CuratorPollInterval,
-			ChunkRows:         cfg.FitChunkRows,
 			Acquire: func(ctx context.Context, want int) (int, func(), error) {
 				return s.workers.acquire(ctx, s.requestWorkers(want), false)
 			},
@@ -720,7 +715,8 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 // with 403 and computes nothing. The multipart fields are dataset_id,
 // epsilon, schema (JSON array of AttrSpec), and optionally model_id,
 // seed and parallelism; the CSV part must be named "data" and come
-// last, so the upload streams without buffering.
+// last, so it is decoded as it streams in, after the charge, into
+// packed rows: the upload's text is never held.
 //
 // An Idempotency-Key header makes the fit safe to retry after an
 // ambiguous failure (connection cut after the request was sent): the
@@ -773,13 +769,10 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		par                int
 		specs              []AttrSpec
 		attrs              []dataset.Attribute
-		spool              string // temp file holding the spooled CSV
+		rows               *dataset.Dataset // the decoded data part
 		spend              *accountant.Spend
 	)
 	defer func() {
-		if spool != "" {
-			os.Remove(spool)
-		}
 		// Every return before the model is registered released nothing
 		// observable, so the charge is returned (sequential composition
 		// meters releases); a keyed refund also forgets the key, so a
@@ -807,7 +800,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		// fields in hand when it arrives, so a field accepted afterwards
 		// could change ε (or the dataset id) after metering — a
 		// privacy-accounting bypass. Reject instead.
-		if spool != "" {
+		if rows != nil {
 			writeError(w, http.StatusBadRequest, "field %q after the data part; data must come last", name)
 			return
 		}
@@ -866,15 +859,19 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 			}
-			// Spool the CSV to disk instead of holding its text: the fit
-			// below reads the spool file once, in bounded chunks, into
-			// bit-packed columns (1 bit a binary cell). The 413 cap still
-			// applies — MaxBytesReader fails the copy.
-			spool, err = s.spoolCSV(part)
+			// Decode the CSV straight off the request into bit-packed
+			// columns (1 bit a binary cell), 4 096 rows of staging at a
+			// time: the upload's text is never held. The 413 cap still
+			// applies — MaxBytesReader fails the read.
+			rows, err = dataset.ReadCSV(part, attrs)
 			if err != nil {
 				// statusFor distinguishes an upload that blew the size
-				// cap (413) from an unreadable body (400).
+				// cap (413) from an undecodable one (400).
 				writeError(w, statusFor(err), "%v", err)
+				return
+			}
+			if rows.N() == 0 {
+				writeError(w, http.StatusBadRequest, "data part has no rows")
 				return
 			}
 			continue
@@ -927,15 +924,8 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if spool == "" {
+	if rows == nil {
 		writeError(w, http.StatusBadRequest, "missing data part")
-		return
-	}
-	// Probe the spooled file before committing workers to the fit: a bad
-	// header, an undecodable first row, or an empty body reject here with
-	// the same diagnostics the in-memory decode used to produce.
-	if err := probeCSV(spool, attrs); err != nil {
-		writeError(w, statusFor(err), "%v", err)
 		return
 	}
 	if _, _, err := s.registry.Get(modelID); err == nil {
@@ -969,11 +959,9 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		pt := &phaseTimer{m: s.metrics}
 		fitOpts = append(fitOpts, privbayes.WithProgress(pt.observe))
 	}
-	// The fit reads the spool file once, FitChunkRows rows at a time,
-	// into bit-packed columns and fits from them in memory: the rows
-	// cost 1 bit a binary cell, not the upload's text, and the fitted
-	// model is byte-identical to the in-memory path for the same seed.
-	model, err := privbayes.FitScanner(r.Context(), privbayes.CSVSource(spool, attrs, s.cfg.FitChunkRows), fitOpts...)
+	// The fit counts the decoded rows in memory, as the library's Fit
+	// and FitScanner do: the same seed gives the same model bytes.
+	model, err := privbayes.Fit(r.Context(), rows, fitOpts...)
 	release()
 	if err != nil {
 		s.metrics.fits.With("failed").Inc()
