@@ -71,6 +71,9 @@ perfbench-smoke:
 # writes rows/s per configuration to BENCH_serving.json.
 # Each bench run lands in a temp file first so a benchmark failure fails
 # the target instead of being masked by the pipe into the converter.
+# Curator: ingest, the in-memory and out-of-core fits and the cold and
+# incremental refits, five runs each (-count 5); benchjson reports each
+# benchmark's median, so a single slow run does not set its figure.
 # bench-json also refreshes BENCH_quality.json, but without the
 # threshold gate (-check=false): artifact generation must not fail on a
 # quality regression — the dedicated `quality` target / CI job owns the
@@ -102,7 +105,7 @@ bench-json:
 	@rm -f bench_telemetry.out
 	@cat BENCH_telemetry.json
 	$(GO) test -run NONE -bench 'BenchmarkCuratorIngest|BenchmarkFit(InMemory|Scanner)|BenchmarkRefit(Cold|Incremental)' \
-		-benchtime 1s ./internal/curator > bench_curator.out
+		-benchtime 1s -count 5 ./internal/curator > bench_curator.out
 	$(GO) run ./cmd/benchjson -in bench_curator.out > BENCH_curator.json
 	@rm -f bench_curator.out
 	@cat BENCH_curator.json

@@ -3,9 +3,11 @@
 // as artifacts (see the Makefile's bench-json target, which writes
 // BENCH_scoring.json) and diffed across commits without screen-scraping.
 //
-// Besides the per-benchmark table it pairs each fast benchmark family's
-// <sub> results with its baseline family's (speedupPairs) and reports
-// the speedups.
+// The repeated lines of one benchmark (go test -count N) are folded into
+// one entry holding their median iterations, ns/op and metrics. Besides
+// the per-benchmark table it pairs each fast benchmark family's <sub>
+// results with its baseline family's (speedupPairs) and reports the
+// speedups of those medians.
 //
 // Usage:
 //
@@ -17,7 +19,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -95,7 +99,53 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 	if len(rep.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark lines on stdin")
 	}
+	rep.Benchmarks = fold(rep.Benchmarks)
 	return rep, nil
+}
+
+// fold merges the lines of each benchmark into one entry holding the
+// median of every value over its lines, in the order the benchmarks
+// first appear. A benchmark of one line is kept as it is.
+func fold(lines []Benchmark) []Benchmark {
+	var names []string
+	runs := map[string][]Benchmark{}
+	for _, b := range lines {
+		if _, ok := runs[b.Name]; !ok {
+			names = append(names, b.Name)
+		}
+		runs[b.Name] = append(runs[b.Name], b)
+	}
+	out := make([]Benchmark, len(names))
+	for i, name := range names {
+		var iters, ns []float64
+		metrics := map[string][]float64{}
+		for _, r := range runs[name] {
+			iters, ns = append(iters, float64(r.Iterations)), append(ns, r.NsPerOp)
+			for unit, v := range r.Metrics {
+				metrics[unit] = append(metrics[unit], v)
+			}
+		}
+		b := Benchmark{Name: name, Iterations: int64(math.Round(median(iters))), NsPerOp: median(ns)}
+		for unit, vs := range metrics {
+			if b.Metrics == nil {
+				b.Metrics = map[string]float64{}
+			}
+			b.Metrics[unit] = median(vs)
+		}
+		out[i] = b
+	}
+	return out
+}
+
+// median returns the middle of vs, or the mean of its middle two; it
+// sorts vs in place.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	m := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[m]
+	}
+	return (vs[m-1] + vs[m]) / 2
 }
 
 // parseBenchLine parses "BenchmarkX/sub-8  100  123 ns/op  4 B/op ...".

@@ -17,10 +17,11 @@
 //
 // The ledger is a crash-safe write-ahead log: every ε charge is fsynced
 // before it is acknowledged, so kill -9 can neither lose a committed
-// charge nor double-spend the budget. Legacy JSON ledger files are
-// migrated in place on first open. A corrupt ledger refuses startup;
+// charge nor double-spend the budget. A corrupt ledger refuses startup;
 // -ledger-fsck truncates it at the first damaged record after the
-// operator has decided the tail is expendable.
+// operator has decided the tail is expendable. A file that is not a
+// ledger WAL (such as the JSON document releases before the WAL wrote)
+// refuses startup even under -ledger-fsck.
 //
 // The daemon prints "listening on <addr>" once the socket is bound, so
 // -addr 127.0.0.1:0 works for tests and local experiments.
@@ -75,7 +76,7 @@ func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":8131", "listen address (host:port; port 0 picks a free port)")
 	flag.StringVar(&o.modelsDir, "models-dir", "models", "directory of model artifacts loaded at startup and receiving new fits/uploads")
-	flag.StringVar(&o.ledgerPath, "ledger", "", "privacy-budget ledger WAL for curator mode (empty = in-memory ledger; legacy JSON ledgers migrate in place)")
+	flag.StringVar(&o.ledgerPath, "ledger", "", "privacy-budget ledger WAL for curator mode, created if missing (empty = in-memory ledger)")
 	flag.BoolVar(&o.ledgerFsck, "ledger-fsck", false, "repair a corrupt ledger by truncating it at the first damaged record, then continue startup (records from the damage onward are lost)")
 	flag.Float64Var(&o.budget, "budget", 2.0, "default per-dataset ε budget for curator-mode fits")
 	flag.StringVar(&o.curatorDir, "curator-dir", "", "directory of crash-safe row logs for continuously curated datasets (empty = /datasets endpoints disabled)")

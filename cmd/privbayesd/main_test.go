@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -106,7 +107,7 @@ func TestPrivbayesdEndToEnd(t *testing.T) {
 	work := t.TempDir()
 	base := startDaemon(t, bin,
 		"-models-dir", filepath.Join(work, "models"),
-		"-ledger", filepath.Join(work, "ledger.json"),
+		"-ledger", filepath.Join(work, "ledger.wal"),
 		"-budget", "1.0",
 	)
 	c := server.NewClient(base)
@@ -209,7 +210,7 @@ func TestPrivbayesdRestartKeepsLedgerAndModels(t *testing.T) {
 	bin := buildBinary(t)
 	work := t.TempDir()
 	modelsDir := filepath.Join(work, "models")
-	ledgerPath := filepath.Join(work, "ledger.json")
+	ledgerPath := filepath.Join(work, "ledger.wal")
 	args := []string{"-models-dir", modelsDir, "-ledger", ledgerPath, "-budget", "1.0"}
 
 	attrs := []dataset.Attribute{
@@ -270,6 +271,32 @@ func curatorCSV2(t *testing.T, attrs []dataset.Attribute, n int) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestPrivbayesdRefusesPreWALLedger: a ledger written as one JSON
+// document, as releases before the WAL wrote it, is not converted; the
+// daemon exits non-zero on it, -ledger-fsck included, and leaves it as
+// it was.
+func TestPrivbayesdRefusesPreWALLedger(t *testing.T) {
+	bin := buildBinary(t)
+	work := t.TempDir()
+	ledgerPath := filepath.Join(work, "ledger.json")
+	doc := []byte(`{"version":1,"default_budget":2,"datasets":{"survey":{"spent":0.7,"budget":2}}}`)
+	if err := os.WriteFile(ledgerPath, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, fsck := range []bool{false, true} {
+		args := []string{"-addr", "127.0.0.1:0", "-models-dir", filepath.Join(work, "models"),
+			"-ledger", ledgerPath, fmt.Sprintf("-ledger-fsck=%v", fsck)}
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() == 0 || !strings.Contains(string(out), "corrupt") {
+			t.Errorf("fsck %v: err = %v, output %q; want a non-zero exit naming the corrupt ledger", fsck, err, out)
+		}
+		if got, err := os.ReadFile(ledgerPath); err != nil || !bytes.Equal(got, doc) {
+			t.Errorf("fsck %v: refused ledger changed (err %v)", fsck, err)
+		}
+	}
 }
 
 func TestPrivbayesdVersionFlag(t *testing.T) {

@@ -17,17 +17,16 @@
 // double-spend ε on recovery; the log compacts itself into checkpoints
 // as it grows, and charges may carry an idempotency key so a retried
 // fit after an ambiguous failure charges exactly once even across a
-// crash and restart. Ledgers written by earlier releases as one JSON
-// document are migrated to the log in place on first open.
+// crash and restart. The log holds three kinds of record: charge,
+// refund and checkpoint; a file that is not such a log is refused as
+// corrupt.
 package accountant
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"privbayes/internal/wal"
@@ -105,16 +104,6 @@ func (e Entry) Remaining() float64 {
 	return 0
 }
 
-// ledgerVersion guards the legacy JSON format.
-const ledgerVersion = 1
-
-// ledgerJSON is the legacy on-disk document, read only to migrate it.
-type ledgerJSON struct {
-	Version       int              `json:"version"`
-	DefaultBudget float64          `json:"default_budget"`
-	Datasets      map[string]Entry `json:"datasets"`
-}
-
 // Ledger is a concurrency-safe sequential-composition ledger of ε per
 // dataset id. All mutations are serialized and — when the ledger is
 // file-backed — durably persisted before they are acknowledged, so a
@@ -154,40 +143,14 @@ type keyInfo struct {
 // forgotten first, after which a very stale retry would charge again.
 const maxIdemKeys = 4096
 
-// New creates an in-memory ledger. Datasets not configured via
-// SetBudget get defaultBudget, which must be positive.
+// New creates an in-memory ledger. A dataset's first charge records
+// defaultBudget, which must be positive, as its budget.
 func New(defaultBudget float64) *Ledger {
 	if !(defaultBudget > 0) {
 		panic(fmt.Sprintf("accountant: default budget must be positive, got %g", defaultBudget))
 	}
 	return &Ledger{defaultBudget: defaultBudget,
 		datasets: map[string]Entry{}, keys: map[string]keyInfo{}}
-}
-
-// parseLegacy decodes and validates the rewrite-everything JSON format.
-func parseLegacy(path string, raw []byte) (map[string]Entry, error) {
-	// DisallowUnknownFields makes a clobbered ledger fail closed: if
-	// some other JSON document (say, a persisted model artifact) lands
-	// on this path, refusing to start beats silently loading an empty
-	// ledger and erasing every recorded ε spend.
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var doc ledgerJSON
-	if err := dec.Decode(&doc); err != nil {
-		return nil, &CorruptError{Path: path, Offset: dec.InputOffset(),
-			Reason: fmt.Sprintf("parse legacy ledger: %v", err)}
-	}
-	if doc.Version != ledgerVersion {
-		return nil, fmt.Errorf("accountant: ledger %s has unsupported version %d", path, doc.Version)
-	}
-	out := make(map[string]Entry, len(doc.Datasets))
-	for id, e := range doc.Datasets {
-		if !e.valid() {
-			return nil, fmt.Errorf("accountant: ledger %s: dataset %q has invalid entry (spent %g, budget %g)", path, id, e.Spent, e.Budget)
-		}
-		out[id] = e
-	}
-	return out, nil
 }
 
 // entryLocked returns the dataset's entry, materializing the default
@@ -330,35 +293,6 @@ func (s *Spend) Refund() error {
 	return nil
 }
 
-// SetBudget configures a dataset's total allowance, keeping any spend
-// already recorded. Lowering the budget below the recorded spend is
-// allowed — further charges simply fail.
-func (l *Ledger) SetBudget(dataset string, budget float64) error {
-	if dataset == "" {
-		return errors.New("accountant: empty dataset id")
-	}
-	if !(budget > 0) || math.IsInf(budget, 1) {
-		return fmt.Errorf("accountant: budget must be positive and finite, got %g", budget)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	e := l.entryLocked(dataset)
-	prev, had := l.datasets[dataset]
-	e.Budget = budget
-	l.datasets[dataset] = e
-	rec := walRecord{Op: opBudget, Dataset: dataset, Spent: e.Spent, Budget: e.Budget}
-	if err := l.commitLocked(rec); err != nil {
-		if had {
-			l.datasets[dataset] = prev
-		} else {
-			delete(l.datasets, dataset)
-		}
-		return err
-	}
-	l.m.setState(dataset, e)
-	return nil
-}
-
 // addKeyLocked records key, evicting the oldest when over cap.
 func (l *Ledger) addKeyLocked(key string, info keyInfo) {
 	if _, ok := l.keys[key]; !ok {
@@ -403,18 +337,6 @@ func (l *Ledger) Snapshot() map[string]Entry {
 		out[id] = e
 	}
 	return out
-}
-
-// Datasets returns the recorded dataset ids in sorted order.
-func (l *Ledger) Datasets() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ids := make([]string, 0, len(l.datasets))
-	for id := range l.datasets {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // Path returns the backing file, or "" for an in-memory ledger. Serving

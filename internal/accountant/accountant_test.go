@@ -1,6 +1,8 @@
 package accountant
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -115,26 +117,6 @@ func TestRefund(t *testing.T) {
 	}
 }
 
-func TestSetBudget(t *testing.T) {
-	l := New(1.0)
-	if err := l.SetBudget("d", 3.0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Charge("d", 2.5, "", ""); err != nil {
-		t.Errorf("raised budget: %v", err)
-	}
-	// Lowering below spend is allowed; further charges fail.
-	if err := l.SetBudget("d", 2.0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Charge("d", 0.1, "", ""); !errors.Is(err, ErrBudgetExceeded) {
-		t.Errorf("charge past lowered budget: %v", err)
-	}
-	if err := l.SetBudget("d", 0); err == nil {
-		t.Error("zero budget must be rejected")
-	}
-}
-
 // TestConcurrentCharges races many goroutines on one ledger entry: with
 // a budget of 1.0 and charges of 0.1, exactly 10 must succeed no matter
 // how the goroutines interleave. Run under -race in CI.
@@ -192,8 +174,8 @@ func TestConcurrentMixedOps(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if len(l.Datasets()) != 2 {
-		t.Errorf("datasets = %v", l.Datasets())
+	if snap := l.Snapshot(); len(snap) != 2 {
+		t.Errorf("datasets = %v", snap)
 	}
 }
 
@@ -207,16 +189,15 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if _, err := l.Charge("adult", 0.7, "", ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.SetBudget("acs", 5.0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Charge("acs", 4.0, "", ""); err != nil {
+	if _, err := l.Charge("acs", 1.5, "", ""); err != nil {
 		t.Fatal(err)
 	}
 
-	// A fresh process opens the same file: spend and budgets survive,
-	// and the budget keeps binding across restarts.
-	back, err := OpenWAL(path, 2.0, Options{})
+	// A fresh process opens the same file under another default budget:
+	// spends and the budgets recorded with them survive, the budget keeps
+	// binding across restarts, and only unseen datasets take the new
+	// default.
+	back, err := OpenWAL(path, 3.0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,31 +205,68 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if e := back.Get("adult"); e.Spent != 0.7 || e.Budget != 2.0 {
 		t.Errorf("adult entry = %+v", e)
 	}
-	if e := back.Get("acs"); e.Spent != 4.0 || e.Budget != 5.0 {
+	if e := back.Get("acs"); e.Spent != 1.5 || e.Budget != 2.0 {
 		t.Errorf("acs entry = %+v", e)
+	}
+	if e := back.Get("fresh"); e.Spent != 0 || e.Budget != 3.0 {
+		t.Errorf("fresh entry = %+v", e)
 	}
 	if _, err := back.Charge("adult", 1.4, "", ""); !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("reloaded ledger must still enforce the budget, got %v", err)
 	}
 }
 
-// TestOpenRejectsCorruptLedger: a file that is neither a WAL nor a
-// valid legacy JSON ledger fails to open.
+// preWALLedgerJSON is a ledger as releases before the WAL wrote it: one
+// JSON document, rewritten whole on every mutation.
+const preWALLedgerJSON = `{
+  "version": 1,
+  "default_budget": 2,
+  "datasets": {
+    "survey": {"spent": 0.7, "budget": 2},
+    "other": {"spent": 0, "budget": 9}
+  }
+}
+`
+
+// TestOpenRejectsCorruptLedger: a file that is not a WAL of charge,
+// refund and checkpoint records fails to open with ErrLedgerCorrupt,
+// also under Fsck, and the refused file is left as it was.
 func TestOpenRejectsCorruptLedger(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "ledger.json")
-	cases := map[string]string{
-		"garbage":        "not json",
-		"wrong version":  `{"version":99,"datasets":{}}`,
-		"negative spend": `{"version":1,"datasets":{"d":{"spent":-1,"budget":1}}}`,
-		"zero budget":    `{"version":1,"datasets":{"d":{"spent":0,"budget":0}}}`,
+	charge, err := json.Marshal(walRecord{Op: opCharge, Dataset: "d", Eps: 0.5, Spent: 0.5, Budget: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
+	budget, err := json.Marshal(walRecord{Op: "budget", Dataset: "d", Spent: 0.5, Budget: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeRecords(t, filepath.Join(dir, "budget.wal"), charge, budget)
+	budgetWAL, err := os.ReadFile(filepath.Join(dir, "budget.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]byte{
+		"garbage":             []byte("not json"),
+		"shorter than magic":  []byte("{}"),
+		"pre-WAL JSON ledger": []byte(preWALLedgerJSON),
+		"budget record":       budgetWAL,
+	}
+	path := filepath.Join(dir, "ledger")
 	for name, raw := range cases {
-		if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenWAL(path, 1, Options{}); err == nil {
-			t.Errorf("%s: OpenWAL must fail", name)
+		for _, fsck := range []bool{false, true} {
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if l, err := OpenWAL(path, 1, Options{Fsck: fsck}); !errors.Is(err, ErrLedgerCorrupt) {
+				if err == nil {
+					l.Close()
+				}
+				t.Errorf("%s (fsck %v): OpenWAL err = %v, want ErrLedgerCorrupt", name, fsck, err)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, raw) {
+				t.Errorf("%s (fsck %v): refused file changed (err %v)", name, fsck, err)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package accountant
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"path/filepath"
 	"strings"
@@ -42,13 +43,15 @@ func mustRecord(f *testing.F, rec walRecord) string {
 // the input's lines are written as WAL records, one each. OpenWAL must
 // never panic. It either refuses the log or returns a ledger whose
 // every entry is a finite spend of at least zero against a finite
-// positive budget, holding at most maxIdemKeys idempotency keys. A
-// compaction threshold of 2 makes a log of two records or more compact
-// on open, so the checkpoint encoder sees the replayed state too.
+// positive budget, holding at most maxIdemKeys idempotency keys; a log
+// holding a budget record it must refuse as corrupt. A compaction
+// threshold of 2 makes a log of two records or more compact on open, so
+// the checkpoint encoder sees the replayed state too.
 func FuzzLedgerReplay(f *testing.F) {
 	charge := mustRecord(f, walRecord{Op: opCharge, Dataset: "d", Eps: 0.5, Key: "k1", ModelID: "d-fit-1", Spent: 0.5, Budget: 1})
 	refund := mustRecord(f, walRecord{Op: opRefund, Dataset: "d", Eps: 0.5, Key: "k1", Budget: 1})
-	budget := mustRecord(f, walRecord{Op: opBudget, Dataset: "e", Spent: 0.25, Budget: 3})
+	// A budget record, which no ledger writes, must be refused.
+	budget := mustRecord(f, walRecord{Op: "budget", Dataset: "e", Spent: 0.25, Budget: 3})
 	checkpoint := mustRecord(f, walRecord{Op: opCheckpoint, Version: walVersion,
 		Datasets: map[string]Entry{"d": {Spent: 0.5, Budget: 1}},
 		Keys:     map[string]keyInfo{"k1": {Dataset: "d", Eps: 0.5, ModelID: "d-fit-1"}},
@@ -67,9 +70,17 @@ func FuzzLedgerReplay(f *testing.F) {
 		for _, line := range strings.SplitN(records, "\n", 64) {
 			payloads = append(payloads, []byte(line))
 		}
+		budget := false
+		for _, p := range payloads {
+			var rec walRecord
+			budget = budget || json.Unmarshal(p, &rec) == nil && rec.Op == "budget"
+		}
 		path := filepath.Join(t.TempDir(), "ledger")
 		writeRecords(t, path, payloads...)
 		l, err := OpenWAL(path, 1, Options{CompactEvery: 2})
+		if budget && !errors.Is(err, ErrLedgerCorrupt) {
+			t.Fatalf("log with a budget record: err = %v, want ErrLedgerCorrupt", err)
+		}
 		if err != nil {
 			return
 		}

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"os"
-	"path/filepath"
 	"slices"
 
 	"privbayes/internal/faultfs"
@@ -39,7 +37,6 @@ type walRecord struct {
 const (
 	opCharge     = "charge"
 	opRefund     = "refund"
-	opBudget     = "budget"
 	opCheckpoint = "checkpoint"
 )
 
@@ -65,16 +62,17 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// OpenWAL opens (or creates) a WAL-backed ledger at path. Existing
-// legacy JSON ledgers are migrated in place atomically, so pointing a
-// new daemon at an old ledger file keeps every recorded ε spend. A
-// corrupt log fails with a *CorruptError matching ErrLedgerCorrupt
-// unless opts.Fsck sanctions truncating at the damage.
+// OpenWAL opens (or creates) a WAL-backed ledger at path and replays
+// its records. A corrupt log fails with a *CorruptError matching
+// ErrLedgerCorrupt unless opts.Fsck sanctions truncating at damaged
+// framing. A file that does not start with the WAL magic, or a record
+// that passes its checksum but that replay refuses (an unknown op, an
+// invalid state), fails the same way even under Fsck: neither is a torn
+// tail that truncation repairs.
 func OpenWAL(path string, defaultBudget float64, opts Options) (*Ledger, error) {
 	if !(defaultBudget > 0) {
 		return nil, fmt.Errorf("accountant: default budget must be positive, got %g", defaultBudget)
 	}
-	fs := faultfs.Or(opts.FS)
 	l := &Ledger{
 		path:          path,
 		defaultBudget: defaultBudget,
@@ -87,14 +85,7 @@ func OpenWAL(path string, defaultBudget float64, opts Options) (*Ledger, error) 
 		l.compactEvery = DefaultCompactEvery
 	}
 
-	if raw, err := fs.ReadFile(path); err == nil && looksLegacyJSON(raw) {
-		if err := migrateLegacy(fs, path, raw, defaultBudget); err != nil {
-			return nil, err
-		}
-		l.notef("migrated legacy JSON ledger %s to WAL format", path)
-	}
-
-	log, err := wal.Open(path, wal.Options{FS: fs, Fsck: opts.Fsck}, l.applyRecord)
+	log, err := wal.Open(path, wal.Options{FS: opts.FS, Fsck: opts.Fsck}, l.applyRecord)
 	if err != nil {
 		var ce *wal.CorruptError
 		if errors.As(err, &ce) {
@@ -117,66 +108,6 @@ func (l *Ledger) notef(format string, args ...any) {
 	}
 }
 
-// looksLegacyJSON reports whether raw is (the start of) a legacy JSON
-// ledger document rather than a WAL.
-func looksLegacyJSON(raw []byte) bool {
-	for _, b := range raw {
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			continue
-		case '{':
-			return true
-		default:
-			return false
-		}
-	}
-	return false
-}
-
-// migrateLegacy converts a legacy JSON ledger into a fresh WAL holding
-// one checkpoint record, atomically: the new log is built beside the
-// old file and renamed over it, so a crash at any point leaves either
-// the intact legacy file (migration simply reruns) or the complete WAL.
-func migrateLegacy(fs faultfs.FS, path string, raw []byte, defaultBudget float64) error {
-	entries, err := parseLegacy(path, raw)
-	if err != nil {
-		return err
-	}
-	tmp := path + ".migrate"
-	// A previous crashed migration may have left a partial temp log.
-	if err := fs.Remove(tmp); err != nil && !isNotExist(err) {
-		return fmt.Errorf("accountant: clear stale migration file: %w", err)
-	}
-	log, err := wal.Open(tmp, wal.Options{FS: fs}, func(int64, []byte) error {
-		return errors.New("accountant: fresh migration log is not empty")
-	})
-	if err != nil {
-		return fmt.Errorf("accountant: migrate ledger: %w", err)
-	}
-	payload, err := json.Marshal(walRecord{Op: opCheckpoint, Version: walVersion,
-		Datasets: entries, Keys: map[string]keyInfo{}})
-	if err != nil {
-		log.Close()
-		return fmt.Errorf("accountant: migrate ledger: %w", err)
-	}
-	if err := log.Append(payload); err != nil {
-		log.Close()
-		return fmt.Errorf("accountant: migrate ledger: %w", err)
-	}
-	if err := log.Close(); err != nil {
-		return fmt.Errorf("accountant: migrate ledger: %w", err)
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		return fmt.Errorf("accountant: migrate ledger: %w", err)
-	}
-	if err := fs.SyncDir(filepath.Dir(path)); err != nil {
-		return fmt.Errorf("accountant: migrate ledger: %w", err)
-	}
-	return nil
-}
-
-func isNotExist(err error) bool { return errors.Is(err, os.ErrNotExist) }
-
 // applyRecord replays one WAL record into the in-memory state. Any
 // undecodable or semantically invalid record is corruption: its bytes
 // passed the checksum, so the writer and reader disagree — fail closed.
@@ -190,7 +121,7 @@ func (l *Ledger) applyRecord(offset int64, payload []byte) error {
 		return &CorruptError{Path: l.path, Offset: offset, Reason: reason}
 	}
 	switch rec.Op {
-	case opCharge, opRefund, opBudget:
+	case opCharge, opRefund:
 		if rec.Dataset == "" {
 			return bad(rec.Op + " record without dataset")
 		}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -16,7 +15,7 @@ import (
 
 func TestOpenWALRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ledger")
-	l, err := OpenWAL(path, 2.0, Options{})
+	l, err := OpenWAL(path, 5.0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,9 +26,6 @@ func TestOpenWALRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.SetBudget("b", 5.0); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := l.Charge("b", 3.0, "", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +34,12 @@ func TestOpenWALRoundTrip(t *testing.T) {
 	}
 	l.Close()
 
-	l2, err := OpenWAL(path, 2.0, Options{})
+	l2, err := OpenWAL(path, 5.0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if e := l2.Get("a"); math.Abs(e.Spent-0.3) > 1e-12 || e.Budget != 2.0 {
+	if e := l2.Get("a"); math.Abs(e.Spent-0.3) > 1e-12 || e.Budget != 5.0 {
 		t.Errorf("a = %+v", e)
 	}
 	if e := l2.Get("b"); e.Spent != 3.0 || e.Budget != 5.0 {
@@ -53,29 +49,6 @@ func TestOpenWALRoundTrip(t *testing.T) {
 	if _, err := l2.Charge("b", 2.5, "", ""); !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("overdraw after recovery: %v", err)
 	}
-}
-
-// legacyLedgerJSON is a ledger as earlier releases wrote it: one JSON
-// document, rewritten whole on every mutation.
-const legacyLedgerJSON = `{
-  "version": 1,
-  "default_budget": 2,
-  "datasets": {
-    "survey": {"spent": 0.7, "budget": 2},
-    "other": {"spent": 0, "budget": 9}
-  }
-}
-`
-
-// writeLegacyLedger writes legacyLedgerJSON to a fresh path and returns
-// it.
-func writeLegacyLedger(t *testing.T) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "ledger.json")
-	if err := os.WriteFile(path, []byte(legacyLedgerJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
 }
 
 // TestClosedLedgerRefusesMutations: once closed, a file-backed ledger
@@ -103,44 +76,6 @@ func TestClosedLedgerRefusesMutations(t *testing.T) {
 	defer back.Close()
 	if e := back.Get("d"); e.Spent != 0.5 {
 		t.Fatalf("reopened spent = %g, want 0.5", e.Spent)
-	}
-}
-
-func TestOpenWALMigratesLegacyJSON(t *testing.T) {
-	path := writeLegacyLedger(t)
-	l, err := OpenWAL(path, 2.0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := l.Get("survey"); e.Spent != 0.7 || e.Budget != 2.0 {
-		t.Errorf("survey after migration = %+v", e)
-	}
-	if e := l.Get("other"); e.Budget != 9.0 {
-		t.Errorf("other after migration = %+v", e)
-	}
-	if _, err := l.Charge("survey", 1.0, "", ""); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-
-	// The file is now a WAL — and keeps working across another cycle.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(raw), "PBWAL") {
-		t.Fatalf("migrated file does not start with WAL magic: %q", raw[:8])
-	}
-	l2, err := OpenWAL(path, 2.0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if e := l2.Get("survey"); math.Abs(e.Spent-1.7) > 1e-12 {
-		t.Errorf("survey after second open = %+v", e)
-	}
-	if stray, _ := filepath.Glob(path + ".migrate"); len(stray) != 0 {
-		t.Errorf("leftover migration file: %v", stray)
 	}
 }
 
@@ -375,7 +310,7 @@ func (m *ledgerModel) entry(ds string) Entry {
 
 // op is one scripted ledger mutation.
 type op struct {
-	kind    string // "charge", "refund", "budget", "idem"
+	kind    string // "charge", "refund", "idem"
 	dataset string
 	eps     float64
 	key     string
@@ -392,8 +327,6 @@ func (m *ledgerModel) apply(o op) {
 		if e.Spent < 0 {
 			e.Spent = 0
 		}
-	case "budget":
-		e.Budget = o.eps
 	}
 	m.datasets[o.dataset] = e
 }
@@ -417,16 +350,14 @@ func (m *ledgerModel) equal(snap map[string]Entry) bool {
 // repeats the dataset and ε of the charge it returns.
 var crashScript = []op{
 	{kind: "charge", dataset: "a", eps: 0.3},
-	{kind: "budget", dataset: "b", eps: 4.0},
 	{kind: "charge", dataset: "b", eps: 1.5},
 	{kind: "idem", dataset: "idem-ds", eps: 0.7, key: "fit-key-1"},
 	{kind: "idem", dataset: "a", eps: 0.1, key: "fit-key-2"},
-	{kind: "refund", dataset: "a", eps: 0.1, of: 4},
+	{kind: "refund", dataset: "a", eps: 0.1, of: 3},
 	{kind: "charge", dataset: "a", eps: 0.4},
 	{kind: "charge", dataset: "b", eps: 0.5},
-	{kind: "refund", dataset: "b", eps: 0.5, of: 7},
+	{kind: "refund", dataset: "b", eps: 0.5, of: 6},
 	{kind: "charge", dataset: "c", eps: 1.0},
-	{kind: "budget", dataset: "c", eps: 3.0},
 }
 
 // runScript executes the script against a ledger opened on fs,
@@ -447,8 +378,6 @@ func runScript(fs faultfs.FS, path string) (committed int, inflight int) {
 			spends[i], err = l.Charge(o.dataset, o.eps, o.key, "m-"+o.dataset)
 		case "refund":
 			err = spends[o.of].Refund()
-		case "budget":
-			err = l.SetBudget(o.dataset, o.eps)
 		}
 		if err != nil {
 			if errors.Is(err, ErrPersist) && inflight == -1 {
@@ -525,41 +454,6 @@ func TestCrashSweepLedger(t *testing.T) {
 			}
 			rec.Close()
 		}
-	}
-}
-
-// TestCrashSweepLegacyMigration crashes at every point of the
-// legacy-JSON → WAL migration: recovery must always yield either the
-// legacy state (migration reruns) — never a torn in-between.
-func TestCrashSweepLegacyMigration(t *testing.T) {
-	probePath := writeLegacyLedger(t)
-	probe := faultfs.NewFault(nil)
-	if l, err := OpenWAL(probePath, 2.0, Options{FS: probe}); err != nil {
-		t.Fatal(err)
-	} else {
-		l.Close()
-	}
-	total := probe.Ops()
-
-	for n := int64(1); n <= total; n++ {
-		path := writeLegacyLedger(t)
-		fault := faultfs.NewFault(nil)
-		fault.CrashAt(n, true)
-		if l, err := OpenWAL(path, 2.0, Options{FS: fault}); err == nil {
-			l.Close()
-		}
-		// Recover for real.
-		l, err := OpenWAL(path, 2.0, Options{})
-		if err != nil {
-			t.Fatalf("crash at op %d: post-crash open: %v", n, err)
-		}
-		if e := l.Get("survey"); e.Spent != 0.7 {
-			t.Fatalf("crash at op %d: survey = %+v", n, e)
-		}
-		if e := l.Get("other"); e.Budget != 9.0 {
-			t.Fatalf("crash at op %d: other = %+v", n, e)
-		}
-		l.Close()
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package baseline implements the count-query competitors of
 // Section 6.5: Laplace (noise straight into each α-way marginal),
-// Fourier (Barak et al. 2007, noisy Walsh–Hadamard coefficients),
-// Contingency (noisy full-domain table projected onto marginals), MWEM
-// (Hardt, Ligett, McSherry 2012) and the trivial Uniform baseline.
+// Fourier (FourierEncoded: Barak et al. 2007, noisy Walsh–Hadamard
+// coefficients), Contingency (noisy full-domain table projected onto
+// marginals), MWEM (Hardt, Ligett, McSherry 2012) and the trivial
+// Uniform baseline.
 // Every method exposes the same MarginalSource interface the workload
 // evaluator consumes. All methods apply the paper's consistency
 // post-processing: non-negativity then normalization.

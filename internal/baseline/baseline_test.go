@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"privbayes/internal/data"
 	"privbayes/internal/dataset"
 	"privbayes/internal/marginal"
 )
@@ -143,24 +144,26 @@ func TestWHTRejectsNonPowerOfTwo(t *testing.T) {
 	WHT(make([]float64, 6))
 }
 
+// TestFourierExactAtHugeEpsilon: on all-binary data (NLTCS) every
+// attribute is one bit, so FourierEncoded releases one coefficient per
+// attribute subset of size at most α, C = Σ_{s≤α} C(d, s), with Laplace
+// scale 2C/(nε), and with negligible noise it reconstructs every α-way
+// marginal exactly.
 func TestFourierExactAtHugeEpsilon(t *testing.T) {
-	ds := binData(1000, 5, 8)
-	f := NewFourier(ds, 3, 1e9, rand.New(rand.NewSource(9)))
-	if got := avd(ds, f, 3); got > 1e-6 {
+	spec, _ := data.ByName("NLTCS")
+	ds := spec.GenerateN(2000)
+	const alpha, eps = 3, 1e9
+	f := NewFourierEncoded(ds, alpha, eps, rand.New(rand.NewSource(9)))
+	c := 0
+	for s := 0; s <= alpha; s++ {
+		c += len(Subsets(ds.D(), s))
+	}
+	if want := 2 * float64(c) / (float64(ds.N()) * eps); f.scale != want {
+		t.Errorf("Laplace scale %g, want 2C/(nε) = %g with C = %d", f.scale, want, c)
+	}
+	if got := avd(ds, f, alpha); got > 1e-6 {
 		t.Errorf("Fourier with negligible noise: AVD = %v", got)
 	}
-}
-
-func TestFourierRejectsNonBinary(t *testing.T) {
-	attrs := []dataset.Attribute{dataset.NewCategorical("a", []string{"x", "y", "z"})}
-	ds := dataset.New(attrs)
-	ds.Append([]uint16{0})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewFourier(ds, 1, 1, rand.New(rand.NewSource(1)))
 }
 
 func TestFourierEncodedExactAtHugeEpsilon(t *testing.T) {

@@ -11,14 +11,21 @@ import (
 	"privbayes/internal/marginal"
 )
 
-// FourierEncoded extends the Fourier baseline to general domains the way
-// the paper's evaluation requires: the dataset is binarized (Section 5.1
-// binary encoding) and Walsh–Hadamard coefficients are released for every
-// bit-subset spanned by some query marginal. Answering an α-way marginal
-// over original attributes needs coefficients over all bits of those
-// attributes, so the released coefficient count — and with it the noise —
-// grows with the attributes' bit widths. That blow-up is exactly why
-// Fourier degrades sharply on Adult and BR2000 in Figures 14-15.
+// FourierEncoded implements the Fourier baseline of Barak et al. (2007):
+// release noisy Walsh–Hadamard (Fourier) coefficients of the empirical
+// distribution, from which the α-way marginals are reconstructed. The
+// dataset is binarized (Section 5.1 binary encoding) and a coefficient is
+// released for every bit-subset spanned by some query marginal. Changing
+// one tuple moves 1/n of mass between two cells, shifting each
+// coefficient by at most 2/n; with C released coefficients the L1
+// sensitivity is 2C/n, so each coefficient gets Laplace(2C/(n·ε)) noise.
+//
+// On all-binary data every attribute is one bit, so C counts the
+// attribute subsets of size at most α, as in Barak et al. Answering an
+// α-way marginal over wider attributes needs coefficients over all bits
+// of those attributes, so C — and with it the noise — grows with the
+// attributes' bit widths. That blow-up is exactly why Fourier degrades
+// sharply on Adult and BR2000 in Figures 14-15.
 //
 // Coefficients are noised lazily but exactly once (cached by global
 // bit-set), keeping all served marginals mutually consistent.

@@ -35,7 +35,6 @@ func marginalSeries(cfg Config, dsName string) ([]series, error) {
 	if err != nil {
 		return nil, err
 	}
-	binary := isBinary(ds)
 	scorers := newScorerCache()
 	all := []series{
 		{"PrivBayes", func(alpha int, eps float64, rng *rand.Rand) (baseline.MarginalSource, error) {
@@ -51,16 +50,13 @@ func marginalSeries(cfg Config, dsName string) ([]series, error) {
 			return baseline.NewLaplace(ds, alpha, eps, rng), nil
 		}},
 		{"Fourier", func(alpha int, eps float64, rng *rand.Rand) (baseline.MarginalSource, error) {
-			if binary {
-				return baseline.NewFourier(ds, alpha, eps, rng), nil
-			}
 			return baseline.NewFourierEncoded(ds, alpha, eps, rng), nil
 		}},
 		{"Uniform", func(alpha int, eps float64, rng *rand.Rand) (baseline.MarginalSource, error) {
 			return &baseline.Uniform{DS: ds}, nil
 		}},
 	}
-	if binary {
+	if isBinary(ds) {
 		if dsName == "NLTCS" || cfg.Heavy {
 			all = append(all, series{"Contingency", func(alpha int, eps float64, rng *rand.Rand) (baseline.MarginalSource, error) {
 				return baseline.NewContingency(ds, eps, rng), nil

@@ -106,9 +106,10 @@ func NewEngine(attrs []dataset.Attribute, cpts []CPT) *Engine {
 // probabilities by passing no targets (the result is then a single
 // cell holding P(evidence)).
 //
-// ctx is checked between factor operations, so a cancelled query stops
-// within one CPT product. Targets and evidence must not mention the
-// same attribute; evidence attributes must be distinct.
+// ctx is checked between factor operations and between the chunks of a
+// parallel product, so a cancelled query stops within one CPT product.
+// Targets and evidence must not mention the same attribute; evidence
+// attributes must be distinct.
 func (e *Engine) Joint(ctx context.Context, targets []Target, evidence []Evidence, opt Options) (*marginal.Table, error) {
 	maxCells := opt.MaxCells
 	if maxCells <= 0 {
@@ -197,7 +198,7 @@ func (e *Engine) Joint(ctx context.Context, targets []Target, evidence []Evidenc
 			}
 		}
 		var err error
-		if factors, err = eliminate(factors, best, masks[best], maxCells, workers, opt.Stats); err != nil {
+		if factors, err = eliminate(ctx, factors, best, masks[best], maxCells, workers, opt.Stats); err != nil {
 			return nil, err
 		}
 		next := elim[:0]
@@ -212,7 +213,7 @@ func (e *Engine) Joint(ctx context.Context, targets []Target, evidence []Evidenc
 	joint := scalarFactor()
 	for _, f := range factors {
 		var err error
-		if joint, err = joint.multiply(f, maxCells, workers); err != nil {
+		if joint, err = joint.multiply(ctx, f, maxCells, workers); err != nil {
 			return nil, err
 		}
 		opt.Stats.noteProduct(joint)
@@ -242,7 +243,7 @@ func bucketCells(factors []*factor, v int) int {
 // eliminate sums attribute v out of the factor list: its bucket —
 // every factor mentioning v, joined in list order — is replaced by the
 // bucket product with v aggregated away under mask.
-func eliminate(factors []*factor, v int, mask []bool, maxCells, workers int, stats *Stats) ([]*factor, error) {
+func eliminate(ctx context.Context, factors []*factor, v int, mask []bool, maxCells, workers int, stats *Stats) ([]*factor, error) {
 	rest := make([]*factor, 0, len(factors))
 	var prod *factor
 	for _, f := range factors {
@@ -255,7 +256,7 @@ func eliminate(factors []*factor, v int, mask []bool, maxCells, workers int, sta
 			continue
 		}
 		var err error
-		if prod, err = prod.multiply(f, maxCells, workers); err != nil {
+		if prod, err = prod.multiply(ctx, f, maxCells, workers); err != nil {
 			return nil, err
 		}
 		stats.noteProduct(prod)

@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -97,7 +98,7 @@ func cptFactor(attrs []dataset.Attribute, c CPT, maxCells int) (*factor, error) 
 // workers > 1 fans the cell loop out; each output cell is written
 // exactly once with no reduction, so the result is bit-identical at
 // every worker count.
-func (f *factor) multiply(g *factor, maxCells, workers int) (*factor, error) {
+func (f *factor) multiply(ctx context.Context, g *factor, maxCells, workers int) (*factor, error) {
 	outAttrs := append([]int(nil), f.attrs...)
 	outDims := append([]int(nil), f.dims...)
 	for i, a := range g.attrs {
@@ -150,11 +151,12 @@ func (f *factor) multiply(g *factor, maxCells, workers int) (*factor, error) {
 		}
 	}
 	if workers > 1 && size > multiplyChunk {
-		chunks := parallel.Chunks(size, multiplyChunk)
-		parallel.For(workers, chunks, func(ci int) {
+		if err := parallel.ForCtx(ctx, workers, parallel.Chunks(size, multiplyChunk), func(ci int) {
 			lo := ci * multiplyChunk
 			mul(lo, min(lo+multiplyChunk, size))
-		})
+		}); err != nil {
+			return nil, err
+		}
 	} else {
 		mul(0, size)
 	}

@@ -259,16 +259,12 @@ func (p *walkPass) run(ctx context.Context, ds *dataset.Dataset, workers int) er
 	}()
 	for lo := 0; lo < n; lo += countBlockRows {
 		hi := min(lo+countBlockRows, n)
-		parallel.ForChunks(workers, hi-lo, materializeChunk, func(w, clo, chi int) {
-			if ctx.Err() != nil {
-				return
-			}
+		if err := parallel.ForChunks(ctx, workers, hi-lo, materializeChunk, func(w, clo, chi int) {
 			if per[w] == nil {
 				per[w] = p.scratch(ds)
 			}
 			p.chunk(ds, per[w], lo+clo, lo+chi)
-		})
-		if err := ctx.Err(); err != nil {
+		}); err != nil {
 			return err
 		}
 		for _, s := range per {

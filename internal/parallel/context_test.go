@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// TestForCtxCompletes: an uncancelled ForCtx behaves exactly like For.
+// TestForCtxCompletes: an uncancelled ForCtx runs every unit.
 func TestForCtxCompletes(t *testing.T) {
 	for _, workers := range []int{1, 2, 7} {
 		var sum atomic.Int64

@@ -3,8 +3,8 @@
 // scoring, marginal (contingency) counting over N rows, and synthetic
 // tuple sampling.
 //
-// The engine provides three primitives — a bounded worker pool (For,
-// Map), chunked row-range fan-out with stable worker identities
+// The engine provides three primitives — a bounded worker pool (ForCtx,
+// MapCtx), chunked row-range fan-out with stable worker identities
 // (ForChunks), and split RNG streams (SplitSeeds) — designed around one
 // contract: for a fixed seed, results never depend on the number of
 // workers or on goroutine scheduling.
@@ -23,9 +23,19 @@
 //   - Commutative accumulation (integer-valued counts) may use
 //     per-worker scratch via ForChunks; exact addition makes the merged
 //     total independent of chunk-to-worker assignment.
+//
+// Every primitive stops claiming new units as soon as its context is
+// done and returns ctx.Err(); for an uncancelled context it runs every
+// unit. It blocks until all of its worker goroutines have exited before
+// returning, so a cancelled call never leaks goroutines and never leaves
+// fn running concurrently with the caller's error handling. Units
+// already started when cancellation fires run to completion (fn is not
+// interrupted mid-unit); choose unit sizes so that a single unit is an
+// acceptable cancellation latency.
 package parallel
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -43,25 +53,53 @@ func Workers(parallelism int) int {
 	return parallelism
 }
 
-// For runs fn(i) for every i in [0, n) on up to workers goroutines and
-// blocks until all calls return. workers <= 1 (or n <= 1) runs inline in
-// index order. Tasks are claimed dynamically, so fn must not depend on
-// which goroutine runs which index. A panic in any fn is re-raised on
-// the caller's goroutine after the pool drains.
-func For(workers, n int, fn func(i int)) {
+// ForCtx runs fn(i) for every i in [0, n) on up to workers goroutines
+// and blocks until every call has returned. workers <= 1 (or n <= 1)
+// runs inline in index order. Units are claimed dynamically, so fn must
+// not depend on which goroutine runs which index. When ctx ends early it
+// stops dispatching further indices, waits for in-flight calls to
+// finish, and returns ctx.Err(); otherwise it returns nil. A panic in
+// any fn is re-raised on the caller's goroutine after the pool drains.
+func ForCtx(ctx context.Context, workers, n int, fn func(i int)) error {
+	return pool(ctx, workers, n, func(_, i int) { fn(i) })
+}
+
+// MapCtx runs fn across [0, n) like ForCtx and returns the results in
+// index order — the deterministic ordered reduction used by candidate
+// scoring and marginal materialization. On cancellation the partial
+// results are discarded and only ctx.Err() is returned; a nil error
+// guarantees every slot was computed.
+func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) T) ([]T, error) {
+	out := make([]T, n)
+	if err := ForCtx(ctx, workers, n, func(i int) { out[i] = fn(i) }); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// pool is the package's one worker pool: it calls fn(worker, i) for
+// every unit i in [0, n), where worker, in [0, min(workers, n)), names
+// the goroutine running the unit and is stable for the call's lifetime.
+// It implements the cancellation, teardown and panic contract every
+// primitive shares.
+func pool(ctx context.Context, workers, n int, fn func(worker, i int)) error {
 	if n <= 0 {
-		return
+		return nil
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
+	done := ctx.Done()
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			select {
+			case <-done:
+				return ctx.Err()
+			default:
+			}
+			fn(0, i)
 		}
-		return
+		return nil
 	}
-	var next atomic.Int64
+	var next, completed atomic.Int64
 	var wg sync.WaitGroup
 	pc := panicCatcher{}
 	for w := 0; w < workers; w++ {
@@ -70,25 +108,28 @@ func For(workers, n int, fn func(i int)) {
 			defer wg.Done()
 			defer pc.catch()
 			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
+				completed.Add(1)
 			}
 		}()
 	}
 	wg.Wait()
 	pc.repanic()
-}
-
-// Map runs fn across [0, n) on up to workers goroutines and returns the
-// results in index order — the deterministic ordered reduction used by
-// candidate scoring and marginal materialization.
-func Map[T any](workers, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	For(workers, n, func(i int) { out[i] = fn(i) })
-	return out
+	// A cancellation that fires after the last unit already ran did not
+	// lose any work; report success so callers keep complete results.
+	if int(completed.Load()) == n {
+		return nil
+	}
+	return ctx.Err()
 }
 
 // Chunks returns the number of fixed-size chunks covering [0, n). The
@@ -104,53 +145,21 @@ func Chunks(n, chunk int) int {
 	return (n + chunk - 1) / chunk
 }
 
-// ForChunks fans the range [0, n) out as fixed-size chunks: fn(worker,
-// lo, hi) is called once per chunk with 0 <= lo < hi <= n and hi-lo <=
-// chunk. The worker id (in [0, workers)) is stable for the lifetime of
-// the call, letting fn accumulate into per-worker scratch without locks.
-// Chunk boundaries depend only on n and chunk; chunk-to-worker
-// assignment is dynamic, so per-worker accumulation is deterministic
-// only when merging is order-independent (e.g. exact integer sums).
-func ForChunks(workers, n, chunk int, fn func(worker, lo, hi int)) {
-	nc := Chunks(n, chunk)
-	if nc == 0 {
-		return
-	}
-	if chunk <= 0 {
-		chunk = 1
-	}
-	if workers > nc {
-		workers = nc
-	}
-	if workers <= 1 {
-		for c := 0; c < nc; c++ {
-			lo := c * chunk
-			hi := min(lo+chunk, n)
-			fn(0, lo, hi)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	pc := panicCatcher{}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			defer pc.catch()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nc {
-					return
-				}
-				lo := c * chunk
-				hi := min(lo+chunk, n)
-				fn(worker, lo, hi)
-			}
-		}(w)
-	}
-	wg.Wait()
-	pc.repanic()
+// ForChunks fans the range [0, n) out as fixed-size chunks on the
+// pool: fn(worker, lo, hi) is called once per chunk with 0 <= lo < hi
+// <= n and hi-lo <= chunk. The worker id (in [0, workers)) is stable for
+// the lifetime of the call, letting fn accumulate into per-worker
+// scratch without locks. Chunk boundaries depend only on n and chunk;
+// chunk-to-worker assignment is dynamic, so per-worker accumulation is
+// deterministic only when merging is order-independent (e.g. exact
+// integer sums). It checks ctx before every chunk and returns like
+// ForCtx.
+func ForChunks(ctx context.Context, workers, n, chunk int, fn func(worker, lo, hi int)) error {
+	chunk = max(chunk, 1)
+	return pool(ctx, workers, Chunks(n, chunk), func(w, c int) {
+		lo := c * chunk
+		fn(w, lo, min(lo+chunk, n))
+	})
 }
 
 // SplitSeeds derives k child-stream seeds from the caller's generator by

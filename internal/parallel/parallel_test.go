@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -28,7 +29,9 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 100} {
 		for _, n := range []int{0, 1, 7, 1000} {
 			hits := make([]atomic.Int64, max(n, 1))
-			For(workers, n, func(i int) { hits[i].Add(1) })
+			if err := ForCtx(context.Background(), workers, n, func(i int) { hits[i].Add(1) }); err != nil {
+				t.Fatalf("workers=%d n=%d: %v", workers, n, err)
+			}
 			for i := 0; i < n; i++ {
 				if got := hits[i].Load(); got != 1 {
 					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, got)
@@ -41,7 +44,10 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 // TestMapOrderedReduction checks results land in their own index slots
 // regardless of scheduling.
 func TestMapOrderedReduction(t *testing.T) {
-	out := Map(8, 500, func(i int) int { return i * i })
+	out, err := MapCtx(context.Background(), 8, 500, func(i int) int { return i * i })
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range out {
 		if v != i*i {
 			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
@@ -54,7 +60,7 @@ func TestForChunksCoverage(t *testing.T) {
 		for _, n := range []int{0, 1, 10, 1000, 1024} {
 			var mu sync.Mutex
 			seen := make([]bool, n)
-			ForChunks(workers, n, 64, func(worker, lo, hi int) {
+			err := ForChunks(context.Background(), workers, n, 64, func(worker, lo, hi int) {
 				if worker < 0 || worker >= workers {
 					t.Errorf("worker id %d out of range [0,%d)", worker, workers)
 				}
@@ -70,6 +76,9 @@ func TestForChunksCoverage(t *testing.T) {
 				}
 				mu.Unlock()
 			})
+			if err != nil {
+				t.Fatalf("workers=%d n=%d: %v", workers, n, err)
+			}
 			for r := 0; r < n; r++ {
 				if !seen[r] {
 					t.Fatalf("workers=%d n=%d: row %d never covered", workers, n, r)
@@ -122,7 +131,7 @@ func TestForPanicPropagates(t *testing.T) {
 			t.Fatal("panic in worker was swallowed")
 		}
 	}()
-	For(4, 100, func(i int) {
+	ForCtx(context.Background(), 4, 100, func(i int) {
 		if i == 37 {
 			panic("boom")
 		}

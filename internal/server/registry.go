@@ -23,7 +23,8 @@ type ModelMeta struct {
 	// Epsilon is the budget the model was fitted under (artifact
 	// metadata; 0 when the artifact did not record it).
 	Epsilon float64 `json:"epsilon"`
-	// Source records where the model came from: "dir", "upload" or "fit".
+	// Source records where the model came from: "dir", "upload", "fit"
+	// or "curator" (a curator refit).
 	Source string `json:"source"`
 	core.ModelInfo
 }

@@ -18,6 +18,7 @@
 // Endpoints:
 //
 //	GET  /healthz                  liveness + worker budget
+//	GET  /readyz                   readiness: models loaded, ledger recovery
 //	GET  /models                   list registered models
 //	POST /models[?id=...]          upload a SaveModel artifact
 //	GET  /models/{id}              model metadata (network, ε, schema)
@@ -26,6 +27,12 @@
 //	POST /models/{id}/query        exact query: marginal/conditional/prob/count
 //	POST /fit                      curator mode: CSV + schema + ε -> model
 //	GET  /budget                   per-dataset privacy-budget ledger
+//	GET  /datasets                 list curated datasets
+//	POST /datasets/{id}            create a curated dataset from its schema
+//	GET  /datasets/{id}            curated dataset: rows, staleness, last refit
+//	POST /datasets/{id}/rows       append a JSONL batch of rows
+//	GET  /metrics                  metrics in Prometheus text format
+//	GET  /debug/vars               expvar JSON, metrics included
 package server
 
 import (

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"math/rand"
 
 	"privbayes/internal/baseline"
@@ -40,8 +41,9 @@ func NewEvaluator(real *dataset.Dataset, alpha, maxSubsets, parallelism int, rng
 	// data; fan them out, one serial materialization per subset, with
 	// ordered reduction — bit-identical to the serial loop. Low-arity
 	// subsets over bit-packed columns take Materialize's popcount fast
-	// path (itself bit-identical to the serial row walk).
-	e.truth = parallel.Map(parallel.Workers(parallelism), len(subsets), func(i int) *marginal.Table {
+	// path (itself bit-identical to the serial row walk). The context is
+	// never cancelled, so MapCtx returns no error.
+	e.truth, _ = parallel.MapCtx(context.Background(), parallel.Workers(parallelism), len(subsets), func(i int) *marginal.Table {
 		attrs := subsets[i]
 		vars := make([]marginal.Var, len(attrs))
 		for j, a := range attrs {
